@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import build_edge_table
-from .classical import build_reeb_graph, conjugate_vector
+from .classical import _egcd, build_reeb_graph, conjugate_vector
 from .numerics import DomainError, find_root, Tolerance
 from .potential import FluxRatio, FourierPotential
 
@@ -218,13 +218,6 @@ def _mod_inverse(N: int, M: int) -> int:
     if g != 1:
         raise DomainError("flux numerator and denominator share a factor")
     return x % M
-
-
-def _egcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
 
 
 def interior_bloch_coeffs(flux: FluxRatio, q: QuasiMomentum, sign: int,

@@ -54,117 +54,10 @@ class ConfigError(ValueError):
 # Config schema and canonicalization
 # ----------------------------------------------------------------------
 
-_NUMBER = {"type": "number"}
-_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "driftband run configuration",
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "potential": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cosine": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["A", "B", "beta"],
-                    "properties": {"A": _NUMBER, "B": _NUMBER,
-                                   "beta": _NUMBER},
-                },
-                "lattice": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "required": ["a21", "a22"],
-                    "properties": {"a21": _NUMBER, "a22": _NUMBER},
-                },
-                "coefficients": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["k1", "k2", "re", "im"],
-                        "properties": {"k1": {"type": "integer"},
-                                       "k2": {"type": "integer"},
-                                       "re": _NUMBER, "im": _NUMBER},
-                    },
-                },
-            },
-        },
-        "params": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["h", "epsilon"],
-            "properties": {"h": _NUMBER, "epsilon": _NUMBER},
-        },
-        "physical": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["B_field", "L0", "mass", "charge", "light_speed",
-                         "hbar", "Vmax"],
-            "properties": {k: _NUMBER for k in
-                           ("B_field", "L0", "mass", "charge", "light_speed",
-                            "hbar", "Vmax")},
-        },
-        "flux": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["N", "M"],
-            "properties": {"N": {"type": "integer"},
-                           "M": {"type": "integer", "minimum": 1}},
-        },
-        "delta": {"type": "number", "minimum": 0.0},
-        "i1": _NUMBER,
-        "i1_max": _NUMBER,
-        "mu": {"type": "integer", "minimum": 0},
-        "threads": {"type": "integer", "minimum": 1},
-        "grids": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "i1_grid": {"type": "integer", "minimum": 3},
-                "level_grid": {"type": "integer", "minimum": 32},
-                "table_nodes": {"type": "integer", "minimum": 8},
-                "harper_grid": {"type": "array", "minItems": 2,
-                                "maxItems": 2,
-                                "items": {"type": "integer", "minimum": 4}},
-                "average_grid": {"type": "integer", "minimum": 2},
-            },
-        },
-        "bloch": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "q": {"type": "array", "minItems": 2, "maxItems": 2,
-                      "items": _NUMBER},
-                "s": {"type": "integer", "minimum": 0},
-                "window": {"type": "integer", "minimum": 1, "maximum": 16},
-            },
-        },
-        "harper_farey_max": {"type": "integer", "minimum": 2},
-        "sturm": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "cosine_amplitude": _NUMBER,
-                "coefficients": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["k", "re", "im"],
-                        "properties": {"k": {"type": "integer"},
-                                       "re": _NUMBER, "im": _NUMBER},
-                    },
-                },
-                "h": _NUMBER,
-                "e_cap": _NUMBER,
-                "q_points": {"type": "integer", "minimum": 2},
-                "oracle_grid": {"type": "integer", "minimum": 64},
-            },
-        },
-    },
-}
+# read once at import; the same file ships as package data
+with open(os.path.join(os.path.dirname(__file__), "schema.json"),
+          encoding="utf-8") as _fh:
+    _SCHEMA = json.load(_fh)
 
 _DEFAULTS = {
     "delta": None,          # resolved per command (3 h)

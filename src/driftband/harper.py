@@ -77,23 +77,54 @@ def bloch_matrix(model: HarperModel, flux, theta1: float,
     Sites phi_j = phi0 + 2 pi M j / N carry the cosine; the hop closes
     around the N-cycle with boundary phase e^(i N theta1).
     """
+    frac = _checked_fraction(model, flux)
+    return HermitianMatrix(_bloch_stack(model, frac, [theta1], [phi0])[0])
+
+
+def _checked_fraction(model: HarperModel, flux) -> Fraction:
     m_over_n = _as_fraction(flux)
     check = model.flux_fraction()
     if check is None or check != m_over_n:
         raise CommensurabilityError(
             f"model flux {model.beta * model.h_step / TWO_PI} is not {m_over_n}")
-    m, n = m_over_n.numerator, m_over_n.denominator
-    a = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        a[j, j] = model.pot * math.cos(phi0 + TWO_PI * m * j / n)
+    return m_over_n
+
+
+def _bloch_stack(model: HarperModel, frac: Fraction, thetas,
+                 phis) -> np.ndarray:
+    """Bloch matrices at the points (thetas[i], phis[i]), shape (k, N, N)."""
+    m, n = frac.numerator, frac.denominator
+    thetas = np.asarray(thetas, dtype=float)
+    phis = np.asarray(phis, dtype=float)
+    j = np.arange(n)
+    a = np.zeros((thetas.size, n, n), dtype=complex)
+    a[:, j, j] = model.pot * np.cos(phis[:, None] + TWO_PI * m * j / n)
     # row j is the difference equation at site j; crossing the cycle end
-    # picks up the Bloch phase from w_(j+N) = e^(i N theta1) w_j
-    for j in range(n):
-        up = np.exp(1j * n * theta1) if j == n - 1 else 1.0
-        dn = np.exp(-1j * n * theta1) if j == 0 else 1.0
-        a[j, (j + 1) % n] += 0.5 * model.hop * up
-        a[j, (j - 1) % n] += 0.5 * model.hop * dn
-    return HermitianMatrix(a)
+    # picks up the Bloch phase from w_(j+N) = e^(i N theta1) w_j.  The hops
+    # are added, not assigned: for N = 1, 2 both land on the same entry.
+    up = np.ones((thetas.size, n), dtype=complex)
+    dn = np.ones((thetas.size, n), dtype=complex)
+    up[:, n - 1] = np.exp(1j * n * thetas)
+    dn[:, 0] = np.exp(-1j * n * thetas)
+    a[:, j, (j + 1) % n] += 0.5 * model.hop * up
+    a[:, j, (j - 1) % n] += 0.5 * model.hop * dn
+    return a
+
+
+# Bloch matrices are built and solved in stacks of at most this many
+# entries, which bounds the memory of a sweep at any grid and flux.
+_STACK_ENTRIES = 1 << 18
+
+
+def _sweep_eigenvalues(model: HarperModel, frac: Fraction, thetas,
+                       phis) -> np.ndarray:
+    """Eigenvalues (k, N) of the Bloch matrices at k paired points."""
+    n = frac.denominator
+    step = max(1, _STACK_ENTRIES // (n * n))
+    return np.concatenate([
+        hermitian_eigenvalues(_bloch_stack(model, frac, thetas[i:i + step],
+                                           phis[i:i + step]))
+        for i in range(0, len(thetas), step)])
 
 
 def _as_fraction(flux):
@@ -133,39 +164,33 @@ class BandTable:
 def band_table(model: HarperModel, flux, grid=(64, 64),
                gap_floor: float = 1e-9, refine: int = 4) -> BandTable:
     """Sweep the Bloch parameters and collect per-index eigenvalue ranges."""
-    m_over_n = _as_fraction(flux)
+    m_over_n = _checked_fraction(model, flux)
     n = m_over_n.denominator
     g1, g2 = grid
     thetas = np.linspace(0.0, TWO_PI / n, g1, endpoint=False)
     phis = np.linspace(0.0, TWO_PI, g2, endpoint=False)
-    mins = np.full(n, np.inf)
-    maxs = np.full(n, -np.inf)
-    argmin = [None] * n
-    argmax = [None] * n
-    for th in thetas:
-        for ph in phis:
-            lam = hermitian_eigenvalues(bloch_matrix(model, m_over_n, th, ph))
-            for b in range(n):
-                if lam[b] < mins[b]:
-                    mins[b] = lam[b]
-                    argmin[b] = (th, ph)
-                if lam[b] > maxs[b]:
-                    maxs[b] = lam[b]
-                    argmax[b] = (th, ph)
-    # local refinement around the winning grid points
-    dth = TWO_PI / n / g1
-    dph = TWO_PI / g2
-    for b in range(n if refine > 0 else 0):
-        for which, anchor in (("min", argmin[b]), ("max", argmax[b])):
-            th0, ph0 = anchor
-            for th in np.linspace(th0 - dth, th0 + dth, 2 * refine + 1):
-                for ph in np.linspace(ph0 - dph, ph0 + dph, 2 * refine + 1):
-                    lam = hermitian_eigenvalues(
-                        bloch_matrix(model, m_over_n, th, ph))
-                    if which == "min" and lam[b] < mins[b]:
-                        mins[b] = lam[b]
-                    if which == "max" and lam[b] > maxs[b]:
-                        maxs[b] = lam[b]
+    # theta outer, phi inner: argmin/argmax keep the first extremum in
+    # this order as the refinement anchor
+    th, ph = (x.ravel() for x in np.meshgrid(thetas, phis, indexing="ij"))
+    lam = _sweep_eigenvalues(model, m_over_n, th, ph)
+    cols = np.arange(n)
+    lo, hi = lam.argmin(axis=0), lam.argmax(axis=0)
+    mins, maxs = lam[lo, cols], lam[hi, cols]
+    if refine > 0:
+        # local (2 refine + 1)^2 patches around the 2 N anchors, one stack;
+        # anchor rows 0..N-1 refine the minima, N..2N-1 the maxima
+        dth = TWO_PI / n / g1
+        dph = TWO_PI / g2
+        anchors = np.concatenate([lo, hi])
+        k = 2 * refine + 1
+        pth = np.linspace(th[anchors] - dth, th[anchors] + dth, k, axis=-1)
+        pph = np.linspace(ph[anchors] - dph, ph[anchors] + dph, k, axis=-1)
+        pth = np.broadcast_to(pth[:, :, None], (2 * n, k, k)).ravel()
+        pph = np.broadcast_to(pph[:, None, :], (2 * n, k, k)).ravel()
+        patch = _sweep_eigenvalues(model, m_over_n, pth, pph)
+        patch = patch.reshape(2, n, k * k, n)[:, cols, :, cols]  # (n, 2, k*k)
+        mins = np.minimum(mins, patch[:, 0].min(axis=-1))
+        maxs = np.maximum(maxs, patch[:, 1].max(axis=-1))
     bands = [(float(mins[b]), float(maxs[b])) for b in range(n)]
     touching = [idx for idx in range(n - 1)
                 if bands[idx + 1][0] - bands[idx][1] < gap_floor]

@@ -1,9 +1,9 @@
 """Self-contained numerical kernels shared by the whole toolkit.
 
-Bessel J0, adaptive Gauss-Kronrod quadrature, Brent root bracketing, a
-symmetric eigensolver (Householder tridiagonalization + implicit QL on the
-real embedding of a Hermitian matrix) and an embedded Runge-Kutta 4(5)
-integrator.  All routines are pure functions of immutable inputs.
+Bessel J0, adaptive Gauss-Kronrod quadrature, Brent root bracketing,
+Hermitian eigenvalues of single matrices or stacks (checked input, solved
+by LAPACK) and an embedded Runge-Kutta 4(5) integrator.  All routines are
+pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -249,17 +249,27 @@ def find_root(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
 # Hermitian eigenvalues
 # ----------------------------------------------------------------------
 
+def _check_hermitian(a):
+    # per matrix of a (..., n, n) stack: |A - A^H| <= 1e-14 scale n
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise NonHermitianError("square matrix expected")
+    if a.size == 0:
+        return
+    scale = np.abs(a).max(axis=(-2, -1))
+    skew = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
+    if np.any(skew > 1e-14 * scale * a.shape[-1]):
+        raise NonHermitianError("matrix is not Hermitian")
+
+
 @dataclass(frozen=True)
 class HermitianMatrix:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise NonHermitianError("square matrix expected")
-        scale = np.abs(m).max() if m.size else 0.0
-        if scale and np.abs(m - m.conj().T).max() > 1e-14 * scale * m.shape[0]:
-            raise NonHermitianError("matrix is not Hermitian")
+        _check_hermitian(m)
         object.__setattr__(self, "entries", m)
 
     @property
@@ -271,117 +281,22 @@ class HermitianMatrix:
         return float(np.linalg.norm(self.entries, 2)) if self.dim else 0.0
 
 
-def _tred2(a):
-    # Householder reduction of a real symmetric matrix to tridiagonal form;
-    # eigenvalue-only variant (no accumulation of transforms)
-    a = a.copy()
-    n = a.shape[0]
-    d = np.zeros(n)
-    e = np.zeros(n)
-    for i in range(n - 1, 0, -1):
-        l = i
-        if l > 1:
-            row = a[i, :l]
-            scale = np.abs(row).sum()
-            if scale == 0.0:
-                e[i] = a[i, l - 1]
-                continue
-            row = row / scale
-            h = (row * row).sum()
-            f = row[l - 1]
-            g = -math.copysign(math.sqrt(h), f)
-            e[i] = scale * g
-            h -= f * g
-            row[l - 1] = f - g
-            a[i, :l] = row
-            # p = A u / h, then rank-2 update
-            p = a[:l, :l] @ row / h
-            k = (row @ p) / (2.0 * h)
-            p -= k * row
-            a[:l, :l] -= np.outer(row, p) + np.outer(p, row)
-        else:
-            e[i] = a[i, l - 1]
-    d = np.diag(a).copy()
-    return d, e
-
-
-def _tqli(d, e, max_sweeps=50):
-    # implicit-shift QL on a symmetric tridiagonal matrix (values only)
-    n = len(d)
-    d = d.copy()
-    e = np.roll(e, -1)  # e[i] couples d[i], d[i+1]
-    e[n - 1] = 0.0
-    for l in range(n):
-        for sweep in range(max_sweeps):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= 2.3e-16 * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-                continue
-            continue
-        else:
-            raise ConvergenceError("QL iteration failed to converge", best=d)
-    return np.sort(d)
-
-
-_QL_SIZE_CAP = 48
-
-
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """All eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues, ascending, of a Hermitian matrix or a stack of them.
 
-    Works on the real symmetric embedding [[Re, -Im], [Im, Re]], whose
-    spectrum doubles every eigenvalue; pairs are averaged back out.  Large
-    matrices (butterfly sweeps at fine flux) go through LAPACK instead of
-    the reference QL loop; the two paths are cross-checked in the tests.
+    ``m`` is a HermitianMatrix or an array of shape (..., n, n); every
+    member of a stack passes the HermitianMatrix check, and the result has
+    shape (..., n).  The solve is LAPACK's (``np.linalg.eigvalsh``).
     """
-    if not isinstance(m, HermitianMatrix):
-        m = HermitianMatrix(np.asarray(m, dtype=complex))
-    a = m.entries
-    n = m.dim
-    if n == 0:
-        return np.zeros(0)
-    if n == 1:
-        return np.array([a[0, 0].real])
-    if n > _QL_SIZE_CAP:
+    if isinstance(m, HermitianMatrix):
+        a = m.entries
+    else:
+        a = np.asarray(m, dtype=complex)
+        _check_hermitian(a)
+    try:
         return np.linalg.eigvalsh(a)
-    if np.abs(a.imag).max() == 0.0:
-        big = a.real.copy()
-        d, e = _tred2(big)
-        return _tqli(d, e)
-    big = np.block([[a.real, -a.imag], [a.imag, a.real]])
-    d, e = _tred2(big)
-    lam = _tqli(d, e)
-    return 0.5 * (lam[0::2] + lam[1::2])
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -80,6 +80,13 @@ def test_shipped_schema_matches():
         or shipped == json.loads(dump_json(schema()))
 
 
+def test_schema_is_valid_draft7():
+    # the config schema is read from schema.json, so that file must be a
+    # schema a validator accepts (booleans stay booleans)
+    jsonschema = pytest.importorskip("jsonschema")
+    jsonschema.Draft7Validator.check_schema(schema())
+
+
 # ------------------------------------------------------------- commands
 
 def test_units_command(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from driftband import harper
 from driftband.harper import (BandTable, CommensurabilityError, HarperModel,
                               band_table, bloch_matrix, general_symbol_matrix,
                               harper_from_landau)
@@ -124,6 +125,79 @@ def test_eigenvalue_continuity_along_sweep():
         if prev is not None:
             assert np.max(np.abs(lam - prev)) <= c / grid
         prev = lam
+
+
+def _pointwise_band_table(model, frac, grid, refine):
+    # reference sweep: one LAPACK solve per point; strict comparisons in
+    # theta-outer, phi-inner order pick the refinement anchors
+    n = frac.denominator
+
+    def eig(th, ph):
+        return np.linalg.eigvalsh(bloch_matrix(model, frac, th, ph).entries)
+
+    mins, maxs = np.full(n, np.inf), np.full(n, -np.inf)
+    anchors = [[None, None] for _ in range(n)]
+    for th in np.linspace(0.0, 2 * math.pi / n, grid[0], endpoint=False):
+        for ph in np.linspace(0.0, 2 * math.pi, grid[1], endpoint=False):
+            lam = eig(th, ph)
+            for b in range(n):
+                if lam[b] < mins[b]:
+                    mins[b], anchors[b][0] = lam[b], (th, ph)
+                if lam[b] > maxs[b]:
+                    maxs[b], anchors[b][1] = lam[b], (th, ph)
+    dth, dph = 2 * math.pi / n / grid[0], 2 * math.pi / grid[1]
+    for b in range(n if refine > 0 else 0):
+        for side, (th0, ph0) in enumerate(anchors[b]):
+            for th in np.linspace(th0 - dth, th0 + dth, 2 * refine + 1):
+                for ph in np.linspace(ph0 - dph, ph0 + dph, 2 * refine + 1):
+                    lam = eig(th, ph)[b]
+                    if side == 0:
+                        mins[b] = min(mins[b], lam)
+                    else:
+                        maxs[b] = max(maxs[b], lam)
+    return np.stack([mins, maxs], axis=1)
+
+
+@pytest.mark.parametrize("refine", [0, 2])
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (2, 5), (3, 7)])
+def test_band_table_matches_pointwise_eigvalsh(m, n, refine):
+    model = make_model(hop=0.9, pot=1.2, m=m, n=n)
+    grid = (6, 7)
+    table = band_table(model, Fraction(m, n), grid=grid, refine=refine)
+    expect = _pointwise_band_table(model, Fraction(m, n), grid, refine)
+    assert np.max(np.abs(np.array(table.bands) - expect)) < 1e-12
+
+
+def test_band_table_independent_of_stack_chunking(monkeypatch):
+    # stacks split into many small chunks give the same table bit for bit
+    model = make_model(hop=0.9, pot=1.2, m=2, n=5)
+    whole = band_table(model, Fraction(2, 5), grid=(8, 8), refine=2)
+    monkeypatch.setattr(harper, "_STACK_ENTRIES", 7 * 25)
+    split = band_table(model, Fraction(2, 5), grid=(8, 8), refine=2)
+    assert split.bands == whole.bands
+
+
+def test_flux_half_closed_form():
+    # at 1/2 both hops land on the same off-diagonal entry, which becomes
+    # hop e^(-i theta) cos theta: lambda = +-sqrt(pot^2 cos^2 phi
+    # + hop^2 cos^2 theta)
+    model = make_model(hop=0.9, pot=1.3, m=1, n=2)
+
+    def closed(th, ph):
+        return math.sqrt((model.pot * math.cos(ph)) ** 2
+                         + (model.hop * math.cos(th)) ** 2)
+
+    for th, ph in [(0.0, 0.0), (0.4, 1.1), (1.3, 2.9), (2.0, 0.3)]:
+        lam = hermitian_eigenvalues(bloch_matrix(model, Fraction(1, 2), th, ph))
+        r = closed(th, ph)
+        assert np.max(np.abs(lam - [-r, r])) < 1e-13
+    grid = (8, 8)
+    table = band_table(model, Fraction(1, 2), grid=grid, refine=0)
+    r = [closed(th, ph)
+         for th in np.linspace(0.0, math.pi, grid[0], endpoint=False)
+         for ph in np.linspace(0.0, 2 * math.pi, grid[1], endpoint=False)]
+    expect = [(-max(r), -min(r)), (min(r), max(r))]
+    assert np.max(np.abs(np.array(table.bands) - expect)) < 1e-13
 
 
 # ------------------------------------------------- general symbol matrix

@@ -143,7 +143,7 @@ def test_eigs_pauli_x():
 
 def _char_poly_roots(a):
     # Faddeev-LeVerrier coefficients, then the companion-matrix roots;
-    # a code path fully independent of the QL solver under test
+    # no eigensolver of a Hermitian matrix is involved
     n = a.shape[0]
     coeffs = [1.0]
     m = np.zeros_like(a)
@@ -171,6 +171,26 @@ def test_eigs_trace_identity():
         lam = hermitian_eigenvalues(a)
         norm = np.linalg.norm(a, 2)
         assert abs(lam.sum() - np.trace(a).real) < 1e-10 * max(norm, 1.0) * n
+
+
+def test_eigs_stack_matches_single_calls():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    stack = 0.5 * (x + np.swapaxes(x, -1, -2).conj())
+    lam = hermitian_eigenvalues(stack)
+    assert lam.shape == (6, 4)
+    for a, row in zip(stack, lam):
+        assert np.array_equal(row, hermitian_eigenvalues(a))
+        assert np.max(np.abs(row - _char_poly_roots(a))) < 1e-8
+
+
+def test_eigs_stack_rejects_one_non_hermitian_member():
+    stack = np.stack([np.eye(3), np.eye(3), np.eye(3)]).astype(complex)
+    stack[1, 0, 2] = 1e-3
+    with pytest.raises(NonHermitianError):
+        hermitian_eigenvalues(stack)
+    with pytest.raises(NonHermitianError):
+        hermitian_eigenvalues(np.zeros((2, 3, 4)))
 
 
 def test_eigs_rejects_non_hermitian():
