@@ -68,11 +68,9 @@ _DEFAULTS = {
 
 
 def validate_config(cfg: dict) -> dict:
+    import jsonschema
     try:
-        import jsonschema
         jsonschema.validate(cfg, _SCHEMA)
-    except ImportError:  # pragma: no cover
-        pass
     except Exception as exc:
         raise ConfigError(str(exc)) from exc
     if "params" in cfg and "physical" in cfg:
@@ -136,6 +134,9 @@ def _canonical(obj):
         return [_canonical(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return float(obj)
+    # before the integer branch: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
@@ -371,9 +372,11 @@ def cmd_harper(cfg, p, out):
         if isinstance(flux, IrrationalFlux):
             frac = Fraction(params.h / p.lattice.a22).limit_denominator(64)
             payload["snapped_flux"] = [frac.numerator, frac.denominator]
+            h = p.lattice.a22 * float(frac)
         else:
             frac = Fraction(flux.M, flux.N)
-        model = harper_from_landau(p, mu, params.h, params.epsilon)
+            h = params.h
+        model = harper_from_landau(p, mu, h, params.epsilon)
         table = band_table(model, frac, grid=tuple(cfg["grids"]["harper_grid"]))
         rows = [(b, float(e_lo), float(e_hi), float(l_lo), float(l_hi))
                 for b, ((l_lo, l_hi), (e_lo, e_hi))

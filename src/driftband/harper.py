@@ -18,7 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import DomainError, HermitianMatrix, hermitian_eigenvalues
-from .potential import FourierPotential, FluxRatio, bessel_j0
+from .potential import (FLUX_DENOMINATOR_CAP, FourierPotential, FluxRatio,
+                        bessel_j0)
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,7 +41,7 @@ class HarperModel:
         if not self.h_step > 0.0:
             raise DomainError("h_step must be positive")
 
-    def flux_fraction(self, denominator_cap: int = 512):
+    def flux_fraction(self, denominator_cap: int = FLUX_DENOMINATOR_CAP):
         """beta h / (2 pi) as M/N in lowest terms, or None."""
         x = self.beta * self.h_step / TWO_PI
         frac = Fraction(x).limit_denominator(denominator_cap)

@@ -412,55 +412,3 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
                                best=Trajectory(np.array(ts), np.array(ys),
                                                complete=False))
     return Trajectory(np.array(ts), np.array(ys))
-
-
-# ----------------------------------------------------------------------
-# Monotone cubic interpolation (Fritsch-Carlson), used by action tables
-# ----------------------------------------------------------------------
-
-class MonotoneCubic:
-    """Shape-preserving C1 interpolant through strictly monotone data."""
-
-    def __init__(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if len(x) < 2:
-            raise DomainError("need at least two nodes")
-        if np.any(np.diff(x) <= 0.0):
-            raise DomainError("abscissae must be strictly increasing")
-        self.x = x
-        self.y = y
-        h = np.diff(x)
-        delta = np.diff(y) / h
-        m = np.zeros_like(x)
-        m[1:-1] = np.where(
-            delta[:-1] * delta[1:] > 0.0,
-            # harmonic-mean slopes keep the interpolant monotone
-            2.0 / (1.0 / np.where(delta[:-1] == 0.0, 1.0, delta[:-1])
-                   + 1.0 / np.where(delta[1:] == 0.0, 1.0, delta[1:])),
-            0.0,
-        )
-        m[0] = ((2.0 * h[0] + h[1]) * delta[0] - h[0] * delta[1]) / (h[0] + h[1]) \
-            if len(x) > 2 else delta[0]
-        m[-1] = ((2.0 * h[-1] + h[-2]) * delta[-1] - h[-1] * delta[-2]) / (h[-1] + h[-2]) \
-            if len(x) > 2 else delta[-1]
-        # clip end slopes that overshoot
-        for idx, dl in ((0, delta[0]), (len(x) - 1, delta[-1])):
-            if m[idx] * dl <= 0.0:
-                m[idx] = 0.0
-            elif abs(m[idx]) > 3.0 * abs(dl):
-                m[idx] = 3.0 * dl
-        self.m = m
-
-    def __call__(self, xq):
-        xq_arr = np.atleast_1d(np.asarray(xq, dtype=float))
-        idx = np.clip(np.searchsorted(self.x, xq_arr) - 1, 0, len(self.x) - 2)
-        h = self.x[idx + 1] - self.x[idx]
-        t = (xq_arr - self.x[idx]) / h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        out = (h00 * self.y[idx] + h10 * h * self.m[idx]
-               + h01 * self.y[idx + 1] + h11 * h * self.m[idx + 1])
-        return out[0] if np.isscalar(xq) else out

@@ -236,6 +236,13 @@ class FluxRatio:
         return self.N / self.M
 
 
+# Largest denominator a flux may have and still count as rational.  A float
+# is always an exact fraction with a huge denominator, so an unbounded search
+# would call every flux rational; the Harper reduction also needs N x N Bloch
+# matrices to stay small.
+FLUX_DENOMINATOR_CAP = 512
+
+
 class IrrationalFlux:
     """Marker for a flux that admits no small rational reconstruction."""
 
@@ -246,7 +253,8 @@ class IrrationalFlux:
         return f"IrrationalFlux({self.eta!r})"
 
 
-def flux_ratio(lattice: Lattice, h: float, denominator_cap: int = 10 ** 6,
+def flux_ratio(lattice: Lattice, h: float,
+               denominator_cap: int = FLUX_DENOMINATOR_CAP,
                tol: float = 1e-12):
     """Flux quanta per cell, a22 / h, snapped to N/M when close to rational."""
     if not h > 0.0:

@@ -10,12 +10,15 @@ and a finite-difference Bloch oracle to check everything against.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, MonotoneCubic, Tolerance, adaptive_quad,
+from .numerics import (BracketError, DomainError, Tolerance, adaptive_quad,
                        find_root)
 
 TWO_PI = 2.0 * math.pi
@@ -161,18 +164,24 @@ def _smooth_quotient(v: Potential1D, e: float, a: float, b: float,
     return w
 
 
-def action_lower(v: Potential1D, e: float) -> float:
-    """(1/pi) int sqrt(e - v) over the allowed segment (the well action)."""
-    xm, xp = _turning_points(v, e)
-    span = xp - xm
-    w = _smooth_quotient(v, e, xm, xp, +1.0)
+def _root_integral(v: Potential1D, e: float, a: float, b: float,
+                   sign: float) -> float:
+    """int_a^b sqrt(sign*(e - v)) dx between simple turning points a < b."""
+    span = b - a
+    w = _smooth_quotient(v, e, a, b, sign)
 
     def g(theta):
         s, c = math.sin(theta), math.cos(theta)
-        x = xm + span * s * s
+        x = a + span * s * s
         return 2.0 * span * span * (s * c) ** 2 * math.sqrt(max(w(x), 0.0))
 
-    return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL) / math.pi
+    return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL)
+
+
+def action_lower(v: Potential1D, e: float) -> float:
+    """(1/pi) int sqrt(e - v) over the allowed segment (the well action)."""
+    xm, xp = _turning_points(v, e)
+    return _root_integral(v, e, xm, xp, +1.0) / math.pi
 
 
 def action_upper(v: Potential1D, e: float) -> float:
@@ -202,21 +211,46 @@ def period_integral(v: Potential1D, e: float) -> float:
 def agmon_distance(v: Potential1D, e: float) -> float:
     """Tunneling integral of sqrt(v - e) across the forbidden segment."""
     xm, xp = _turning_points(v, e)
-    a, b = xp, xm + TWO_PI
-    span = b - a
-    w = _smooth_quotient(v, e, a, b, -1.0)
-
-    def g(theta):
-        s, c = math.sin(theta), math.cos(theta)
-        x = a + span * s * s
-        return 2.0 * span * span * (s * c) ** 2 * math.sqrt(max(w(x), 0.0))
-
-    return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL)
+    return _root_integral(v, e, xp, xm + TWO_PI, -1.0)
 
 
 # ----------------------------------------------------------------------
 # Finite-difference Bloch oracle
 # ----------------------------------------------------------------------
+
+@functools.cache
+def _lapack_threads():
+    """(get, set) of the thread count of the OpenBLAS behind scipy.linalg,
+    or None when scipy is linked against another BLAS."""
+    from scipy.linalg import cython_lapack
+    lib = ctypes.CDLL(cython_lapack.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_lapack_thread():
+    """Run scipy.linalg on the calling thread only.  A threaded solve gains
+    only while every CPU is idle: it stalls whenever another process holds
+    a CPU, and its rounding, so the oracle's output, depends on the CPU
+    count."""
+    control = _lapack_threads()
+    if control is None:
+        yield
+        return
+    get, put = control
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
 
 def _fd_eigenvalues(v: Potential1D, h: float, q: float, n: int, count=None):
     dx = TWO_PI / n
@@ -233,14 +267,11 @@ def _fd_eigenvalues(v: Potential1D, h: float, q: float, n: int, count=None):
     a[idx + 1, idx] = hop
     a[n - 1, 0] = hop * (phase.real if real_phase else phase)
     a[0, n - 1] = hop * (phase.real if real_phase else np.conj(phase))
-    if count is not None:
-        try:
-            from scipy.linalg import eigh
-            return eigh(a, eigvals_only=True,
-                        subset_by_index=[0, min(count, n) - 1])
-        except ImportError:  # pragma: no cover
-            pass
-    return np.linalg.eigvalsh(a)
+    # imported here: scipy.linalg at module level would slow every import
+    from scipy.linalg import eigh
+    subset = None if count is None else [0, min(count, n) - 1]
+    with _one_lapack_thread():
+        return eigh(a, eigvals_only=True, subset_by_index=subset)
 
 
 def fd_bloch_oracle(v: Potential1D, h: float, q: float, grid_size: int = 512,
@@ -259,23 +290,28 @@ def fd_bloch_oracle(v: Potential1D, h: float, q: float, grid_size: int = 512,
 # Semiclassical formulas
 # ----------------------------------------------------------------------
 
+def _window(v: Potential1D, delta: float | None) -> float:
+    """Distance kept from the barrier top; 10 % of the barrier by default."""
+    return 0.1 * (v.v_max - v.v_min) if delta is None else delta
+
+
+def _bs_level(v: Potential1D, h: float, nu: int, delta: float) -> float:
+    """The nu-th Bohr-Sommerfeld level: action_lower(E) = h (nu + 1/2)."""
+    cap = v.v_max - delta
+    target = h * (nu + 0.5)
+    if action_lower(v, cap) < target:
+        raise DomainError(f"level {nu} is not below the barrier window")
+    lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
+    return find_root(lambda x: action_lower(v, x) - target, lo, cap, _QTOL)
+
+
 def bs_levels_lower(v: Potential1D, h: float, delta: float | None = None):
     """Bohr-Sommerfeld levels of the well below the barrier top."""
-    if delta is None:
-        delta = 0.1 * (v.v_max - v.v_min)
-    cap = v.v_max - delta
+    delta = _window(v, delta)
+    top = action_lower(v, v.v_max - delta)
     levels = []
-    nu = 0
-    lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
-    while True:
-        target = h * (nu + 0.5)
-        if action_lower(v, cap) < target:
-            break
-        e = find_root(lambda x: action_lower(v, x) - target, lo, cap, _QTOL)
-        levels.append(e)
-        nu += 1
-        if nu > 100000:
-            break
+    while h * (len(levels) + 0.5) <= top and len(levels) <= 100000:
+        levels.append(_bs_level(v, h, len(levels), delta))
     return levels
 
 
@@ -283,12 +319,8 @@ def band_width_lower(v: Potential1D, h: float, nu: int,
                      delta: float | None = None) -> float:
     """Tunneling width of the nu-th low band: full swing of the dispersion,
     2 (omega h / pi) exp(-rho / h)."""
-    levels = bs_levels_lower(v, h, delta)
-    if nu >= len(levels):
-        raise DomainError(f"level {nu} is not below the barrier window")
-    e = levels[nu]
-    if delta is None:
-        delta = 0.1 * (v.v_max - v.v_min)
+    delta = _window(v, delta)
+    e = _bs_level(v, h, nu, delta)
     if not (v.v_min + delta < e < v.v_max - delta):
         raise DomainError("level outside the tunneling window")
     omega = TWO_PI / period_integral(v, e)
@@ -299,9 +331,7 @@ def band_width_lower(v: Potential1D, h: float, nu: int,
 def gap_ends_upper(v: Potential1D, h: float, e_cap: float,
                    delta: float | None = None):
     """Band/gap boundaries above the barrier: action_upper(E) = h nu / 2."""
-    if delta is None:
-        delta = 0.1 * (v.v_max - v.v_min)
-    lo = v.v_max + delta
+    lo = v.v_max + _window(v, delta)
     if e_cap <= lo:
         return []
     i_lo = action_upper(v, lo)
@@ -434,8 +464,7 @@ class Reeb1D:
     has_well: bool
     outer_limit: float            # well action at the barrier top
     upper_limit: float            # open-edge action at the barrier top
-    _inv_lower: MonotoneCubic | None = field(default=None, repr=False)
-    _inv_upper: MonotoneCubic | None = field(default=None, repr=False)
+    e_cap: float                  # top of the open edges' energy interval
 
     def action(self, edge: str, e: float) -> float:
         if edge == "i1":
@@ -447,59 +476,41 @@ class Reeb1D:
         raise DomainError(f"unknown edge {edge}")
 
     def energy(self, edge: str, i: float) -> float:
+        """Energy on the edge whose action is i: (v_min, v_max) for the well
+        edge i1, (v_max, e_cap] for the open edges i2 and i3."""
         if edge == "i1":
-            if self._inv_lower is None:
-                raise DomainError("degenerate graph has no well edge")
-            e = float(self._inv_lower(i))
+            span = self.v.v_max - self.v.v_min
+            lo = self.v.v_min + 1e-12 * span
+            hi = self.v.v_max - 1e-12 * span
         else:
-            e = float(self._inv_upper(i))
-        # polish the interpolated inverse with the exact action
-        fn = action_lower if edge == "i1" else action_upper
-        lo = self.v.v_min if edge == "i1" else self.v.v_max
-        for _ in range(40):
-            cur = fn(self.v, e)
-            de = cur - i
-            slope = (fn(self.v, e + 1e-7) - cur) / 1e-7
-            if slope <= 0.0:
-                break
-            e -= de / slope
-            e = max(e, lo + 1e-14)
-            if abs(de) < 1e-12 * max(1.0, abs(i)):
-                break
-        return e
+            lo, hi = self.v.v_max, self.e_cap
+        try:
+            return find_root(lambda e: self.action(edge, e) - i, lo, hi,
+                             _QTOL)
+        except BracketError:
+            raise DomainError(
+                f"action {i} is outside the energy interval of edge {edge}"
+            ) from None
 
     def kirchhoff_residual(self) -> float:
         return self.outer_limit - 2.0 * self.upper_limit
 
 
-def reeb_1d(v: Potential1D, e_cap: float | None = None,
-            samples: int = 48) -> Reeb1D:
+def reeb_1d(v: Potential1D, e_cap: float | None = None) -> Reeb1D:
     """Reeb graph of p^2 + v on the cylinder with its action maps."""
     has_well = (v.v_max - v.v_min) > 1e-13 * (1.0 + abs(v.v_max))
     if not has_well:
-        graph = Reeb1D(v=v, has_well=False, outer_limit=0.0, upper_limit=0.0)
-        cap = e_cap or (v.v_max + 4.0)
-        es = np.linspace(v.v_max + 1e-9, cap, samples)
-        graph._inv_upper = MonotoneCubic([action_upper(v, float(e)) for e in es],
-                                         es)
-        return graph
+        return Reeb1D(v=v, has_well=False, outer_limit=0.0, upper_limit=0.0,
+                      e_cap=e_cap or (v.v_max + 4.0))
     # at the barrier top the integrand has double zeros at both ends, so a
     # plain adaptive pass is accurate
     x0 = v.x_max
     outer = adaptive_quad(
         lambda x: math.sqrt(max(v.v_max - v.value(x), 0.0)),
         x0, x0 + TWO_PI, _QTOL) / math.pi
-    upper = 0.5 * outer
-    graph = Reeb1D(v=v, has_well=True, outer_limit=outer, upper_limit=upper)
-    span = v.v_max - v.v_min
-    es = v.v_min + span * np.linspace(1e-6, 1.0 - 1e-4, samples) ** 2
-    acts = [action_lower(v, float(e)) for e in es]
-    graph._inv_lower = MonotoneCubic(acts, es)
-    cap = e_cap or (v.v_max + 4.0 * span)
-    es2 = np.linspace(v.v_max * (1 + 1e-10) + 1e-10, cap, samples)
-    graph._inv_upper = MonotoneCubic([action_upper(v, float(e)) for e in es2],
-                                     es2)
-    return graph
+    return Reeb1D(v=v, has_well=True, outer_limit=outer,
+                  upper_limit=0.5 * outer,
+                  e_cap=e_cap or (v.v_max + 4.0 * (v.v_max - v.v_min)))
 
 
 # ----------------------------------------------------------------------
@@ -517,8 +528,7 @@ class WeylCount:
 def weyl_count_1d(v: Potential1D, e: float, h: float,
                   delta: float | None = None) -> WeylCount:
     """Number of bands below energy e: phase-space area over 2 pi h."""
-    if delta is None:
-        delta = 0.1 * (v.v_max - v.v_min) if v.v_max > v.v_min else 0.0
+    delta = _window(v, delta)
     if e <= v.v_min:
         return WeylCount(value=0.0)
     if v.v_max == v.v_min:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from driftband.cli import (ConfigError, build_potential, dump_json, run,
@@ -210,3 +211,28 @@ def test_harper_butterfly_mode(tmp_path):
     assert lines[0] == "flux_m_over_n,band,lambda_low,lambda_high"
     # one row per (flux, band): sum of denominators
     assert len(lines) - 1 == 2 + 3 + 3 + 4 + 4
+
+
+def test_booleans_are_written_as_json_booleans(tmp_path):
+    run("regimes", dict(BASE), str(tmp_path / "regimes"))
+    run("bloch", dict(BASE), str(tmp_path / "bloch"))
+    regimes = json.loads((tmp_path / "regimes" / "regimes.json").read_text())
+    bloch = json.loads((tmp_path / "bloch" / "bloch.json").read_text())
+    assert regimes["payload"]["critical_i1"]["continuum"] is False
+    assert bloch["payload"]["support_ok"] is True
+    assert dump_json({"a": np.bool_(True)}) == '{\n "a": true\n}\n'
+
+
+def test_harper_snaps_readme_example(tmp_path):
+    # h = 0.1 on a 2 pi lattice is no small fraction: the command snaps it
+    cfgfile = tmp_path / "readme.json"
+    cfgfile.write_text(json.dumps({
+        "potential": {"cosine": {"A": 1.0, "B": 1.0, "beta": 1.0}},
+        "params": {"h": 0.1, "epsilon": 0.01},
+        "i1_max": 0.45,
+        "delta": 0.01,
+    }))
+    out = tmp_path / "out"
+    assert main(["harper", "--config", str(cfgfile), "--out", str(out)]) == 0
+    payload = json.loads((out / "harper.json").read_text())["payload"]
+    assert payload["bands"] == payload["snapped_flux"][1]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
-                                MonotoneCubic, NonHermitianError, Tolerance,
+                                NonHermitianError, Tolerance,
                                 adaptive_quad, bessel_j0, bessel_j0_zero,
                                 find_root, hermitian_eigenvalues,
                                 integrate_ode)
@@ -223,14 +223,3 @@ def test_ode_energy_conservation():
     h_vals = 0.5 * traj.ys[:, 1] ** 2 - np.cos(traj.ys[:, 0])
     drift = np.max(np.abs(h_vals - h_vals[0]))
     assert drift <= 10.0 * tol.rel_tol * 40.0
-
-
-# ------------------------------------------------------ monotone cubic
-
-def test_monotone_cubic_roundtrip():
-    x = np.linspace(0.0, 1.0, 30)
-    y = np.sinh(2.0 * x)
-    interp = MonotoneCubic(x, y)
-    xq = np.linspace(0.0, 1.0, 200)
-    assert np.max(np.abs(interp(xq) - np.sinh(2.0 * xq))) < 2e-4
-    assert np.all(np.diff(interp(xq)) > 0.0)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftband import sturm1d
 from driftband.numerics import DomainError
 from driftband.sturm1d import (Potential1D, QuasimodeCheck, action_lower,
                                action_upper, agmon_distance, band_width_lower,
@@ -17,6 +18,12 @@ from driftband.sturm1d import (Potential1D, QuasimodeCheck, action_lower,
 @pytest.fixture(scope="module")
 def vcos():
     return Potential1D.cosine(1.0)
+
+
+@pytest.fixture(scope="module")
+def vtwo():
+    # two modes with a complex second harmonic: asymmetric well
+    return Potential1D({1: 0.5, -1: 0.5, 2: 0.08 + 0.03j, -2: 0.08 - 0.03j})
 
 
 def test_extrema(vcos):
@@ -50,6 +57,38 @@ def test_oracle_grid_doubling(vcos):
     c = fd_bloch_oracle(vcos, 0.1, 0.25, 256, count=6)
     r = np.max(np.abs(c - a)) / np.max(np.abs(a - b))
     assert 8.0 < r < 32.0
+
+
+def test_oracle_full_spectrum_extends_the_subset(vcos):
+    full = _fd_eigenvalues(vcos, 0.2, 0.3, 128)
+    assert len(full) == 128
+    head = _fd_eigenvalues(vcos, 0.2, 0.3, 128, count=5)
+    assert np.max(np.abs(full[:5] - head)) < 1e-12
+
+
+def test_oracle_solves_on_one_lapack_thread(vcos, monkeypatch):
+    import scipy.linalg
+    control = sturm1d._lapack_threads()
+    if control is None:
+        pytest.skip("scipy.linalg is not linked against OpenBLAS")
+    get, put = control
+    original = get()
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    put(2)
+    try:
+        fd_bloch_oracle(vcos, 0.2, 0.3, 128, count=5)
+        after = get()
+    finally:
+        put(original)
+    assert seen == [1, 1]
+    assert after == 2
 
 
 def test_band_edges_at_q0_and_half(vcos):
@@ -134,6 +173,28 @@ def test_width_exponent_matches_oracle(vcos):
         rho = agmon_distance(vcos, levels[nu])
         assert w_oracle > 0.0
         assert abs(math.log(w_formula) - math.log(w_oracle)) <= 0.15 * rho / h
+
+
+@pytest.mark.parametrize("shape", ["vcos", "vtwo"])
+@pytest.mark.parametrize("delta", [0.02, None])
+def test_width_uses_the_listed_level(shape, delta, request):
+    # one level solve per width gives exactly the level bs_levels_lower lists
+    v = request.getfixturevalue(shape)
+    h = 0.2
+    levels = bs_levels_lower(v, h, delta)
+    window = 0.1 * (v.v_max - v.v_min) if delta is None else delta
+    assert len(levels) >= 4
+    for nu, e in enumerate(levels):
+        if e <= v.v_min + window:
+            with pytest.raises(DomainError):
+                band_width_lower(v, h, nu, delta)
+            continue
+        omega = 2.0 * math.pi / period_integral(v, e)
+        rho = agmon_distance(v, e)
+        expect = 2.0 * (omega * h / math.pi) * math.exp(-rho / h)
+        assert band_width_lower(v, h, nu, delta) == expect
+    with pytest.raises(DomainError):
+        band_width_lower(v, h, len(levels), delta)
 
 
 def test_dispersion_shape_factor(vcos):
@@ -310,6 +371,9 @@ def test_reeb_free_case():
     assert not graph.has_well
     for e in (0.5, 1.0, 2.0):
         assert abs(graph.action("i2", e) - math.sqrt(e)) < 1e-10
+        assert abs(graph.energy("i2", math.sqrt(e)) - e) < 1e-9
+    with pytest.raises(DomainError):
+        graph.energy("i1", 0.1)
 
 
 def test_reeb_outer_limit_value(vcos):
@@ -333,6 +397,27 @@ def test_reeb_inverse_maps(vcos):
     for e in (1.5, 2.5):
         i = graph.action("i2", e)
         assert abs(graph.energy("i2", i) - e) < 1e-9
+
+
+def test_reeb_inverse_maps_two_mode(vtwo):
+    graph = reeb_1d(vtwo)
+    span = vtwo.v_max - vtwo.v_min
+    for frac in (0.01, 0.3, 0.7, 0.99):
+        e = vtwo.v_min + frac * span
+        assert abs(graph.energy("i1", graph.action("i1", e)) - e) < 1e-9
+    for e in (vtwo.v_max + 0.01, vtwo.v_max + 1.0, graph.e_cap):
+        i = graph.action("i3", e)
+        assert abs(graph.energy("i3", i) - e) < 1e-9
+
+
+def test_reeb_energy_outside_edge_raises(vtwo):
+    graph = reeb_1d(vtwo, e_cap=vtwo.v_max + 2.0)
+    with pytest.raises(DomainError):
+        graph.energy("i2", graph.action("i2", graph.e_cap) + 1e-3)
+    with pytest.raises(DomainError):
+        graph.energy("i1", graph.outer_limit + 1e-3)
+    with pytest.raises(DomainError):
+        graph.energy("i2", graph.upper_limit - 1e-3)
 
 
 # ---------------------------------------------------------------- weyl
