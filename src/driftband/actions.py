@@ -310,7 +310,7 @@ def _arc_trapezium(model: DriftModel, saddle_y, direction, offset=1e-6,
     hit = {}
     cell_diam = math.hypot(TWO_PI + abs(lat.a21), lat.a22)
 
-    def observer(ta, sa, tb, sb):
+    def observer(ta, sa, tb, sb, dense):
         yb = np.array(sb[:2])
         z = lat.to_lattice(yb - y_s)
         w = z - np.round(z)

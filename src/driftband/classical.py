@@ -464,92 +464,90 @@ class OrbitResult:
     end_point: tuple | None = None
 
 
+_CLOSURE_TOL = Tolerance(1e-15, 1e-15, 200)  # in the step fraction theta
+
+
 def _orbit_once(model: DriftModel, y0, tol: Tolerance = None,
                 t_cap: float | None = None) -> OrbitResult:
     """Integrate the reduced drift field through one closure on the torus.
 
     Candidate closures (section crossings near a wrapped copy of y0) are
-    refined by bisection and accepted only when the torus distance really
-    vanishes, so near-misses of other lattice copies do not truncate the
-    orbit early.
+    located by Brent's method on the crossing step's dense output and
+    accepted only when the torus distance really vanishes, so near-misses
+    of other lattice copies do not truncate the orbit early.
     """
     tol = tol or Tolerance(1e-12, 1e-12, 400)
-    lat = model.lattice
     y0 = (float(y0[0]), float(y0[1]))
+    a21, a22 = model.lattice.a21, model.lattice.a22
 
     def field(t, state):
         y1, y2, _ = state
         d1, d2 = model.grad(y1, y2)
         return (-d2, d1, y1 * d1)  # dA = y1 * dy2/dt
 
-    z0 = lat.to_lattice(np.array(y0))
+    def to_lattice(y):
+        t = y[1] / a22
+        return (y[0] - a21 * t) / TWO_PI, t
+
+    s0, t0 = to_lattice(y0)
     f0 = field(0.0, (*y0, 0.0))
     speed = math.hypot(f0[0], f0[1])
     if speed == 0.0:
         return OrbitResult(closed=False)
-    n_lat = np.array([(f0[0] - lat.a21 * f0[1] / lat.a22) / TWO_PI,
-                      f0[1] / lat.a22])
-    n_lat /= np.linalg.norm(n_lat)
+    n1, n2 = (f0[0] - a21 * f0[1] / a22) / TWO_PI, f0[1] / a22
+    norm = math.hypot(n1, n2)
+    n1, n2 = n1 / norm, n2 / norm
 
-    cell_diam = math.hypot(TWO_PI + abs(lat.a21), lat.a22)
+    cell_diam = math.hypot(TWO_PI + abs(a21), a22)
     if t_cap is None:
         t_cap = 400.0 * cell_diam / speed
     h0 = 0.01 * cell_diam / speed
 
     def sigma(y):
-        z = lat.to_lattice(np.asarray(y[:2]))
-        dz = z - z0
-        w = dz - np.round(dz)
-        return float(n_lat @ w), float(np.max(np.abs(w)))
+        s, t = to_lattice(y)
+        ws, wt = s - s0, t - t0
+        ws -= round(ws)
+        wt -= round(wt)
+        return n1 * ws + n2 * wt, max(abs(ws), abs(wt))
 
     t_base = 0.0
     state = (*y0, 0.0)
-    for _attempt in range(64):
-        hit = {}
+    last = sigma(state)  # section value at the start of the next step
+    bracket = None
 
-        def observer(ta, sa, tb, sb):
-            if t_base + tb <= 0.0:
-                return None
-            sg0, w0 = sigma(sa)
-            sg1, w1 = sigma(sb)
-            if (t_base + ta) > 0.0 and sg0 < 0.0 <= sg1 and min(w0, w1) < 0.2:
-                hit["bracket"] = (ta, sa, tb, sb)
-                return tb
+    def observer(ta, sa, tb, sb, dense):
+        nonlocal last, bracket
+        if t_base + tb <= 0.0:
             return None
+        (sg0, w0), (sg1, w1) = last, sigma(sb)
+        last = sg1, w1
+        if (t_base + ta) > 0.0 and sg0 < 0.0 <= sg1 and min(w0, w1) < 0.2:
+            bracket = (ta, tb, sb, dense)
+            return tb
+        return None
 
+    for _attempt in range(64):
+        bracket = None
         try:
-            traj = integrate_ode(field, state, t_cap - t_base, tol,
-                                 step_observer=observer, first_step=h0)
+            integrate_ode(field, state, t_cap - t_base, tol,
+                          step_observer=observer, first_step=h0)
+            if bracket is None:
+                return OrbitResult(closed=False)
+            ta, tb, sb, dense = bracket
+            sg_b = last[0]
+            theta = find_root(
+                lambda th: sg_b if th >= 1.0 else sigma(dense(th))[0],
+                0.0, 1.0, _CLOSURE_TOL)
         except NumericsError:
             return OrbitResult(closed=False)
-        if "bracket" not in hit:
-            return OrbitResult(closed=False)
-        ta, sa, tb, sb = hit["bracket"]
-
-        def state_at(dt, _sa=sa):
-            if dt <= 0.0:
-                return _sa
-            sub = integrate_ode(field, _sa, dt, tol, first_step=dt)
-            return tuple(sub.ys[-1])
-
-        lo, hi = 0.0, tb - ta
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            sg, _ = sigma(state_at(mid))
-            if sg < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-15 * max(tb, 1.0):
-                break
-        s_end = state_at(hi)
+        s_end = sb if theta >= 1.0 else dense(theta)
         _, w_end = sigma(s_end)
         if w_end < 1e-6:
-            period = t_base + ta + hi
-            z_end = lat.to_lattice(np.array(s_end[:2]))
-            winding = np.round(z_end - z0).astype(int)
+            period = t_base + ta + theta * (tb - ta)
+            s_end_l, t_end_l = to_lattice(s_end)
             return OrbitResult(closed=True, period=period,
-                               winding=(int(winding[0]), int(winding[1])),
+                               winding=(round(s_end_l - s0),
+                                        round(t_end_l - t0)),
                                area=s_end[2],
                                end_point=(s_end[0], s_end[1]))
         # false alarm: resume from the end of the triggering step

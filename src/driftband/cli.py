@@ -371,6 +371,10 @@ def cmd_harper(cfg, p, out):
         flux = resolve_flux(cfg, p, params.h)
         if isinstance(flux, IrrationalFlux):
             frac = Fraction(params.h / p.lattice.a22).limit_denominator(64)
+            if frac == 0:
+                raise ConfigError(
+                    f"flux h/a22 = {params.h / p.lattice.a22:.6g} is under "
+                    f"1/128 and snaps to 0; pass `flux` or `harper_farey_max`")
             payload["snapped_flux"] = [frac.numerator, frac.denominator]
             h = p.lattice.a22 * float(frac)
         else:

@@ -2,8 +2,8 @@
 
 Bessel J0, adaptive Gauss-Kronrod quadrature, Brent root bracketing,
 Hermitian eigenvalues of single matrices or stacks (checked input, solved
-by LAPACK) and an embedded Runge-Kutta 4(5) integrator.  All routines are
-pure functions of immutable inputs.
+by LAPACK) and an adaptive Dormand–Prince 4(5) with FSAL and dense output.
+All routines are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -315,10 +315,19 @@ _DP_A = (
     (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
      11.0 / 84.0),
 )
-_DP_B5 = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0,
-          -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
+_DP_B5 = _DP_A[6] + (0.0,)  # first same as last: stage 7 is at y5
 _DP_B4 = (5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
           -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0)
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+# continuous extension of order 4 (Hairer, Norsett & Wanner, dopri5 contd5)
+_DP_D = (-12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
+         -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+         -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0)
+(_A21,), (_A31, _A32), (_A41, _A42, _A43), (_A51, _A52, _A53, _A54), \
+    (_A61, _A62, _A63, _A64, _A65), (_A71, _, _A73, _A74, _A75, _A76) \
+    = _DP_A[1:]
+_E1, _, _E3, _E4, _E5, _E6, _E7 = _DP_E
+_D1, _, _D3, _D4, _D5, _D6, _D7 = _DP_D
 
 
 @dataclass
@@ -331,31 +340,60 @@ class Trajectory:
         return len(self.ts)
 
 
-def _dp_step(field, t, y, h):
-    """One Dormand-Prince step; returns (y5, err_vec, stages)."""
-    k = [field(t, y)]
-    for i in range(1, 7):
-        acc = [0.0] * len(y)
-        row = _DP_A[i]
-        for j, aij in enumerate(row):
-            if aij != 0.0:
-                kj = k[j]
-                for c in range(len(y)):
-                    acc[c] += aij * kj[c]
-        yi = tuple(y[c] + h * acc[c] for c in range(len(y)))
-        k.append(field(t + _DP_C[i] * h, yi))
-    y5 = list(y)
-    err = [0.0] * len(y)
-    for j in range(7):
-        b5 = _DP_B5[j]
-        db = _DP_B5[j] - _DP_B4[j]
-        kj = k[j]
-        for c in range(len(y)):
-            if b5 != 0.0:
-                y5[c] += h * b5 * kj[c]
-            if db != 0.0:
-                err[c] += h * db * kj[c]
-    return tuple(y5), err
+def _dp_step(field, t, y, h, k1):
+    """One Dormand-Prince step from (t, y), given k1 = field(t, y).
+
+    Returns (y5, err, stages).  The seventh stage is field(t + h, y5), so
+    after an accepted step it is the next step's k1 (first same as last).
+    """
+    k2 = field(t + _DP_C[1] * h,
+               tuple([yc + h * (_A21 * p1) for yc, p1 in zip(y, k1)]))
+    k3 = field(t + _DP_C[2] * h,
+               tuple([yc + h * (_A31 * p1 + _A32 * p2)
+                      for yc, p1, p2 in zip(y, k1, k2)]))
+    k4 = field(t + _DP_C[3] * h,
+               tuple([yc + h * (_A41 * p1 + _A42 * p2 + _A43 * p3)
+                      for yc, p1, p2, p3 in zip(y, k1, k2, k3)]))
+    k5 = field(t + _DP_C[4] * h,
+               tuple([yc + h * (_A51 * p1 + _A52 * p2 + _A53 * p3
+                                + _A54 * p4)
+                      for yc, p1, p2, p3, p4 in zip(y, k1, k2, k3, k4)]))
+    k6 = field(t + _DP_C[5] * h,
+               tuple([yc + h * (_A61 * p1 + _A62 * p2 + _A63 * p3
+                                + _A64 * p4 + _A65 * p5)
+                      for yc, p1, p2, p3, p4, p5
+                      in zip(y, k1, k2, k3, k4, k5)]))
+    y5 = tuple([yc + h * (_A71 * p1 + _A73 * p3 + _A74 * p4 + _A75 * p5
+                          + _A76 * p6)
+                for yc, p1, p3, p4, p5, p6 in zip(y, k1, k3, k4, k5, k6)])
+    k7 = field(t + _DP_C[6] * h, y5)
+    err = [h * (_E1 * p1 + _E3 * p3 + _E4 * p4 + _E5 * p5 + _E6 * p6
+                + _E7 * p7)
+           for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y5, err, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _dp_dense(y, y5, h, stages):
+    """Continuous extension dense(theta), theta in [0, 1], of a step from y
+    to y5; the interpolant is built on the first call."""
+    coeffs = []
+
+    def dense(theta):
+        if not coeffs:
+            k1, _, k3, k4, k5, k6, k7 = stages
+            for yc, y5c, p1, p3, p4, p5, p6, p7 in zip(y, y5, k1, k3, k4, k5,
+                                                        k6, k7):
+                ydiff = y5c - yc
+                bspl = h * p1 - ydiff
+                coeffs.append((yc, ydiff, bspl, ydiff - h * p7 - bspl,
+                               h * (_D1 * p1 + _D3 * p3 + _D4 * p4 + _D5 * p5
+                                    + _D6 * p6 + _D7 * p7)))
+        theta1 = 1.0 - theta
+        return tuple(r1 + theta * (r2 + theta1 * (r3 + theta * (r4 + theta1
+                                                                 * r5)))
+                     for r1, r2, r3, r4, r5 in coeffs)
+
+    return dense
 
 
 def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
@@ -363,9 +401,11 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
                   first_step: float | None = None) -> Trajectory:
     """Adaptive integration of dy/dt = field(t, y) from t0 to t_end.
 
-    `field` maps (t, tuple) -> tuple.  Samples every accepted step, dense
-    enough for event post-processing.  `step_observer(t0, y0, t1, y1)` may
-    return a truncated final time to stop early (used for event location).
+    `field` maps (t, tuple) -> tuple and is called 1 + 6 * (attempted
+    steps) times.  Samples every accepted step.  `step_observer(t0, y0, t1,
+    y1, dense)` sees each accepted step with its 4th-order continuous
+    extension `dense(theta)`, theta in [0, 1] from t0 to t1, and may return
+    a truncated final time to stop early (used for event location).
     """
     y = tuple(float(c) for c in np.atleast_1d(y0))
     t = float(t0)
@@ -380,24 +420,27 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
     ts = [t]
     ys = [y]
     min_step = abs(span) * 1e-14 + 1e-300
+    abs_tol, rel_tol, dim = tol.abs_tol, tol.rel_tol, len(y)
+    k1 = field(t, y)
     for _ in range(2_000_000):
         if (t - t_end) * direction >= 0.0:
             break
         if abs(h) > abs(t_end - t):
             h = t_end - t
-        y_new, err = _dp_step(field, t, y, h)
-        scale = [tol.abs_tol + tol.rel_tol * max(abs(y[c]), abs(y_new[c]))
-                 for c in range(len(y))]
-        enorm = math.sqrt(sum((err[c] / scale[c]) ** 2 for c in range(len(y)))
-                          / len(y))
+        y_new, err, stages = _dp_step(field, t, y, h, k1)
+        enorm = math.sqrt(sum([
+            (e / (abs_tol + rel_tol * max(abs(a), abs(b)))) ** 2
+            for e, a, b in zip(err, y, y_new)]) / dim)
         if enorm <= 1.0:
             t_prev, y_prev = t, y
             t += h
             y = y_new
+            k1 = stages[6]
             ts.append(t)
             ys.append(y)
             if step_observer is not None:
-                stop = step_observer(t_prev, y_prev, t, y)
+                stop = step_observer(t_prev, y_prev, t, y,
+                                     _dp_dense(y_prev, y, h, stages))
                 if stop is not None:
                     return Trajectory(np.array(ts), np.array(ys))
         factor = 0.9 * (enorm ** -0.2 if enorm > 0.0 else 5.0)

@@ -307,6 +307,8 @@ def _bs_level(v: Potential1D, h: float, nu: int, delta: float) -> float:
 
 def bs_levels_lower(v: Potential1D, h: float, delta: float | None = None):
     """Bohr-Sommerfeld levels of the well below the barrier top."""
+    if v.v_max <= v.v_min:
+        return []  # flat potential: no well
     delta = _window(v, delta)
     top = action_lower(v, v.v_max - delta)
     levels = []

@@ -354,3 +354,88 @@ def test_lexicographic_rule():
     assert lexicographic_positive((-1, 0)) == (1, 0)
     assert lexicographic_positive((0, -2)) == (0, 2)
     assert lexicographic_positive((2, -1)) == (2, -1)
+
+
+def _bisection_orbit(model, y0, tol):
+    """Reference closure: the bracketing step of _orbit_once, then 60-step
+    bisection of the section, re-integrating from the step start per probe
+    (the closure search of earlier versions, kept here as an oracle)."""
+    from driftband.numerics import integrate_ode
+    lat = model.lattice
+
+    def field(t, state):
+        d1, d2 = model.grad(state[0], state[1])
+        return (-d2, d1, state[0] * d1)
+
+    z0 = lat.to_lattice(np.array(y0))
+    f0 = field(0.0, (*y0, 0.0))
+    n_lat = np.array([(f0[0] - lat.a21 * f0[1] / lat.a22) / (2 * math.pi),
+                      f0[1] / lat.a22])
+    n_lat /= np.linalg.norm(n_lat)
+    cell_diam = math.hypot(2 * math.pi + abs(lat.a21), lat.a22)
+    speed = math.hypot(f0[0], f0[1])
+
+    def sigma(y):
+        dz = lat.to_lattice(np.asarray(y[:2])) - z0
+        w = dz - np.round(dz)
+        return float(n_lat @ w), float(np.max(np.abs(w)))
+
+    hit = {}
+
+    def observer(ta, sa, tb, sb, dense):
+        (sg0, w0), (sg1, w1) = sigma(sa), sigma(sb)
+        if ta > 0.0 and sg0 < 0.0 <= sg1 and min(w0, w1) < 0.2:
+            hit["bracket"] = (ta, sa, tb)
+            return tb
+        return None
+
+    integrate_ode(field, (*y0, 0.0), 400.0 * cell_diam / speed, tol,
+                  step_observer=observer, first_step=0.01 * cell_diam / speed)
+    ta, sa, tb = hit["bracket"]
+
+    def state_at(dt):
+        if dt <= 0.0:
+            return sa
+        return tuple(integrate_ode(field, sa, dt, tol, first_step=dt).ys[-1])
+
+    lo, hi = 0.0, tb - ta
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if sigma(state_at(mid))[0] < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-15 * max(tb, 1.0):
+            break
+    s_end = state_at(hi)
+    assert sigma(s_end)[1] < 1e-6  # no false alarm on these orbits
+    winding = np.round(lat.to_lattice(np.array(s_end[:2])) - z0).astype(int)
+    return ta + hi, (int(winding[0]), int(winding[1])), s_end[2]
+
+
+@pytest.mark.parametrize("edge,winding", [("i1", (0, 0)), ("i2", (0, 1))])
+def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
+    from driftband import classical
+    p = cosine_example(2.0, 1.0, 1.0)
+    i1 = 0.3
+    model = DriftModel(p, EPS, i1)
+    graph = build_reeb_graph(p, EPS, i1)
+    comp = [c for c in trace_level_set(p, EPS, i1, graph_mid_level(graph, edge))
+            if c.winding == winding][0]
+    y0 = tuple(comp.points[3])
+    tol = Tolerance(1e-12, 1e-12, 400)
+    period, ref_winding, area = _bisection_orbit(model, y0, tol)
+    calls = []
+    integrate = classical.integrate_ode
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "integrate_ode", counted)
+    orbit = _orbit_once(model, y0, tol)
+    assert orbit.closed
+    assert len(calls) == 1  # the closure is found without re-integrating
+    assert orbit.winding == ref_winding == winding
+    assert abs(orbit.period - period) < 1e-10
+    assert abs(orbit.area - area) < 1e-10

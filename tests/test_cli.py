@@ -236,3 +236,33 @@ def test_harper_snaps_readme_example(tmp_path):
     assert main(["harper", "--config", str(cfgfile), "--out", str(out)]) == 0
     payload = json.loads((out / "harper.json").read_text())["payload"]
     assert payload["bands"] == payload["snapped_flux"][1]
+
+
+@pytest.mark.parametrize("h,flux", [(2 * math.pi / 600, "0.00166667"),
+                                    (0.001, "0.000159155")])
+def test_harper_flux_under_snapping_range_is_config_error(tmp_path, capsys,
+                                                          h, flux):
+    # a flux under 1/128 would snap to 0/1; the command says how to go on
+    cfgfile = tmp_path / "tiny.json"
+    cfgfile.write_text(json.dumps({
+        "potential": {"cosine": {"A": 1.0, "B": 1.0, "beta": 1.0}},
+        "params": {"h": h, "epsilon": 0.01},
+    }))
+    out = tmp_path / "out"
+    assert main(["harper", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert flux in err["message"]
+    assert "flux" in err["message"] and "harper_farey_max" in err["message"]
+
+
+def test_sturm_flat_potential(tmp_path):
+    cfg = {"sturm": {"coefficients": [{"k": 1, "re": 0.0, "im": 0.0}],
+                     "h": 0.2, "q_points": 2, "oracle_grid": 64}}
+    env = run("sturm", cfg, str(tmp_path))
+    assert env["payload"]["levels_below_barrier"] == 0
+    assert env["payload"]["v_max"] == env["payload"]["v_min"] == 0.0
+    for name in ("sturm.json", "sturm_bands.csv", "sturm_dispersion.csv"):
+        assert (tmp_path / name).exists()
+    rows = (tmp_path / "sturm_bands.csv").read_text().splitlines()
+    assert rows == ["nu,E_low,E_high,bohr_sommerfeld,width_formula"]

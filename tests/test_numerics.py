@@ -223,3 +223,48 @@ def test_ode_energy_conservation():
     h_vals = 0.5 * traj.ys[:, 1] ** 2 - np.cos(traj.ys[:, 0])
     drift = np.max(np.abs(h_vals - h_vals[0]))
     assert drift <= 10.0 * tol.rel_tol * 40.0
+
+
+def test_ode_field_calls_per_attempted_step(monkeypatch):
+    # first same as last: one call for the first k1, then six per attempt,
+    # rejected attempts included
+    from driftband import numerics
+    attempts = []
+    step = numerics._dp_step
+
+    def counted_step(*args):
+        attempts.append(args[3])
+        return step(*args)
+
+    monkeypatch.setattr(numerics, "_dp_step", counted_step)
+    calls = []
+
+    def field(t, y):
+        calls.append(t)
+        q, p = y
+        return (p, -math.sin(q))
+
+    traj = integrate_ode(field, (1.1, 0.0), 40.0, Tolerance(1e-10, 1e-10, 100),
+                         first_step=5.0)
+    assert len(attempts) > len(traj) - 1  # the oversized first step is rejected
+    assert len(calls) == 1 + 6 * len(attempts)
+
+
+def test_ode_dense_output():
+    # y'' = -y from (1, 0): y = (cos t, -sin t)
+    steps = []
+
+    def observer(t0, y0, t1, y1, dense):
+        steps.append((t0, y0, t1, y1, dense))
+
+    integrate_ode(lambda t, y: (y[1], -y[0]), (1.0, 0.0), 2.0 * math.pi,
+                  Tolerance(1e-12, 1e-12, 100), step_observer=observer)
+    assert len(steps) > 5
+    for t0, y0, t1, y1, dense in steps:
+        assert max(abs(a - b) for a, b in zip(dense(0.0), y0)) <= 1e-15
+        assert max(abs(a - b) for a, b in zip(dense(1.0), y1)) <= 1e-15
+        for theta in (0.25, 0.5, 0.75):
+            t = t0 + theta * (t1 - t0)
+            y = dense(theta)
+            assert abs(y[0] - math.cos(t)) < 1e-9
+            assert abs(y[1] + math.sin(t)) < 1e-9

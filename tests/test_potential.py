@@ -219,6 +219,13 @@ def test_flux_irrational():
     assert isinstance(f, IrrationalFlux)
 
 
+def test_flux_with_large_numerator_is_irrational():
+    # a22 / h = 600/1 has a small denominator, but the Harper reduction
+    # would need 600 x 600 Bloch matrices: both terms are capped
+    f = flux_ratio(Lattice(0.0, 2 * math.pi), 2 * math.pi / 600)
+    assert isinstance(f, IrrationalFlux)
+
+
 def test_flux_ratio_lowest_terms_enforced():
     with pytest.raises(DomainError):
         FluxRatio(4, 2)

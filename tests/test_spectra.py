@@ -108,10 +108,16 @@ def test_spectrum_degenerate_at_zero_eps():
         assert band.e_min == band.e_max == band.i1
 
 
-def test_spectrum_band_widths_cosine():
-    p = cosine_example(1.0, 1.0, 1.0)
-    h = 0.1
-    spec = semiclassical_spectrum(p, EPS, h, i1_max=0.6, delta=0.01)
+@pytest.fixture(scope="module")
+def equal_saddles_spectrum():
+    # cosine(1, 1, 1) has equal saddles at every I1; h = 0.1 keeps the
+    # bands apart, eps (g_max - g_min) ~ 0.04 < h
+    return semiclassical_spectrum(cosine_example(1.0, 1.0, 1.0), EPS, 0.1,
+                                  i1_max=0.6, delta=0.01)
+
+
+def test_spectrum_band_widths_cosine(equal_saddles_spectrum):
+    spec = equal_saddles_spectrum
     for band in spec.bands:
         r = math.sqrt(2.0 * band.i1)
         expect = 2.0 * EPS * (abs(bessel_j0(r)) + abs(bessel_j0(r)))
@@ -126,10 +132,8 @@ def test_spectrum_width_value_mu0():
     assert abs(band.width - 4 * EPS * bessel_j0(math.sqrt(0.1))) < 1e-12
 
 
-def test_band_disjointness():
-    p = cosine_example(1.0, 1.0, 1.0)
-    h = 0.1  # eps (g_max - g_min) ~ 0.04 < h
-    spec = semiclassical_spectrum(p, EPS, h, i1_max=0.6, delta=0.01)
+def test_band_disjointness(equal_saddles_spectrum):
+    spec = equal_saddles_spectrum
     for b1, b2 in zip(spec.bands[:-1], spec.bands[1:]):
         assert b1.e_max < b2.e_min
 
