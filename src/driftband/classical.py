@@ -87,6 +87,32 @@ class DriftModel:
             h22 += g2 * g2 * w
         return h11, h12, h22
 
+    # -- array path ----------------------------------------------------------
+
+    def arrays(self, y1, y2):
+        """vbar, gradient and Hessian at arrays of points.
+
+        Accumulates mode by mode in the order of the scalar methods, so each
+        element rounds as the scalar value at that point does.
+        """
+        y1 = np.asarray(y1, dtype=float)
+        y2 = np.asarray(y2, dtype=float)
+        v = np.full(y1.shape, self.mean)
+        d1, d2, h11, h12, h22 = np.zeros((5,) + y1.shape)
+        for g1, g2, re, im in self.modes:
+            ph = g1 * y1 + g2 * y2
+            c, s = np.cos(ph), np.sin(ph)
+            part = re * c - im * s
+            v += 2.0 * part
+            w = -2.0 * (re * s + im * c)
+            d1 += g1 * w
+            d2 += g2 * w
+            w = -2.0 * part
+            h11 += g1 * g1 * w
+            h12 += g1 * g2 * w
+            h22 += g2 * g2 * w
+        return v, (d1, d2), (h11, h12, h22)
+
     def energy(self, y):
         """Averaged Hamiltonian I1 + eps*vbar at a point."""
         return self.i1 + self.eps * self.vbar(float(y[0]), float(y[1]))
@@ -182,63 +208,69 @@ def _critical_points_of_model(model: DriftModel, seeds: int = 32):
     lat = model.lattice
     gscale = max(model.grad_scale, 1e-300)
     hscale = max(model.hess_scale, 1e-300)
+    cap = 0.35 * min(TWO_PI, lat.a22)
+    # one Newton lane per seed, seeds in row-major (i, j) order
+    s = (np.arange(seeds) + 0.5) / seeds
+    st = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
+    y = lat.to_cartesian(st)
+    y1, y2 = y[:, 0].copy(), y[:, 1].copy()
+    ok = np.zeros(len(y1), dtype=bool)
+    live = np.arange(len(y1))
+    for _ in range(40):
+        _, (d1, d2), (h11, h12, h22) = model.arrays(y1[live], y2[live])
+        done = np.hypot(d1, d2) <= 1e-12 * gscale
+        ok[live[done]] = True
+        det = h11 * h22 - h12 * h12
+        # a lane stops when it converges or its Hessian is singular
+        go = ~done & (np.abs(det) >= 1e-13 * hscale * hscale)
+        live, d1, d2, det = live[go], d1[go], d2[go], det[go]
+        h11, h12, h22 = h11[go], h12[go], h22[go]
+        if not live.size:
+            break
+        dy1 = (h22 * d1 - h12 * d2) / det
+        dy2 = (h11 * d2 - h12 * d1) / det
+        big = np.hypot(dy1, dy2) > cap
+        if big.any():
+            # the step length from math.hypot, as in the scalar search:
+            # np.hypot can round the last bit differently
+            step = np.array([math.hypot(a, b) for a, b in
+                             zip(dy1[big].tolist(), dy2[big].tolist())])
+            dy1[big] *= cap / step
+            dy2[big] *= cap / step
+        y1[live] -= dy1
+        y2[live] -= dy2
+    conv = np.nonzero(ok)[0]
+    st = lat.to_lattice(np.stack([y1[conv], y2[conv]], axis=-1)) % 1.0
+    keys = (np.rint(st * 1e7) % 1e7).astype(np.int64)
+    _, first = np.unique(keys[:, 0] * 10**7 + keys[:, 1], return_index=True)
     found = {}
-    converged = 0
-    attempts = 0
-    for i in range(seeds):
-        for j in range(seeds):
-            attempts += 1
-            st = np.array([(i + 0.5) / seeds, (j + 0.5) / seeds])
-            y = lat.to_cartesian(st)
-            y1, y2 = float(y[0]), float(y[1])
-            ok = False
-            for _ in range(40):
-                d1, d2 = model.grad(y1, y2)
-                if math.hypot(d1, d2) <= 1e-12 * gscale:
-                    ok = True
-                    break
-                h11, h12, h22 = model.hessian(y1, y2)
-                det = h11 * h22 - h12 * h12
-                if abs(det) < 1e-13 * hscale * hscale:
-                    break
-                dy1 = (h22 * d1 - h12 * d2) / det
-                dy2 = (h11 * d2 - h12 * d1) / det
-                step = math.hypot(dy1, dy2)
-                cap = 0.35 * min(TWO_PI, lat.a22)
-                if step > cap:
-                    dy1 *= cap / step
-                    dy2 *= cap / step
-                y1 -= dy1
-                y2 -= dy2
-            if not ok:
-                continue
-            converged += 1
-            st = lat.to_lattice((y1, y2)) % 1.0
-            key = (round(st[0] * 1e7) % int(1e7), round(st[1] * 1e7) % int(1e7))
-            # collapse near-duplicates that straddle the rounding boundary
-            dup = False
-            for k2 in found:
-                ds = min(abs(key[0] - k2[0]), 1e7 - abs(key[0] - k2[0]))
-                dt = min(abs(key[1] - k2[1]), 1e7 - abs(key[1] - k2[1]))
-                if ds < 1e3 and dt < 1e3:
-                    dup = True
-                    break
-            if dup:
-                continue
-            yy = lat.to_cartesian(st)
-            h11, h12, h22 = model.hessian(yy[0], yy[1])
-            det = h11 * h22 - h12 * h12
-            if det > 0.0:
-                kind = "minimum" if h11 + h22 > 0.0 else "maximum"
-            else:
-                kind = "saddle"
-            lev = model.vbar(yy[0], yy[1])
-            found[key] = CriticalPoint(
-                y=(float(yy[0]), float(yy[1])), kind=kind,
-                value=model.i1 + model.eps * lev, level=lev,
-                hess_det=det, degenerate=abs(det) < 1e-8 * hscale * hscale)
+    for k in np.sort(first).tolist():
+        key = (int(keys[k, 0]), int(keys[k, 1]))
+        # collapse near-duplicates that straddle the rounding boundary
+        dup = False
+        for k2 in found:
+            ds = min(abs(key[0] - k2[0]), 1e7 - abs(key[0] - k2[0]))
+            dt = min(abs(key[1] - k2[1]), 1e7 - abs(key[1] - k2[1]))
+            if ds < 1e3 and dt < 1e3:
+                dup = True
+                break
+        if dup:
+            continue
+        yy = lat.to_cartesian(st[k])
+        h11, h12, h22 = model.hessian(yy[0], yy[1])
+        det = h11 * h22 - h12 * h12
+        if det > 0.0:
+            kind = "minimum" if h11 + h22 > 0.0 else "maximum"
+        else:
+            kind = "saddle"
+        lev = model.vbar(yy[0], yy[1])
+        found[key] = CriticalPoint(
+            y=(float(yy[0]), float(yy[1])), kind=kind,
+            value=model.i1 + model.eps * lev, level=lev,
+            hess_det=det, degenerate=abs(det) < 1e-8 * hscale * hscale)
     points = sorted(found.values(), key=lambda c: (c.level, c.y))
-    return CriticalPointSet(points=points, complete=converged > attempts // 2)
+    return CriticalPointSet(points=points,
+                            complete=len(conv) > seeds * seeds // 2)
 
 
 # ----------------------------------------------------------------------
@@ -272,12 +304,6 @@ _MS_SEGMENTS = {
 }
 
 
-def _cell_edges(i, j, n):
-    """Canonical (wrapped) edge keys of cell (i, j): bottom right top left."""
-    return (("h", i, j), ("v", (i + 1) % n, j), ("h", i, (j + 1) % n),
-            ("v", i, j))
-
-
 def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
                     grid: int = 256, guard: float | None = None):
     """Connected components of {averaged energy = g} on the torus.
@@ -302,75 +328,67 @@ def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
     return _trace_components(model, lev, grid)
 
 
-def _trace_components(model: DriftModel, lev: float, grid: int):
-    n = grid
+def _level_segments(model: DriftModel, lev: float, n: int):
+    """Marching-squares segments of {vbar = lev} on the periodic n x n grid.
+
+    One (edge_in, edge_out, point_in, point_out) per segment, crossed cells
+    in row-major order.  Edge ids are wrapped: i*n + j for the bottom edge
+    of cell (i, j), n*n + i*n + j for its left edge.  Points are cell-local
+    (unwrapped) lattice coordinates.
+    """
     lat = model.lattice
     v = model.grid_vbar(n) - lev
     if np.any(v == 0.0):
         v = v + 1e-13 * max(model.l1, 1.0)
-    pos = v > 0.0
+    # case bits from corners (i,j), (i+1,j), (i+1,j+1), (i,j+1) of each cell
+    pos = (v > 0.0).astype(np.int8)
+    pos_i = np.roll(pos, -1, axis=0)
+    case = (pos | pos_i << 1 | np.roll(pos_i, -1, axis=1) << 2
+            | np.roll(pos, -1, axis=1) << 3)
+    ci, cj = np.nonzero((case != 0) & (case != 15))
+    # crossing fraction of the bottom (h) and left (v) edge of each cell;
+    # only edges whose end signs differ are read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac_h = v / (v - np.roll(v, -1, axis=0))
+        frac_v = v / (v - np.roll(v, -1, axis=1))
+    ni, nj = (ci + 1) % n, (cj + 1) % n
+    # the cell's sides in the order bottom, right, top, left
+    edges = np.stack([ci * n + cj, n * n + ni * n + cj, ci * n + nj,
+                      n * n + ci * n + cj], axis=1).tolist()
+    pts = np.empty((len(ci), 4, 2))
+    pts[:, 0, 0], pts[:, 0, 1] = ci + frac_h[ci, cj], cj
+    pts[:, 1, 0], pts[:, 1, 1] = ci + 1.0, cj + frac_v[ni, cj]
+    pts[:, 2, 0], pts[:, 2, 1] = ci + frac_h[ci, nj], cj + 1.0
+    pts[:, 3, 0], pts[:, 3, 1] = ci, cj + frac_v[ci, cj]
+    pts /= n
 
-    # crossing fraction per edge, indexed by the canonical edge key
-    cross = {}
-    for i in range(n):
-        for j in range(n):
-            a = v[i, j]
-            b = v[(i + 1) % n, j]
-            if (a > 0.0) != (b > 0.0):
-                cross[("h", i, j)] = a / (a - b)
-            b = v[i, (j + 1) % n]
-            if (a > 0.0) != (b > 0.0):
-                cross[("v", i, j)] = a / (a - b)
-
-    def cell_edge_points(i, j, edges):
-        """Crossing positions of the cell's edges in cell-local (unwrapped)
-        grid coordinates; the canonical keys stay wrapped."""
-        pts = {}
-        for side, key in enumerate(edges):
-            if key not in cross:
-                continue
-            t = cross[key]
-            if side == 0:
-                pts[side] = np.array([i + t, j])
-            elif side == 1:
-                pts[side] = np.array([i + 1.0, j + t])
-            elif side == 2:
-                pts[side] = np.array([i + t, j + 1.0])
-            else:
-                pts[side] = np.array([i, j + t])
-        return pts
-
-    # per-cell segments as (key_in, key_out, local_pt_in, local_pt_out)
-    seg_by_edge = {}
     segments = []
-    for i in range(n):
-        for j in range(n):
-            idx = (int(pos[i, j]) | int(pos[(i + 1) % n, j]) << 1
-                   | int(pos[(i + 1) % n, (j + 1) % n]) << 2
-                   | int(pos[i, (j + 1) % n]) << 3)
-            if idx in (0, 15):
-                continue
-            edges = _cell_edges(i, j, n)
-            if idx in (5, 10):
-                # saddle cell: split against the center sample
-                center = lat.to_cartesian(np.array([(i + 0.5) / n,
-                                                    (j + 0.5) / n]))
-                cpos = model.vbar(center[0], center[1]) - lev > 0.0
-                if idx == 5:
-                    pairs = [(3, 0), (1, 2)] if cpos else [(3, 2), (1, 0)]
-                else:
-                    pairs = [(0, 1), (2, 3)] if cpos else [(0, 3), (2, 1)]
+    for c, (i, j, idx) in enumerate(zip(ci.tolist(), cj.tolist(),
+                                        case[ci, cj].tolist())):
+        if idx in (5, 10):
+            # saddle cell: split against the center sample
+            center = lat.to_cartesian(np.array([(i + 0.5) / n,
+                                                (j + 0.5) / n]))
+            cpos = model.vbar(center[0], center[1]) - lev > 0.0
+            if idx == 5:
+                pairs = [(3, 0), (1, 2)] if cpos else [(3, 2), (1, 0)]
             else:
-                pairs = _MS_SEGMENTS[idx]
-            local = cell_edge_points(i, j, edges)
-            for ein, eout in pairs:
-                if ein not in local or eout not in local:
-                    continue
-                sid = len(segments)
-                segments.append((edges[ein], edges[eout],
-                                 local[ein] / n, local[eout] / n))
-                seg_by_edge.setdefault(edges[ein], []).append(sid)
-                seg_by_edge.setdefault(edges[eout], []).append(sid)
+                pairs = [(0, 1), (2, 3)] if cpos else [(0, 3), (2, 1)]
+        else:
+            pairs = _MS_SEGMENTS[idx]
+        e, p = edges[c], pts[c]
+        for ein, eout in pairs:
+            segments.append((e[ein], e[eout], p[ein], p[eout]))
+    return segments
+
+
+def _trace_components(model: DriftModel, lev: float, grid: int):
+    lat = model.lattice
+    segments = _level_segments(model, lev, grid)
+    seg_by_edge = {}
+    for sid, (e_in, e_out, _, _) in enumerate(segments):
+        seg_by_edge.setdefault(e_in, []).append(sid)
+        seg_by_edge.setdefault(e_out, []).append(sid)
 
     used = [False] * len(segments)
     components = []
@@ -427,15 +445,12 @@ def _trace_components(model: DriftModel, lev: float, grid: int):
 def _refine_polyline(model, ys, lev, iterations=4):
     out = ys.copy()
     for _ in range(iterations):
-        for idx in range(len(out)):
-            y1, y2 = out[idx]
-            d1, d2 = model.grad(y1, y2)
-            n2 = d1 * d1 + d2 * d2
-            if n2 < 1e-30:
-                continue
-            r = model.vbar(y1, y2) - lev
-            out[idx, 0] -= r * d1 / n2
-            out[idx, 1] -= r * d2 / n2
+        vb, (d1, d2), _ = model.arrays(out[:, 0], out[:, 1])
+        n2 = d1 * d1 + d2 * d2
+        k = n2 >= 1e-30  # points on a flat patch stay where they are
+        r = vb[k] - lev
+        out[k, 0] -= r * d1[k] / n2[k]
+        out[k, 1] -= r * d2[k] / n2[k]
     return out
 
 
@@ -671,6 +686,11 @@ def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
     if one_dim is not None:
         return _one_dimensional_graph(model, one_dim)
     cps = _critical_points_of_model(model, seeds)
+    if not cps.complete:
+        raise UnsupportedTopologyError(
+            f"Newton converged from fewer than half of the {seeds}x{seeds} "
+            f"seeds; the {len(cps)} points found may be incomplete",
+            points=list(cps))
     mins = cps.by_kind("minimum")
     maxs = cps.by_kind("maximum")
     sads = cps.by_kind("saddle")
@@ -894,6 +914,10 @@ def build_regimes(p: FourierPotential, eps: float, i1_max: float,
         cps = _critical_points_of_model(model, seeds=16)
         mins = cps.by_kind("minimum")
         maxs = cps.by_kind("maximum")
+        if not mins or not maxs:
+            raise UnsupportedTopologyError(
+                f"no {'minimum' if not mins else 'maximum'} found at "
+                f"I1 = {float(x)}", points=list(cps))
         sads = sorted(c.value for c in cps.by_kind("saddle"))
         curves["E_min"].append(min(c.value for c in mins))
         curves["E_max"].append(max(c.value for c in maxs))

@@ -1,9 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from driftband.classical import (DriftData, DriftModel, SeparatrixProximityError,
+from driftband import classical
+from driftband.classical import (CriticalPointSet, DriftData, DriftModel,
+                                 SeparatrixProximityError,
                                  TrajectoryClass, UnsupportedTopologyError,
                                  build_reeb_graph, build_regimes,
                                  classify_trajectory, conjugate_vector,
@@ -11,8 +14,9 @@ from driftband.classical import (DriftData, DriftModel, SeparatrixProximityError
                                  find_critical_points, lexicographic_positive,
                                  lifted_hamiltonian_range, trace_level_set,
                                  _orbit_once)
+from driftband.cli import main
 from driftband.numerics import Tolerance, bessel_j0, bessel_j0_zero
-from driftband.potential import cosine_example
+from driftband.potential import FourierPotential, Lattice, cosine_example
 
 EPS = 0.02
 
@@ -415,7 +419,6 @@ def _bisection_orbit(model, y0, tol):
 
 @pytest.mark.parametrize("edge,winding", [("i1", (0, 0)), ("i2", (0, 1))])
 def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
-    from driftband import classical
     p = cosine_example(2.0, 1.0, 1.0)
     i1 = 0.3
     model = DriftModel(p, EPS, i1)
@@ -439,3 +442,284 @@ def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
     assert orbit.winding == ref_winding == winding
     assert abs(orbit.period - period) < 1e-10
     assert abs(orbit.area - area) < 1e-10
+
+
+# ------------------------------------- array topology vs scalar cell loops
+
+def _potential(a21, a22, modes):
+    """Real potential from one coefficient per conjugate pair."""
+    coeffs = dict(modes)
+    coeffs.update({(-k1, -k2): c.conjugate() for (k1, k2), c in modes.items()})
+    return FourierPotential(Lattice(a21, a22), coeffs)
+
+
+def _sheared_few_mode():
+    """Two dominant modes and two weak oblique ones on a sheared lattice."""
+    return _potential(0.3, 5.5, {(1, 0): 0.5 + 0.05j, (0, 1): 0.32 - 0.04j,
+                                 (1, 1): 0.04 + 0.01j, (1, -1): 0.03 - 0.015j})
+
+
+TOPOLOGY_CASES = [
+    (cosine_example(2.0, 1.0, 1.0), 0.3),
+    (cosine_example(1.0, 1.6, 1.0), 0.3),
+    (_sheared_few_mode(), 0.2),
+]
+
+
+def _scalar_segments(model, lev, n):
+    """Marching squares one cell at a time (the loops of earlier versions),
+    with edges numbered as _level_segments numbers them; also returns the
+    number of saddle cells (cases 5 and 10)."""
+    lat = model.lattice
+    v = model.grid_vbar(n) - lev
+    if np.any(v == 0.0):
+        v = v + 1e-13 * max(model.l1, 1.0)
+    pos = v > 0.0
+    cross = {}
+    for i in range(n):
+        for j in range(n):
+            a = v[i, j]
+            b = v[(i + 1) % n, j]
+            if (a > 0.0) != (b > 0.0):
+                cross[i * n + j] = a / (a - b)
+            b = v[i, (j + 1) % n]
+            if (a > 0.0) != (b > 0.0):
+                cross[n * n + i * n + j] = a / (a - b)
+    segments = []
+    saddle_cells = 0
+    for i in range(n):
+        for j in range(n):
+            idx = (int(pos[i, j]) | int(pos[(i + 1) % n, j]) << 1
+                   | int(pos[(i + 1) % n, (j + 1) % n]) << 2
+                   | int(pos[i, (j + 1) % n]) << 3)
+            if idx in (0, 15):
+                continue
+            edges = (i * n + j, n * n + ((i + 1) % n) * n + j,
+                     i * n + (j + 1) % n, n * n + i * n + j)
+            if idx in (5, 10):
+                saddle_cells += 1
+                center = lat.to_cartesian(np.array([(i + 0.5) / n,
+                                                    (j + 0.5) / n]))
+                cpos = model.vbar(center[0], center[1]) - lev > 0.0
+                if idx == 5:
+                    pairs = [(3, 0), (1, 2)] if cpos else [(3, 2), (1, 0)]
+                else:
+                    pairs = [(0, 1), (2, 3)] if cpos else [(0, 3), (2, 1)]
+            else:
+                pairs = classical._MS_SEGMENTS[idx]
+            local = {}
+            for side, key in enumerate(edges):
+                if key in cross:
+                    t = cross[key]
+                    local[side] = np.array(
+                        [(i + t, j), (i + 1.0, j + t), (i + t, j + 1.0),
+                         (i, j + t)][side])
+            for ein, eout in pairs:
+                if ein in local and eout in local:
+                    segments.append((edges[ein], edges[eout],
+                                     local[ein] / n, local[eout] / n))
+    return segments, saddle_cells
+
+
+def _scalar_refine(model, ys, lev, iterations=4):
+    out = ys.copy()
+    for _ in range(iterations):
+        for idx in range(len(out)):
+            y1, y2 = out[idx]
+            d1, d2 = model.grad(y1, y2)
+            n2 = d1 * d1 + d2 * d2
+            if n2 < 1e-30:
+                continue
+            r = model.vbar(y1, y2) - lev
+            out[idx, 0] -= r * d1 / n2
+            out[idx, 1] -= r * d2 / n2
+    return out
+
+
+def _assert_trace_matches_scalar(model, lev, n, monkeypatch):
+    """Segments must be identical to the cell loops'; components equal to
+    those traced from the scalar segments and the scalar refinement (up to
+    the last bit of sin/cos, which numpy and libm may round differently)."""
+    ref_segments, saddle_cells = _scalar_segments(model, lev, n)
+    segments = classical._level_segments(model, lev, n)
+    assert len(segments) == len(ref_segments) > 0
+    for (e0, e1, p0, p1), (r0, r1, q0, q1) in zip(segments, ref_segments):
+        assert (e0, e1) == (r0, r1)
+        assert np.array_equal(p0, q0) and np.array_equal(p1, q1)
+    comps = classical._trace_components(model, lev, n)
+    with monkeypatch.context() as m:
+        m.setattr(classical, "_level_segments",
+                  lambda model, lev, n: _scalar_segments(model, lev, n)[0])
+        m.setattr(classical, "_refine_polyline", _scalar_refine)
+        ref = classical._trace_components(model, lev, n)
+    assert [c.winding for c in comps] == [c.winding for c in ref]
+    for c, r in zip(comps, ref):
+        assert c.points.shape == r.points.shape
+        assert np.max(np.abs(c.points - r.points)) <= 1e-12
+    return comps, saddle_cells
+
+
+@pytest.mark.parametrize("case", range(len(TOPOLOGY_CASES)))
+def test_level_segments_match_cell_loops(case, monkeypatch):
+    p, i1 = TOPOLOGY_CASES[case]
+    model = DriftModel(p, EPS, i1)
+    graph = build_reeb_graph(p, EPS, i1)
+    assert graph.kind == "simple"
+    for eid in ("i1", "i2", "i4"):
+        lev = model.level_of(graph_mid_level(graph, eid))
+        for n in (48, 192):
+            comps, _ = _assert_trace_matches_scalar(model, lev, n, monkeypatch)
+            assert len(comps) == (2 if eid == "i2" else 1)
+
+
+def test_saddle_cells_on_coarse_grid(monkeypatch):
+    # a strong (1, 1) mode tilts the saddles against the grid; on grids 8
+    # and 10 one cell sits on the lower saddle and, at a level just above
+    # it, has diagonal corner signs (these grids are too coarse for the
+    # true topology, one contractible loop is traced instead of two open
+    # lines, but the loop must still match the scalar cells and close)
+    p = _potential(0.5, 6.0, {(1, 0): 0.4 + 0.13j, (0, 1): 0.29 - 0.11j,
+                              (1, 1): 0.15 + 0.0j})
+    model = DriftModel(p, EPS, 0.0)
+    levels = sorted(c.level for c in find_critical_points(p, EPS, 0.0))
+    lev = levels[1] + 0.1 * (levels[2] - levels[1])
+    seen = 0
+    for n in (8, 10):
+        comps, saddle_cells = _assert_trace_matches_scalar(model, lev, n,
+                                                           monkeypatch)
+        seen += saddle_cells
+        for comp in comps:
+            assert comp.closure_defect(p.lattice) < 1e-8
+    assert seen > 0
+
+
+def _scalar_critical_points(model, seeds):
+    """Newton from one seed at a time (the loop of earlier versions)."""
+    lat = model.lattice
+    gscale = max(model.grad_scale, 1e-300)
+    hscale = max(model.hess_scale, 1e-300)
+    roots = []
+    for i in range(seeds):
+        for j in range(seeds):
+            y = lat.to_cartesian(np.array([(i + 0.5) / seeds,
+                                           (j + 0.5) / seeds]))
+            y1, y2 = float(y[0]), float(y[1])
+            for _ in range(40):
+                d1, d2 = model.grad(y1, y2)
+                if math.hypot(d1, d2) <= 1e-12 * gscale:
+                    roots.append((y1, y2))
+                    break
+                h11, h12, h22 = model.hessian(y1, y2)
+                det = h11 * h22 - h12 * h12
+                if abs(det) < 1e-13 * hscale * hscale:
+                    break
+                dy1 = (h22 * d1 - h12 * d2) / det
+                dy2 = (h11 * d2 - h12 * d1) / det
+                step = math.hypot(dy1, dy2)
+                cap = 0.35 * min(2 * math.pi, lat.a22)
+                if step > cap:
+                    dy1 *= cap / step
+                    dy2 *= cap / step
+                y1 -= dy1
+                y2 -= dy2
+    found = {}
+    for y1, y2 in roots:
+        st = lat.to_lattice((y1, y2)) % 1.0
+        key = (round(st[0] * 1e7) % int(1e7), round(st[1] * 1e7) % int(1e7))
+        if any(min(abs(key[0] - k[0]), 1e7 - abs(key[0] - k[0])) < 1e3
+               and min(abs(key[1] - k[1]), 1e7 - abs(key[1] - k[1])) < 1e3
+               for k in found):
+            continue
+        yy = lat.to_cartesian(st)
+        h11, h12, h22 = model.hessian(yy[0], yy[1])
+        det = h11 * h22 - h12 * h12
+        kind = ("saddle" if det <= 0.0 else
+                "minimum" if h11 + h22 > 0.0 else "maximum")
+        found[key] = (model.vbar(yy[0], yy[1]), (float(yy[0]), float(yy[1])),
+                      kind)
+    return sorted(found.values()), len(roots) > seeds * seeds // 2
+
+
+@pytest.mark.parametrize("seeds", [16, 32])
+def test_critical_points_match_scalar_newton(seeds):
+    # on the oblique-only potential fewer than half the seeds converge
+    # (480 of 32x32; the rest run into the 40-step cap or a singular
+    # Hessian), so its set is flagged incomplete; a second cosine of
+    # amplitude 1e-14 makes every Hessian singular, so every lane stops at
+    # once and nothing is found
+    oblique = _potential(0.0, 2 * math.pi, {(1, 1): 0.5 + 0j,
+                                            (1, -1): 0.3 + 0j})
+    cases = TOPOLOGY_CASES + [(oblique, 0.1),
+                              (cosine_example(1.5, 1e-14, 1.0), 0.1)]
+    completes = []
+    for p, i1 in cases:
+        model = DriftModel(p, EPS, i1)
+        cps = classical._critical_points_of_model(model, seeds)
+        ref, complete = _scalar_critical_points(model, seeds)
+        assert cps.complete == complete
+        completes.append(complete)
+        assert len(cps) == len(ref)
+        for c, (level, y, kind) in zip(cps, ref):
+            assert c.kind == kind
+            assert max(abs(c.y[0] - y[0]), abs(c.y[1] - y[1])) <= 1e-12
+            assert abs(c.level - level) <= 1e-12
+    assert completes == [True, True, True, False, False]
+
+
+# ------------------------------------------------- sheared few-mode drift
+
+def test_sheared_open_components_wind_oppositely():
+    p = _sheared_few_mode()
+    i1 = 0.2
+    graph = build_reeb_graph(p, EPS, i1)
+    comps = trace_level_set(p, EPS, i1, graph_mid_level(graph, "i2"))
+    open_comps = [c for c in comps if not c.contractible]
+    assert len(open_comps) == 2
+    w0, w1 = open_comps[0].winding, open_comps[1].winding
+    assert w1 == (-w0[0], -w0[1])
+    assert math.gcd(abs(w0[0]), abs(w0[1])) == 1
+    assert {w0, w1} == {graph.edge("i2").drift.d, graph.edge("i3").drift.d}
+    for comp in open_comps:
+        cls = classify_trajectory(p, EPS, i1,
+                                  comp.points[len(comp.points) // 3])
+        assert cls.kind == "closed"
+        assert cls.winding == comp.winding
+
+
+# ------------------------------------------ incomplete critical-point sets
+
+def _patched_points(monkeypatch, keep=None, complete=True):
+    real = classical._critical_points_of_model
+
+    def fake(model, seeds=32):
+        cps = real(model, seeds)
+        points = [c for c in cps if keep is None or c.kind in keep]
+        return CriticalPointSet(points=points, complete=complete)
+
+    monkeypatch.setattr(classical, "_critical_points_of_model", fake)
+
+
+def test_reeb_graph_rejects_incomplete_points(monkeypatch, tmp_path):
+    p = cosine_example(2.0, 1.0, 1.0)
+    expected = list(find_critical_points(p, EPS, 0.3))
+    _patched_points(monkeypatch, complete=False)
+    with pytest.raises(UnsupportedTopologyError) as info:
+        build_reeb_graph(p, EPS, 0.3)
+    assert info.value.points == expected
+    cfg = tmp_path / "reeb.json"
+    cfg.write_text(json.dumps({
+        "potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+        "params": {"h": 0.1, "epsilon": EPS}, "i1": 0.3}))
+    out = tmp_path / "out"
+    assert main(["reeb", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+@pytest.mark.parametrize("keep", [("maximum", "saddle"),
+                                  ("minimum", "saddle")])
+def test_regimes_reject_missing_extremum(keep, monkeypatch):
+    p = cosine_example(2.0, 1.0, 1.0)
+    _patched_points(monkeypatch, keep=keep)
+    with pytest.raises(UnsupportedTopologyError) as info:
+        build_regimes(p, EPS, 1.0, grid=5)
+    kinds = {c.kind for c in info.value.points}
+    assert kinds == set(keep)
