@@ -18,9 +18,9 @@ import numpy as np
 
 from .classical import (DriftModel, OrbitResult, ReebGraph,
                         SeparatrixProximityError, build_reeb_graph,
-                        _orbit_once)
-from .numerics import (DEFAULT_TOL, DomainError, Tolerance, adaptive_quad,
-                       bessel_j0, find_root)
+                        orbit_lanes)
+from .numerics import (DEFAULT_TOL, ConvergenceError, DomainError, Tolerance,
+                       adaptive_quad, bessel_j0, find_root)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
@@ -90,15 +90,15 @@ class ActionComputer:
             y = y0 + s * u
             return self.model.vbar(y[0], y[1]) - lev
 
-        s_hi = None
+        # first of 400 ray samples above the level, all evaluated at once
         span = 2.0 * math.hypot(TWO_PI, self.p.lattice.a22)
-        for s in np.linspace(1e-6, span, 400):
-            if f(s) > 0.0:
-                s_hi = s
-                break
-        if s_hi is None:
+        ss = np.linspace(1e-6, span, 400)
+        vals, _, _ = self.model.arrays(y0[0] + ss * u[0], y0[1] + ss * u[1])
+        above = np.flatnonzero(vals - lev > 0.0)
+        if not len(above):
             raise DomainError("no crossing along the saddle ray")
-        s = find_root(f, 1e-9, s_hi, Tolerance(1e-14, 1e-14, 200))
+        s = find_root(f, 1e-9, float(ss[above[0]]),
+                      Tolerance(1e-14, 1e-14, 200))
         return y0 + s * u
 
     def _saddle_plus_direction(self, which):
@@ -143,7 +143,7 @@ class ActionComputer:
     # -- actions ----------------------------------------------------------
 
     def _orbit(self, y0) -> OrbitResult:
-        orbit = _orbit_once(self.model, y0, _ORBIT_TOL)
+        orbit = orbit_lanes(self.model, [y0], _ORBIT_TOL)[0]
         if not orbit.closed:
             raise SeparatrixProximityError(
                 "orbit failed to close (separatrix proximity?)")
@@ -159,26 +159,44 @@ class ActionComputer:
         corr = float(y0[1]) * shift[0] + 0.5 * shift[0] * shift[1]
         return (orbit.area - corr) / TWO_PI
 
+    def actions(self, requests) -> list:
+        """Actions at [(edge_id, g), ...], every orbit in one orbit_lanes
+        batch; raises as action() would for the first failing request."""
+        plans = []
+        seeds = []
+        for edge_id, g in requests:
+            edge = self.graph.edge(edge_id)
+            g_lo, g_hi = edge.energy_range
+            if not (g_lo < g < g_hi):
+                raise DomainError(f"g={g} outside edge {edge_id} range")
+            ys = self.seeds_for_edge(edge_id, g)
+            plans.append((edge_id, edge, len(seeds), len(ys)))
+            seeds.extend(tuple(y0) for y0 in ys)
+        orbits = orbit_lanes(self.model, seeds, _ORBIT_TOL)
+        out = []
+        for edge_id, edge, start, count in plans:
+            results = list(zip(seeds[start:start + count],
+                               orbits[start:start + count]))
+            if not all(orbit.closed for _, orbit in results):
+                raise SeparatrixProximityError(
+                    "orbit failed to close (separatrix proximity?)")
+            if edge_id in ("i1", "i4"):
+                y0, orbit = results[0]
+                if orbit.winding != (0, 0):
+                    raise DomainError("expected a contractible orbit")
+                out.append(self.action_from_orbit(y0, orbit))
+                continue
+            want = edge.drift.d
+            for y0, orbit in results:
+                if orbit.winding == want:
+                    out.append(self.action_from_orbit(y0, orbit))
+                    break
+            else:
+                raise DomainError(f"no component with drift {want} found")
+        return out
+
     def action(self, edge_id: str, g: float) -> float:
-        edge = self.graph.edge(edge_id)
-        g_lo, g_hi = edge.energy_range
-        if not (g_lo < g < g_hi):
-            raise DomainError(f"g={g} outside edge {edge_id} range")
-        seeds = self.seeds_for_edge(edge_id, g)
-        results = []
-        for y0 in seeds:
-            orbit = self._orbit(y0)
-            results.append((tuple(y0), orbit))
-        if edge_id in ("i1", "i4"):
-            y0, orbit = results[0]
-            if orbit.winding != (0, 0):
-                raise DomainError("expected a contractible orbit")
-            return self.action_from_orbit(y0, orbit)
-        want = edge.drift.d
-        for y0, orbit in results:
-            if orbit.winding == want:
-                return self.action_from_orbit(y0, orbit)
-        raise DomainError(f"no component with drift {want} found")
+        return self.actions([(edge_id, g)])[0]
 
 
 def action_i2(p: FourierPotential, eps: float, i1: float, g: float,
@@ -241,21 +259,22 @@ def separatrix_limits(p: FourierPotential, eps: float, i1: float,
     g_lo, g_hi = g.edge("i2").energy_range
     g_max = g.edge("i4").energy_range[1]
 
-    def limit(edge_id, target, side, span):
-        d0 = rel_delta * span
-        deltas = [d0 / ratio ** k for k in range(levels)]
-        vals = [comp.action(edge_id, target + side * d) for d in deltas]
-        return _log_fit_limit(deltas, vals)
-
     span1 = g_lo - g_min
     span24 = g_hi - g_lo
     span4 = g_max - g_hi
-    i2_1p = limit("i1", g_lo, -1.0, span1)
-    i2_4m = limit("i4", g_hi, +1.0, span4)
-    i2_2m = limit("i2", g_lo, +1.0, span24)
-    i2_2p = limit("i2", g_hi, -1.0, span24)
-    i2_3m = limit("i3", g_lo, +1.0, span24)
-    i2_3p = limit("i3", g_hi, -1.0, span24)
+    # (edge, separatrix energy, side, edge span) of i2_1p, i2_4m, i2_2m,
+    # i2_2p, i2_3m, i2_3p; all of their actions form one batch
+    ends = (("i1", g_lo, -1.0, span1), ("i4", g_hi, +1.0, span4),
+            ("i2", g_lo, +1.0, span24), ("i2", g_hi, -1.0, span24),
+            ("i3", g_lo, +1.0, span24), ("i3", g_hi, -1.0, span24))
+    deltas = [[rel_delta * span / ratio ** k for k in range(levels)]
+              for _, _, _, span in ends]
+    vals = comp.actions([(edge_id, target + side * d)
+                         for (edge_id, target, side, _), ds in zip(ends, deltas)
+                         for d in ds])
+    i2_1p, i2_4m, i2_2m, i2_2p, i2_3m, i2_3p = (
+        _log_fit_limit(ds, vals[k * levels:(k + 1) * levels])
+        for k, ds in enumerate(deltas))
     return ActionLimits(i1=i1, i2_1p=i2_1p, i2_2m=i2_2m, i2_2p=i2_2p,
                         i2_3m=i2_3m, i2_3p=i2_3p, i2_4m=i2_4m,
                         cell_over_2pi=comp.cell_over_2pi)
@@ -529,10 +548,6 @@ class EdgeActionTable:
 
 def _edge_singular_template(comp: ActionComputer, edge: str):
     g = comp.graph
-    if g.kind != "simple":
-        return None
-    g_lo_sad = g.edge("i2").energy_range[0]
-    g_hi_sad = g.edge("i2").energy_range[1]
 
     def amp(which, passages):
         c = comp._saddles[which]
@@ -540,6 +555,20 @@ def _edge_singular_template(comp: ActionComputer, edge: str):
         det = abs(h11 * h22 - h12 * h12)
         return passages / (TWO_PI * comp.eps * math.sqrt(det))
 
+    if g.kind == "equal_saddles":
+        # both saddles sit on the one separatrix level, two passages each
+        both = -(amp("lower", 2.0) + amp("upper", 2.0))
+        if edge == "i1":
+            return _SingularTemplate([(g.edge("i1").energy_range[1], +1.0,
+                                       both)])
+        if edge == "i4":
+            return _SingularTemplate([(g.edge("i4").energy_range[0], -1.0,
+                                       both)])
+        raise DomainError(f"unknown edge {edge}")
+    if g.kind != "simple":
+        return None
+    g_lo_sad = g.edge("i2").energy_range[0]
+    g_hi_sad = g.edge("i2").energy_range[1]
     if edge == "i1":
         # singular at the top end (lower saddle, two passages per loop)
         return _SingularTemplate([(g_lo_sad, +1.0, -amp("lower", 2.0))])
@@ -553,50 +582,91 @@ def _edge_singular_template(comp: ActionComputer, edge: str):
     raise DomainError(f"unknown edge {edge}")
 
 
+def _fit_table(edge, i1, eps, lo, hi, template, gs, vals, probes,
+               probe_vals):
+    """Chebyshev table through the node actions, its error measured at the
+    probes."""
+    order = np.argsort(gs)
+    if not np.all(np.diff(np.asarray(vals)[order]) > 0.0):
+        raise DomainError(f"action is not monotone along edge {edge}")
+    if template is not None:
+        vals = [v - template(float(g)) for v, g in zip(vals, gs)]
+    table = EdgeActionTable(edge=edge, i1=i1, eps=eps, g_range=(lo, hi),
+                            i2_range=(0.0, 0.0), interp_error=math.inf,
+                            _fwd=_ChebyshevInterp(lo, hi, vals),
+                            _template=template)
+    table.interp_error = max(abs(table.i2_of_energy(float(g)) - v)
+                             for g, v in zip(probes, probe_vals))
+    return table
+
+
+def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
+                      graph: ReebGraph | None = None, nodes: int = 48,
+                      pad_rel: float = 1e-4, target: float = 1e-8,
+                      max_nodes: int = 192) -> list:
+    """Sampled monotone energy <-> action maps along several edges.
+
+    The declared interpolation error is measured against direct action
+    evaluations at 7 interior probes; an edge's node count doubles, up to
+    `max_nodes`, until the error drops below `target`, and an edge still
+    above it at `max_nodes` raises ConvergenceError carrying the best table
+    and its error.  The first pass integrates the probes and nodes of every
+    edge as one orbit batch, and each later pass one batch for the edges
+    still refining.
+    """
+    comp = ActionComputer(p, eps, i1, graph)
+    windows = []
+    for edge in edges:
+        g_lo, g_hi = comp.graph.edge(edge).energy_range
+        pad = pad_rel * (g_hi - g_lo)
+        windows.append((g_lo + pad, g_hi - pad))
+    probes = [np.linspace(lo + 0.03 * (hi - lo), hi - 0.03 * (hi - lo), 7)
+              for lo, hi in windows]
+    templates = [_edge_singular_template(comp, edge) for edge in edges]
+    tables = [None] * len(edges)
+    sizes = {k: min(nodes, max_nodes) for k in range(len(edges))}
+    # the first batch holds every edge's probes, then every batch the nodes
+    # of the edges still refining
+    requests = [(edge, float(g)) for edge, gs in zip(edges, probes)
+                for g in gs]
+    probe_vals = None
+    while sizes:
+        node_gs = {k: _ChebyshevInterp.points(*windows[k], n)
+                   for k, n in sizes.items()}
+        requests += [(edges[k], float(g)) for k, gs in node_gs.items()
+                     for g in gs]
+        vals = comp.actions(requests)
+        requests = []
+        if probe_vals is None:
+            probe_vals = [vals[7 * k:7 * k + 7] for k in range(len(edges))]
+            vals = vals[7 * len(edges):]
+        sizes = {}
+        for k, gs in node_gs.items():
+            node_vals, vals = vals[:len(gs)], vals[len(gs):]
+            table = _fit_table(edges[k], i1, eps, *windows[k], templates[k],
+                               gs, node_vals, probes[k], probe_vals[k])
+            tables[k] = table
+            if table.interp_error <= target:
+                continue
+            if len(gs) >= max_nodes:
+                raise ConvergenceError(
+                    f"edge {edges[k]} table error {table.interp_error:.3g} "
+                    f"is above {target:.3g} at {len(gs)} nodes",
+                    best=table, error=table.interp_error)
+            sizes[k] = min(2 * len(gs), max_nodes)
+    for table in tables:
+        table.i2_range = (table.i2_of_energy(table.g_range[0]),
+                          table.i2_of_energy(table.g_range[1]))
+    return tables
+
+
 def build_edge_table(p: FourierPotential, eps: float, i1: float, edge: str,
                      graph: ReebGraph | None = None, nodes: int = 48,
                      pad_rel: float = 1e-4, target: float = 1e-8,
                      max_nodes: int = 192) -> EdgeActionTable:
-    """Sampled monotone energy <-> action map along one edge.
-
-    The declared interpolation error is measured against direct action
-    evaluations at interior probes; the node count doubles until the error
-    drops below `target` (or `max_nodes` is reached).
-    """
-    comp = ActionComputer(p, eps, i1, graph)
-    e = comp.graph.edge(edge)
-    g_lo, g_hi = e.energy_range
-    pad = pad_rel * (g_hi - g_lo)
-    lo, hi = g_lo + pad, g_hi - pad
-    template = _edge_singular_template(comp, edge)
-
-    probes = np.linspace(lo + 0.03 * (hi - lo), hi - 0.03 * (hi - lo), 7)
-    probe_vals = [comp.action(edge, float(g)) for g in probes]
-
-    n = nodes
-    while True:
-        gs = _ChebyshevInterp.points(lo, hi, n)
-        vals = [comp.action(edge, float(g)) for g in gs]
-        order = np.argsort(gs)
-        diffs = np.diff(np.asarray(vals)[order])
-        if not np.all(diffs > 0.0):
-            raise DomainError(f"action is not monotone along edge {edge}")
-        if template is not None:
-            rem = [v - template(float(g)) for v, g in zip(vals, gs)]
-        else:
-            rem = vals
-        fwd = _ChebyshevInterp(lo, hi, rem)
-        table = EdgeActionTable(edge=edge, i1=i1, eps=eps, g_range=(lo, hi),
-                                i2_range=(0.0, 0.0), interp_error=math.inf,
-                                _fwd=fwd, _template=template)
-        err = max(abs(table.i2_of_energy(float(g)) - v)
-                  for g, v in zip(probes, probe_vals))
-        table.interp_error = err
-        if err <= target or n >= max_nodes:
-            break
-        n *= 2
-    table.i2_range = (table.i2_of_energy(lo), table.i2_of_energy(hi))
-    return table
+    """One edge's table: build_edge_tables on a single edge."""
+    return build_edge_tables(p, eps, i1, [edge], graph, nodes, pad_rel,
+                             target, max_nodes)[0]
 
 
 def energy_from_actions(table: EdgeActionTable, i1: float, i2: float) -> float:

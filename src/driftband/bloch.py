@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import build_edge_table
+from .actions import build_edge_tables
 from .classical import _egcd, build_reeb_graph, conjugate_vector
 from .numerics import DomainError, find_root, Tolerance
 from .potential import FluxRatio, FourierPotential
@@ -449,10 +449,8 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
     if d not in ((1, 0), (-1, 0)):
         raise DomainError(f"dispersion branches need drift (+-1,0), got {d}")
     sign = d[0]
-    t2 = build_edge_table(p, eps, i1, "i2", graph, nodes=table_nodes,
-                          target=1e-7)
-    t3 = build_edge_table(p, eps, i1, "i3", graph, nodes=table_nodes,
-                          target=1e-7)
+    t2, t3 = build_edge_tables(p, eps, i1, ("i2", "i3"), graph,
+                               nodes=table_nodes, target=1e-7)
     M = flux.M
 
     def branch(table, sgn):

@@ -4,9 +4,10 @@ At fixed cyclotron action the averaged Hamiltonian I1 + eps*vbar(I1, y) is a
 function on the torus R^2/lattice; its level-set topology (Reeb graph)
 classifies the slow drift of the cyclotron-circle centers.  This module
 finds critical points, traces level sets with integer winding vectors,
-classifies single trajectories by direct integration, locates the critical
-cyclotron actions where the topology changes, and assembles the regime
-decomposition of the (I1, E) half-plane.
+integrates drift orbits through one closure on the torus (any number at
+once, as numpy lanes; see orbit_lanes), classifies single trajectories,
+locates the critical cyclotron actions where the topology changes, and
+assembles the regime decomposition of the (I1, E) half-plane.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (DomainError, NumericsError, Tolerance, bessel_j0,
-                       bessel_j0_zero, find_root, integrate_ode)
+from .numerics import (DomainError, NumericsError, Tolerance, _dp_dense,
+                       _dp_lane_norm, _dp_lane_step, _dp_step_factor,
+                       bessel_j0, bessel_j0_zero, find_root)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
@@ -480,97 +482,179 @@ class OrbitResult:
 
 
 _CLOSURE_TOL = Tolerance(1e-15, 1e-15, 200)  # in the step fraction theta
+_STEP_BUDGET = 2_000_000  # attempted steps of one batch, as integrate_ode
+_RESUMES = 64             # closure candidates per orbit
 
 
-def _orbit_once(model: DriftModel, y0, tol: Tolerance = None,
-                t_cap: float | None = None) -> OrbitResult:
-    """Integrate the reduced drift field through one closure on the torus.
+def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
+                t_cap: float | None = None) -> list:
+    """Integrate the reduced drift field through one closure from each seed.
 
-    Candidate closures (section crossings near a wrapped copy of y0) are
-    located by Brent's method on the crossing step's dense output and
-    accepted only when the torus distance really vanishes, so near-misses
-    of other lattice copies do not truncate the orbit early.
+    The orbits ("lanes") advance together, one Dormand-Prince 4(5) attempt
+    per iteration on arrays of shape (3, lanes) holding (y1, y2, swept
+    area); each lane keeps its own step size, FSAL stage, section value and
+    time cap (default 400 cell diameters at its initial speed), and leaves
+    the batch when it closes or fails.  Candidate closures (section
+    crossings near a wrapped copy of the seed) are located by Brent's
+    method on the crossing step's dense output and accepted only when the
+    torus distance really vanishes, so near-misses of other lattice copies
+    do not truncate the orbit; after a false alarm the lane restarts from
+    the end of that step.  Every array operation is elementwise over lanes,
+    so a lane's result does not depend on the rest of the batch.  Returns
+    one OrbitResult per seed, ``closed=False`` for a fixed point, a step
+    underflow, the time cap or a failed closure search.
     """
     tol = tol or Tolerance(1e-12, 1e-12, 400)
-    y0 = (float(y0[0]), float(y0[1]))
+    seeds = [(float(y[0]), float(y[1])) for y in y0s]
+    out = [OrbitResult(closed=False) for _ in seeds]
     a21, a22 = model.lattice.a21, model.lattice.a22
-
-    def field(t, state):
-        y1, y2, _ = state
-        d1, d2 = model.grad(y1, y2)
-        return (-d2, d1, y1 * d1)  # dA = y1 * dy2/dt
-
-    def to_lattice(y):
-        t = y[1] / a22
-        return (y[0] - a21 * t) / TWO_PI, t
-
-    s0, t0 = to_lattice(y0)
-    f0 = field(0.0, (*y0, 0.0))
-    speed = math.hypot(f0[0], f0[1])
-    if speed == 0.0:
-        return OrbitResult(closed=False)
-    n1, n2 = (f0[0] - a21 * f0[1] / a22) / TWO_PI, f0[1] / a22
-    norm = math.hypot(n1, n2)
-    n1, n2 = n1 / norm, n2 / norm
-
     cell_diam = math.hypot(TWO_PI + abs(a21), a22)
-    if t_cap is None:
-        t_cap = 400.0 * cell_diam / speed
-    h0 = 0.01 * cell_diam / speed
+    # mode columns for (modes, lanes) arrays; -2 re and -2 im round as
+    # DriftModel.grad's -2 (re sin + im cos), scaling by 2 being exact
+    g1, g2, re2, im2 = (np.array([[m[j] * (1.0 if j < 2 else -2.0)]
+                                  for m in model.modes]) for j in range(4))
+    g12 = np.stack((g1, g2), axis=1)  # (modes, 2, 1)
 
-    def sigma(y):
-        s, t = to_lattice(y)
-        ws, wt = s - s0, t - t0
-        ws -= round(ws)
-        wt -= round(wt)
-        return n1 * ws + n2 * wt, max(abs(ws), abs(wt))
+    def field(y):
+        ph = g1 * y[0] + g2 * y[1]
+        w = re2 * np.sin(ph) + im2 * np.cos(ph)
+        gw = g12 * w[:, None, :]
+        d = gw[0]
+        for j in range(1, len(gw)):  # modes summed in DriftModel.grad order
+            d = d + gw[j]
+        out = np.empty_like(y)
+        np.negative(d[1], out=out[0])
+        out[1] = d[0]
+        np.multiply(y[0], d[0], out=out[2])  # dA = y1 * dy2/dt
+        return out
 
-    t_base = 0.0
-    state = (*y0, 0.0)
-    last = sigma(state)  # section value at the start of the next step
-    bracket = None
+    # per lane: the seed in lattice coordinates, the unit section normal
+    # (initial velocity in lattice coordinates), time cap, first step
+    rows = []
+    for lane, (y1, y2) in enumerate(seeds):
+        d1, d2 = model.grad(y1, y2)
+        speed = math.hypot(d2, d1)
+        if speed == 0.0 or (t_cap is not None and not t_cap > 0.0):
+            continue
+        n1, n2 = (-d2 - a21 * d1 / a22) / TWO_PI, d1 / a22
+        norm = math.hypot(n1, n2)
+        t0 = y2 / a22
+        rows.append((lane, y1, y2, (y1 - a21 * t0) / TWO_PI, t0, n1 / norm,
+                     n2 / norm, 400.0 * cell_diam / speed
+                     if t_cap is None else t_cap, 0.01 * cell_diam / speed))
+    if not rows:
+        return out
+    cols = [np.array(c) for c in zip(*rows)]
+    idx, s0, t0, n1, n2, cap, h0 = (cols[0], *cols[3:])
+    y = np.stack((cols[1], cols[2], np.zeros(len(idx))))
+    k1 = field(y)
+    t = np.zeros(len(idx))
+    t_base = np.zeros(len(idx))
+    t_end = cap.copy()
+    h = np.minimum(h0, t_end)
+    min_step = t_end * 1e-14 + 1e-300
+    resumes = np.zeros(len(idx), dtype=int)
 
-    def observer(ta, sa, tb, sb, dense):
-        nonlocal last, bracket
-        if t_base + tb <= 0.0:
-            return None
-        (sg0, w0), (sg1, w1) = last, sigma(sb)
-        last = sg1, w1
-        if (t_base + ta) > 0.0 and sg0 < 0.0 <= sg1 and min(w0, w1) < 0.2:
-            bracket = (ta, tb, sb, dense)
-            return tb
-        return None
+    def section(y1, y2, s0, t0, n1, n2):
+        t = y2 / a22
+        ws = (y1 - a21 * t) / TWO_PI - s0
+        wt = t - t0
+        ws = ws - np.rint(ws)
+        wt = wt - np.rint(wt)
+        return n1 * ws + n2 * wt, np.maximum(np.abs(ws), np.abs(wt))
 
-    for _attempt in range(64):
-        bracket = None
+    last_sg, last_w = section(y[0], y[1], s0, t0, n1, n2)
+
+    def closure(i, hi, ya, yb, stages, sg_b):
+        """(theta, state, torus distance) of the section crossing on lane
+        i's step, found on its dense output; None if the search fails."""
+        s0i, t0i, n1i, n2i = (float(a[i]) for a in (s0, t0, n1, n2))
+
+        def sigma(yv):
+            tt = yv[1] / a22
+            ws = (yv[0] - a21 * tt) / TWO_PI - s0i
+            wt = tt - t0i
+            ws -= round(ws)
+            wt -= round(wt)
+            return n1i * ws + n2i * wt, max(abs(ws), abs(wt))
+
+        dense = _dp_dense(ya, yb, hi, stages)
         try:
-            integrate_ode(field, state, t_cap - t_base, tol,
-                          step_observer=observer, first_step=h0)
-            if bracket is None:
-                return OrbitResult(closed=False)
-            ta, tb, sb, dense = bracket
-            sg_b = last[0]
             theta = find_root(
                 lambda th: sg_b if th >= 1.0 else sigma(dense(th))[0],
                 0.0, 1.0, _CLOSURE_TOL)
         except NumericsError:
-            return OrbitResult(closed=False)
-        s_end = sb if theta >= 1.0 else dense(theta)
-        _, w_end = sigma(s_end)
-        if w_end < 1e-6:
-            period = t_base + ta + theta * (tb - ta)
-            s_end_l, t_end_l = to_lattice(s_end)
-            return OrbitResult(closed=True, period=period,
-                               winding=(round(s_end_l - s0),
-                                        round(t_end_l - t0)),
-                               area=s_end[2],
-                               end_point=(s_end[0], s_end[1]))
-        # false alarm: resume from the end of the triggering step
-        t_base += tb
-        state = sb
-        if t_base >= t_cap:
-            return OrbitResult(closed=False)
-    return OrbitResult(closed=False)
+            return None
+        s_end = yb if theta >= 1.0 else dense(theta)
+        return theta, s_end, sigma(s_end)[1]
+
+    for _ in range(_STEP_BUDGET):
+        if not len(idx):
+            break
+        rem = t_end - t
+        h = np.where(h > rem, rem, h)
+        y5, err, stages = _dp_lane_step(field, y, h, k1)
+        enorm = _dp_lane_norm(err, y, y5, tol)
+        ok = enorm <= 1.0
+        tb = t + h
+        sg1, w1 = section(y5[0], y5[1], s0, t0, n1, n2)
+        hit = (ok & (t_base + t > 0.0) & (last_sg < 0.0) & (sg1 >= 0.0)
+               & (np.minimum(last_w, w1) < 0.2))
+        y_prev, t_prev, h_step = y, t, h
+        y = np.where(ok, y5, y)
+        k1 = np.where(ok, stages[6], k1)
+        t = np.where(ok, tb, t)
+        last_sg = np.where(ok, sg1, last_sg)
+        last_w = np.where(ok, w1, last_w)
+        h = h * _dp_step_factor(enorm)
+        # a lane at its time cap or below its smallest step has failed
+        drop = ((t >= t_end) | (h < min_step)) & ~hit
+        for i in np.flatnonzero(hit).tolist():
+            ta, tb_i = float(t_prev[i]), float(tb[i])
+            found = closure(
+                i, float(h_step[i]), tuple(y_prev[:, i].tolist()),
+                tuple(y5[:, i].tolist()),
+                tuple(tuple(k[:, i].tolist()) for k in stages),
+                float(sg1[i]))
+            if found is None:
+                drop[i] = True
+                continue
+            theta, s_end, w_end = found
+            if w_end < 1e-6:
+                s_end_l = (s_end[0] - a21 * (s_end[1] / a22)) / TWO_PI
+                out[idx[i]] = OrbitResult(
+                    closed=True,
+                    period=float(t_base[i]) + ta + theta * (tb_i - ta),
+                    winding=(round(s_end_l - float(s0[i])),
+                             round(s_end[1] / a22 - float(t0[i]))),
+                    area=s_end[2], end_point=(s_end[0], s_end[1]))
+                drop[i] = True
+                continue
+            # false alarm: restart from the end of the triggering step
+            t_base[i] += tb_i
+            resumes[i] += 1
+            if t_base[i] >= cap[i] or resumes[i] >= _RESUMES:
+                drop[i] = True
+                continue
+            t[i] = 0.0
+            t_end[i] = cap[i] - t_base[i]
+            h[i] = min(h0[i], t_end[i])
+            min_step[i] = t_end[i] * 1e-14 + 1e-300
+        if drop.any():
+            keep = ~drop
+            idx, s0, t0, n1, n2, cap, h0 = (a[keep] for a in (
+                idx, s0, t0, n1, n2, cap, h0))
+            t, t_base, t_end, h, min_step, resumes, last_sg, last_w = (
+                a[keep] for a in (t, t_base, t_end, h, min_step, resumes,
+                                  last_sg, last_w))
+            y, k1 = y[:, keep], k1[:, keep]
+    return out
+
+
+def _orbit_once(model: DriftModel, y0, tol: Tolerance = None,
+                t_cap: float | None = None) -> OrbitResult:
+    """One orbit through orbit_lanes, as a batch of one lane."""
+    return orbit_lanes(model, [y0], tol, t_cap)[0]
 
 
 @dataclass

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .classical import (SeparatrixProximityError, UnsupportedTopologyError,
                         build_reeb_graph, build_regimes)
-from .actions import build_edge_table, separatrix_limits
+from .actions import build_edge_tables, separatrix_limits
 from .bloch import (QuasiMomentum, boundary_family, dispersion_crossings,
                     verify_boundary_conditions)
 from .harper import band_table, harper_from_landau
@@ -239,10 +239,16 @@ def cmd_reeb(cfg, p, out):
     return _graph_payload(graph), {}
 
 
+def _band_window(cfg, h):
+    """(i1_max, delta) of a config: 10 h and 3 h unless given."""
+    i1_max = cfg.get("i1_max", 10.0 * h)
+    delta = cfg["delta"] if cfg["delta"] is not None else 3.0 * h
+    return i1_max, delta
+
+
 def cmd_regimes(cfg, p, out):
     params = resolve_params(cfg)
-    i1_max = cfg.get("i1_max", 10.0 * params.h)
-    delta = cfg["delta"] if cfg["delta"] is not None else 3.0 * params.h
+    i1_max, delta = _band_window(cfg, params.h)
     chart = build_regimes(p, params.epsilon, i1_max, delta,
                           grid=cfg["grids"]["i1_grid"])
     payload = {
@@ -275,9 +281,9 @@ def cmd_actions(cfg, p, out):
     files = {}
     nodes = cfg["grids"]["table_nodes"]
     edges = [e.id for e in graph.edges]
-    for eid in edges:
-        table = build_edge_table(p, params.epsilon, i1, eid, graph,
-                                 nodes=nodes, target=1e-7)
+    tables = build_edge_tables(p, params.epsilon, i1, edges, graph,
+                               nodes=nodes, target=1e-7)
+    for eid, table in zip(edges, tables):
         gs = np.linspace(table.g_range[0], table.g_range[1], 101)
         rows = [(float(g), float(table.i2_of_energy(float(g)))) for g in gs]
         files[f"action_{eid}.csv"] = (("energy", "i2"), rows)
@@ -296,8 +302,7 @@ def cmd_actions(cfg, p, out):
 
 def cmd_spectrum(cfg, p, out):
     params = resolve_params(cfg)
-    i1_max = cfg.get("i1_max", 10.0 * params.h)
-    delta = cfg["delta"] if cfg["delta"] is not None else 3.0 * params.h
+    i1_max, delta = _band_window(cfg, params.h)
     spec = semiclassical_spectrum(p, params.epsilon, params.h, delta=delta,
                                   i1_max=i1_max,
                                   table_nodes=cfg["grids"]["table_nodes"])
@@ -315,6 +320,7 @@ def cmd_spectrum(cfg, p, out):
         "h": params.h, "epsilon": params.epsilon, "delta": spec.delta,
         "series_count": len(spec.series),
         "skipped_mu": spec.skipped_mu,
+        "table_err_max": spec.table_err_max,
         "bands": [{
             "mu": b.mu, "i1": b.i1, "e_min": b.e_min, "e_max": b.e_max,
             "width": b.width, "degenerate": b.degenerate,
@@ -328,8 +334,7 @@ def cmd_spectrum(cfg, p, out):
 
 def cmd_bands(cfg, p, out):
     params = resolve_params(cfg)
-    i1_max = cfg.get("i1_max", 10.0 * params.h)
-    delta = cfg["delta"] if cfg["delta"] is not None else 3.0 * params.h
+    i1_max, delta = _band_window(cfg, params.h)
     spec = semiclassical_spectrum(p, params.epsilon, params.h, delta=delta,
                                   i1_max=i1_max,
                                   table_nodes=cfg["grids"]["table_nodes"])

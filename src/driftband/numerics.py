@@ -3,6 +3,9 @@
 Bessel J0, adaptive Gauss-Kronrod quadrature, Brent root bracketing,
 Hermitian eigenvalues of single matrices or stacks (checked input, solved
 by LAPACK) and an adaptive Dormand–Prince 4(5) with FSAL and dense output.
+The Dormand–Prince step exists twice: scalar, inside integrate_ode, and
+over arrays of independent autonomous systems ("lanes", elementwise, so a
+lane rounds as it would alone), the engine of classical.orbit_lanes.
 All routines are pure functions of immutable inputs.
 """
 
@@ -371,6 +374,46 @@ def _dp_step(field, t, y, h, k1):
                 + _E7 * p7)
            for p1, p3, p4, p5, p6, p7 in zip(k1, k3, k4, k5, k6, k7)]
     return y5, err, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _dp_lane_step(field, y, h, k1):
+    """One Dormand-Prince step of many autonomous systems ("lanes") at once.
+
+    y and k1 = field(y) have shape (dim, lanes), h has shape (lanes,) and
+    `field` maps such arrays to such arrays.  The stage sums are those of
+    _dp_step, elementwise, so each lane rounds as it would alone.  Returns
+    (y5, err, stages), and stages[6] = field(y5) is the next k1.
+    """
+    k2 = field(y + h * (_A21 * k1))
+    k3 = field(y + h * (_A31 * k1 + _A32 * k2))
+    k4 = field(y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = field(y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = field(y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                        + _A65 * k5))
+    y5 = y + h * (_A71 * k1 + _A73 * k3 + _A74 * k4 + _A75 * k5 + _A76 * k6)
+    k7 = field(y5)
+    err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+               + _E7 * k7)
+    return y5, err, (k1, k2, k3, k4, k5, k6, k7)
+
+
+def _dp_lane_norm(err, y, y5, tol: Tolerance):
+    """Per-lane RMS of err scaled by abs_tol + rel_tol * max(|y|, |y5|),
+    the norm integrate_ode uses, summed over components in order."""
+    q = err / (tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y5)))
+    q = q * q
+    total = q[0]
+    for row in q[1:]:
+        total = total + row
+    return np.sqrt(total / len(q))
+
+
+def _dp_step_factor(enorm):
+    """integrate_ode's step-size factor, per lane: 0.9 * enorm^(-1/5)
+    (4.5 at enorm 0), clipped to [0.2, 5]."""
+    with np.errstate(divide="ignore"):
+        factor = 0.9 * np.where(enorm > 0.0, enorm ** -0.2, 5.0)
+    return np.minimum(5.0, np.maximum(0.2, factor))
 
 
 def _dp_dense(y, y5, h, stages):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import EdgeActionTable, build_edge_table, separatrix_limits
+from .actions import EdgeActionTable, build_edge_tables, separatrix_limits
 from .classical import (DriftModel, build_reeb_graph,
                         critical_i1_series)
 from .numerics import DomainError, NumericsError, Tolerance, adaptive_quad
@@ -92,6 +92,7 @@ class Spectrum:
     series: list
     bands: list
     skipped_mu: list
+    table_err_max: float = 0.0  # largest interp_error of the edge tables
 
     def projection(self):
         """Merged (lo, hi) intervals of the whole spectrum on the E axis."""
@@ -191,6 +192,7 @@ def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
     series_out = []
     bands = []
     skipped = []
+    table_err_max = 0.0
     if eps > 0.0:
         crit = critical_i1_series(p, eps, i1_max + h)
         crit_points = sorted(set(crit.saddle_collision) | set(crit.separable))
@@ -229,9 +231,14 @@ def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
             mu += 1
             continue
         intervals = []
-        for edge in ("i1", "i4"):
-            table = build_edge_table(p, eps, i1, edge, graph,
-                                     nodes=table_nodes, target=table_target)
+        # boundary edges first; open edges exist on simple graphs only
+        edges = ("i1", "i4", "i2", "i3") if graph.kind == "simple" else (
+            "i1", "i4")
+        tables = build_edge_tables(p, eps, i1, edges, graph,
+                                   nodes=table_nodes, target=table_target)
+        table_err_max = max([table_err_max]
+                            + [t.interp_error for t in tables])
+        for edge, table in zip(edges[:2], tables):
             states = quantize_boundary(table, h, delta,
                                        regime_id=f"{edge}@mu={mu}")
             if states:
@@ -239,24 +246,21 @@ def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
                     regime_id=f"{edge}@mu={mu}", kind="points", edge=edge,
                     states=states))
                 intervals.extend((s.energy, s.energy) for s in states)
-        if graph.kind == "simple":
-            for edge in ("i2", "i3"):
-                table = build_edge_table(p, eps, i1, edge, graph,
-                                         nodes=table_nodes,
-                                         target=table_target)
-                state = quantize_interior(table, h, delta,
-                                          regime_id=f"{edge}@mu={mu}")
-                if state is not None:
-                    series_out.append(SpectralSeries(
-                        regime_id=f"{edge}@mu={mu}", kind="intervals",
-                        edge=edge, states=[state]))
-                    intervals.append(tuple(state.energy))
+        for edge, table in zip(edges[2:], tables[2:]):
+            state = quantize_interior(table, h, delta,
+                                      regime_id=f"{edge}@mu={mu}")
+            if state is not None:
+                series_out.append(SpectralSeries(
+                    regime_id=f"{edge}@mu={mu}", kind="intervals",
+                    edge=edge, states=[state]))
+                intervals.append(tuple(state.energy))
         bands.append(LandauBand(mu=mu, i1=i1, e_min=g_min, e_max=g_max,
                                 width=width,
                                 intervals=merge_intervals(intervals)))
         mu += 1
     return Spectrum(h=h, eps=eps, delta=delta, series=series_out,
-                    bands=bands, skipped_mu=skipped)
+                    bands=bands, skipped_mu=skipped,
+                    table_err_max=table_err_max)
 
 
 def landau_band_width(p: FourierPotential, eps: float, i1: float) -> float:

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from driftband import actions
 from driftband.actions import (ActionComputer, EdgeActionTable,
-                               build_edge_table, closed_form_outer_action,
+                               build_edge_table, build_edge_tables,
+                               closed_form_outer_action,
                                energy_from_actions, action_i2,
                                separatrix_limits, separatrix_web_actions,
                                _log_ratio_integral)
-from driftband.classical import DriftModel, build_reeb_graph
-from driftband.numerics import DomainError, Tolerance, bessel_j0
-from driftband.potential import cosine_example
+from driftband.classical import (OrbitResult, DriftModel, build_reeb_graph,
+                                 orbit_lanes)
+from driftband.numerics import (ConvergenceError, DomainError, Tolerance,
+                                bessel_j0, find_root, integrate_ode)
+from driftband.potential import FourierPotential, Lattice, cosine_example
 
 EPS = 0.02
 
@@ -225,3 +229,161 @@ def test_energy_from_actions_checks_i1(table_i1):
     _, _, table = table_i1
     with pytest.raises(DomainError):
         energy_from_actions(table, 1.0, table.i2_range[0])
+
+
+# ------------------------------------------- batched orbits vs scalar orbits
+
+def _scalar_orbit(model, y0, tol):
+    """Reference: one orbit integrated alone by the scalar integrate_ode,
+    its closure found by Brent's method on the crossing step's dense output
+    (the single-orbit engine of earlier versions, kept here as an oracle)."""
+    a21, a22 = model.lattice.a21, model.lattice.a22
+    two_pi = 2.0 * math.pi
+
+    def field(t, state):
+        d1, d2 = model.grad(state[0], state[1])
+        return (-d2, d1, state[0] * d1)
+
+    def to_lattice(y):
+        t = y[1] / a22
+        return (y[0] - a21 * t) / two_pi, t
+
+    s0, t0 = to_lattice(y0)
+    f0 = field(0.0, (*y0, 0.0))
+    speed = math.hypot(f0[0], f0[1])
+    n1, n2 = (f0[0] - a21 * f0[1] / a22) / two_pi, f0[1] / a22
+    norm = math.hypot(n1, n2)
+    n1, n2 = n1 / norm, n2 / norm
+    cell_diam = math.hypot(two_pi + abs(a21), a22)
+    t_cap = 400.0 * cell_diam / speed
+
+    def sigma(y):
+        s, t = to_lattice(y)
+        ws, wt = s - s0, t - t0
+        ws -= round(ws)
+        wt -= round(wt)
+        return n1 * ws + n2 * wt, max(abs(ws), abs(wt))
+
+    t_base, state = 0.0, (*y0, 0.0)
+    last = [sigma(state)]
+    bracket = []
+
+    def observer(ta, sa, tb, sb, dense):
+        (sg0, w0), (sg1, w1) = last[0], sigma(sb)
+        last[0] = sg1, w1
+        if t_base + ta > 0.0 and sg0 < 0.0 <= sg1 and min(w0, w1) < 0.2:
+            bracket.append((ta, tb, sb, dense))
+            return tb
+        return None
+
+    while True:
+        bracket.clear()
+        integrate_ode(field, state, t_cap - t_base, tol,
+                      step_observer=observer,
+                      first_step=0.01 * cell_diam / speed)
+        ta, tb, sb, dense = bracket[0]
+        sg_b = last[0][0]
+        theta = find_root(lambda th: sg_b if th >= 1.0 else
+                          sigma(dense(th))[0], 0.0, 1.0,
+                          Tolerance(1e-15, 1e-15, 200))
+        s_end = sb if theta >= 1.0 else dense(theta)
+        if sigma(s_end)[1] < 1e-6:
+            s_l, t_l = to_lattice(s_end)
+            return OrbitResult(closed=True,
+                               period=t_base + ta + theta * (tb - ta),
+                               winding=(round(s_l - s0), round(t_l - t0)),
+                               area=s_end[2])
+        t_base += tb
+        state = sb
+
+
+def _scalar_action(comp, edge_id, g):
+    for y0 in comp.seeds_for_edge(edge_id, g):
+        orbit = _scalar_orbit(comp.model, tuple(y0), actions._ORBIT_TOL)
+        if orbit.winding == comp.graph.edge(edge_id).drift.d:
+            return comp.action_from_orbit(y0, orbit)
+    raise AssertionError("no orbit with the edge's drift")
+
+
+def test_batched_actions_match_scalar_orbits():
+    """Three potentials x I1 0.3/0.9 x every edge x g at 1/30/70/99 % of
+    the edge: 96 actions from one batch per graph (ODE tolerance 1e-11)."""
+    checked = 0
+    for abc in ((2.0, 1.0, 1.0), (1.0, 0.7, 1.0), (1.5, 1.0, 2.0)):
+        p = cosine_example(*abc)
+        for i1 in (0.3, 0.9):
+            comp = ActionComputer(p, EPS, i1)
+            requests = []
+            for e in comp.graph.edges:
+                lo, hi = e.energy_range
+                requests += [(e.id, lo + f * (hi - lo))
+                             for f in (0.01, 0.3, 0.7, 0.99)]
+            batch = comp.actions(requests)
+            for (edge_id, g), value in zip(requests, batch):
+                assert abs(value - _scalar_action(comp, edge_id, g)) < 1e-10
+                checked += 1
+    assert checked == 96
+
+
+def test_lanes_resume_after_false_alarms_as_scalar_orbits(monkeypatch):
+    # drift lines of winding (6, 1) pass 6/37 of a cell from lattice copies
+    # of the seed, inside the 0.2 section window, before they close
+    p = FourierPotential(Lattice(0.0, 2.0 * math.pi),
+                         {(1, -6): 0.5, (-1, 6): 0.5, (1, 0): 0.02,
+                          (-1, 0): 0.02})
+    model = DriftModel(p, EPS, 0.0)
+    seeds = [(0.3, 0.2), (1.0, 2.5)]
+    lanes = orbit_lanes(model, seeds, actions._ORBIT_TOL)
+    attempts = []
+    integrate = integrate_ode
+
+    def counted(*args, **kwargs):
+        attempts.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setitem(globals(), "integrate_ode", counted)
+    for y0, orbit in zip(seeds, lanes):
+        attempts.clear()
+        ref = _scalar_orbit(model, y0, actions._ORBIT_TOL)
+        assert len(attempts) == 3  # two false alarms, then the closure
+        assert orbit.closed and orbit.winding == ref.winding == (6, 1)
+        assert abs(orbit.period - ref.period) < 1e-10
+        assert abs(orbit.area - ref.area) < 1e-10
+
+
+# ------------------------------------------------------------- table rules
+
+def test_equal_saddles_tables_reach_target_at_32_nodes():
+    # the equal-saddles spectrum config: cosine(1, 1, 1), h 0.1, i1 <= 0.6
+    p = cosine_example(1.0, 1.0, 1.0)
+    for i1 in (0.05, 0.25, 0.55):
+        graph = build_reeb_graph(p, EPS, i1)
+        assert graph.kind == "equal_saddles"
+        tables = build_edge_tables(p, EPS, i1, ("i1", "i4"), graph,
+                                   nodes=32, target=1e-6, max_nodes=32)
+        assert [t.edge for t in tables] == ["i1", "i4"]
+        assert max(t.interp_error for t in tables) <= 1e-6
+
+
+def test_table_nodes_stop_at_cap_and_missed_target_raises(cosine21,
+                                                          monkeypatch):
+    p, graph = cosine21
+    sizes = []
+    fit = actions._fit_table
+
+    def recorded(edge, i1, eps, lo, hi, template, gs, *rest):
+        sizes.append(len(gs))
+        return fit(edge, i1, eps, lo, hi, template, gs, *rest)
+
+    monkeypatch.setattr(actions, "_fit_table", recorded)
+    with pytest.raises(ConvergenceError) as info:
+        build_edge_table(p, EPS, 0.0, "i2", graph, nodes=10, target=1e-30,
+                         max_nodes=30)
+    assert sizes == [10, 20, 30]
+    assert isinstance(info.value.best, EdgeActionTable)
+    assert info.value.error == info.value.best.interp_error > 1e-30
+    sizes.clear()
+    table = build_edge_table(p, EPS, 0.0, "i2", graph, nodes=48, target=1.0,
+                             max_nodes=24)
+    assert sizes == [24]
+    assert table.interp_error <= 1.0

@@ -12,8 +12,8 @@ from driftband.classical import (CriticalPointSet, DriftData, DriftModel,
                                  classify_trajectory, conjugate_vector,
                                  critical_i1_series, drift_field,
                                  find_critical_points, lexicographic_positive,
-                                 lifted_hamiltonian_range, trace_level_set,
-                                 _orbit_once)
+                                 lifted_hamiltonian_range, orbit_lanes,
+                                 trace_level_set, _orbit_once)
 from driftband.cli import main
 from driftband.numerics import Tolerance, bessel_j0, bessel_j0_zero
 from driftband.potential import FourierPotential, Lattice, cosine_example
@@ -429,19 +429,63 @@ def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
     tol = Tolerance(1e-12, 1e-12, 400)
     period, ref_winding, area = _bisection_orbit(model, y0, tol)
     calls = []
-    integrate = classical.integrate_ode
+    lanes = classical.orbit_lanes
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return integrate(*args, **kwargs)
+    def counted(model, y0s, *args, **kwargs):
+        calls.append(len(y0s))
+        return lanes(model, y0s, *args, **kwargs)
 
-    monkeypatch.setattr(classical, "integrate_ode", counted)
+    monkeypatch.setattr(classical, "orbit_lanes", counted)
     orbit = _orbit_once(model, y0, tol)
     assert orbit.closed
-    assert len(calls) == 1  # the closure is found without re-integrating
+    assert calls == [1]  # one orbit_lanes call with one lane
+    # and no scalar integrator to re-integrate the closing step with
+    assert not hasattr(classical, "integrate_ode")
     assert orbit.winding == ref_winding == winding
     assert abs(orbit.period - period) < 1e-10
     assert abs(orbit.area - area) < 1e-10
+
+
+def _mixed_seeds():
+    """40 seeds on the i1, i2 and i4 levels of cosine(2, 1, 1)."""
+    p = cosine_example(2.0, 1.0, 1.0)
+    i1 = 0.3
+    graph = build_reeb_graph(p, EPS, i1)
+    seeds = []
+    for edge in ("i1", "i2", "i4"):
+        lo, hi = graph.edge(edge).energy_range
+        for f in (0.02, 0.25, 0.5, 0.75, 0.98):
+            for comp in trace_level_set(p, EPS, i1, lo + f * (hi - lo)):
+                seeds += [tuple(comp.points[k]) for k in (1, 9)]
+    return DriftModel(p, EPS, i1), seeds
+
+
+def test_lane_bits_do_not_depend_on_the_batch():
+    model, seeds = _mixed_seeds()
+    assert len(seeds) == 40
+    tol = Tolerance(1e-11, 1e-11, 400)
+    batch = orbit_lanes(model, seeds, tol)
+    assert all(o.closed for o in batch)
+    assert {o.winding for o in batch} == {(0, 0), (0, 1), (0, -1)}
+    for k in (0, 17, len(seeds) - 1):
+        assert orbit_lanes(model, [seeds[k]], tol)[0] == batch[k]
+    # reversed order: every lane still gives the same bits
+    assert orbit_lanes(model, seeds[::-1], tol)[::-1] == batch
+
+
+def test_fixed_point_lane_fails_alone():
+    model, seeds = _mixed_seeds()
+    assert model.grad(0.0, 0.0) == (0.0, 0.0)  # the maximum of the cosine
+    picked = [seeds[3], (0.0, 0.0), seeds[20]]
+    tol = Tolerance(1e-11, 1e-11, 400)
+    out = orbit_lanes(model, picked, tol)
+    assert out[1] == classical.OrbitResult(closed=False)
+    assert out[0] == orbit_lanes(model, [seeds[3]], tol)[0]
+    assert out[2] == orbit_lanes(model, [seeds[20]], tol)[0]
+    assert out[0].closed and out[2].closed
+    # a time cap too short to close fails every lane, and only that way
+    capped = orbit_lanes(model, picked, tol, t_cap=1e-3)
+    assert capped == [classical.OrbitResult(closed=False)] * 3
 
 
 # ------------------------------------- array topology vs scalar cell loops

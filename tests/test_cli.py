@@ -148,6 +148,17 @@ def test_spectrum_example_dataset(tmp_path):
         assert abs(b["width"] - expect) < 1e-10
 
 
+def test_spectrum_envelope_carries_table_error(tmp_path):
+    cfg = {
+        "potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+        "params": {"h": 0.1, "epsilon": 0.01},
+        "i1_max": 0.15,
+        "delta": 0.005,
+    }
+    env = run("spectrum", cfg, str(tmp_path))
+    assert 0.0 < env["payload"]["table_err_max"] <= 1e-6
+
+
 # ----------------------------------------------------------- determinism
 
 @pytest.mark.parametrize("command,cfg", [

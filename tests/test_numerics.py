@@ -8,7 +8,7 @@ from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
                                 NonHermitianError, Tolerance,
                                 adaptive_quad, bessel_j0, bessel_j0_zero,
                                 find_root, hermitian_eigenvalues,
-                                integrate_ode)
+                                integrate_ode, _dp_lane_step, _dp_step)
 
 TOL = Tolerance(1e-12, 1e-12, 400)
 
@@ -268,3 +268,24 @@ def test_ode_dense_output():
             y = dense(theta)
             assert abs(y[0] - math.cos(t)) < 1e-9
             assert abs(y[1] + math.sin(t)) < 1e-9
+
+
+def test_lane_step_rounds_as_scalar_step():
+    # a Duffing oscillator, polynomial so both paths use the same arithmetic
+    def scalar_field(t, y):
+        return (y[1], -y[0] - 0.1 * (y[0] * y[0] * y[0]))
+
+    def lane_field(y):
+        return np.stack((y[1], -y[0] - 0.1 * (y[0] * y[0] * y[0])))
+
+    ys = [(0.3, 0.1), (1.2, -0.4), (2.9, 0.0), (-5.0, 3.0)]
+    hs = [0.1, 0.37, 1e-3, 2.0]
+    y = np.array(ys).T
+    y5, err, stages = _dp_lane_step(lane_field, y, np.array(hs),
+                                    lane_field(y))
+    for j, (yj, hj) in enumerate(zip(ys, hs)):
+        s5, serr, sstages = _dp_step(scalar_field, 0.0, yj, hj,
+                                     scalar_field(0.0, yj))
+        assert tuple(y5[:, j]) == s5
+        assert tuple(err[:, j]) == tuple(serr)
+        assert [tuple(k[:, j]) for k in stages] == list(sstages)

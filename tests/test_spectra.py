@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from driftband import spectra
 from driftband.actions import build_edge_table
 from driftband.classical import DriftModel, build_reeb_graph
 from driftband.numerics import DomainError, bessel_j0
@@ -158,6 +159,25 @@ def test_interior_and_boundary_series_present():
     spec = semiclassical_spectrum(p, EPS, 0.1, i1_max=0.35, delta=0.005)
     kinds = {s.kind for s in spec.series}
     assert kinds == {"points", "intervals"}
+
+
+def test_spectrum_keeps_largest_table_error(monkeypatch):
+    built = []
+    build = spectra.build_edge_tables
+
+    def recorded(*args, **kwargs):
+        tables = build(*args, **kwargs)
+        built.append([t.interp_error for t in tables])
+        if len(built) == 2:  # mark the i3 table of the middle level
+            tables[-1].interp_error = 0.5
+        return tables
+
+    monkeypatch.setattr(spectra, "build_edge_tables", recorded)
+    p = cosine_example(2.0, 1.0, 1.0)
+    spec = semiclassical_spectrum(p, EPS, 0.1, i1_max=0.25, delta=0.005)
+    assert [len(errs) for errs in built] == [4, 4, 4]  # one call per level
+    assert max(max(errs) for errs in built) <= 1e-6
+    assert spec.table_err_max == 0.5
 
 
 def test_projection_merges_overlaps():
