@@ -453,6 +453,8 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
                                nodes=table_nodes, target=1e-7)
     M = flux.M
 
+    qs = [float(t) for t in np.linspace(0.0, 1.0 / M, 33)]
+
     def branch(table, sgn):
         lo, hi = sorted(table.i2_range)
         ns = range(int(math.floor(M * lo / h)) - 1,
@@ -461,13 +463,16 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
         def i2_of(n, q1):
             return h * (n / M - sgn * q1)
 
-        return lo, hi, ns, i2_of
+        # the branch energy of each n at every q1 sample, None off the table
+        energies = {n: [table.energy_of_i2(a) if lo <= a <= hi else None
+                        for a in (i2_of(n, q1) for q1 in qs)] for n in ns}
+        return lo, hi, energies, i2_of
 
-    lo2, hi2, ns2, i2p = branch(t2, sign)
-    lo3, hi3, ns3, i2m = branch(t3, -sign)
+    lo2, hi2, es2, i2p = branch(t2, sign)
+    lo3, hi3, es3, i2m = branch(t3, -sign)
     crossings = []
-    for n_p in ns2:
-        for n_m in ns3:
+    for n_p, e_p in es2.items():
+        for n_m, e_m in es3.items():
             def diff(q1):
                 a = i2p(n_p, q1)
                 b = i2m(n_m, q1)
@@ -475,16 +480,15 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
                     return None
                 return t2.energy_of_i2(a) - t3.energy_of_i2(b)
 
-            qs = np.linspace(0.0, 1.0 / M, 33)
-            vals = [diff(float(t)) for t in qs]
+            vals = [None if a is None or b is None else a - b
+                    for a, b in zip(e_p, e_m)]
             for qa, qb, fa, fb in zip(qs[:-1], qs[1:], vals[:-1], vals[1:]):
                 if fa is None or fb is None:
                     continue
                 if fa == 0.0:
-                    q_star = float(qa)
+                    q_star = qa
                 elif fa * fb < 0.0:
-                    q_star = find_root(lambda t: diff(float(t)),
-                                       float(qa), float(qb),
+                    q_star = find_root(lambda t: diff(float(t)), qa, qb,
                                        Tolerance(1e-12, 1e-12, 200))
                 else:
                     continue

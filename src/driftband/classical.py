@@ -492,17 +492,18 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
 
     The orbits ("lanes") advance together, one Dormand-Prince 4(5) attempt
     per iteration on arrays of shape (3, lanes) holding (y1, y2, swept
-    area); each lane keeps its own step size, FSAL stage, section value and
-    time cap (default 400 cell diameters at its initial speed), and leaves
-    the batch when it closes or fails.  Candidate closures (section
-    crossings near a wrapped copy of the seed) are located by Brent's
-    method on the crossing step's dense output and accepted only when the
-    torus distance really vanishes, so near-misses of other lattice copies
-    do not truncate the orbit; after a false alarm the lane restarts from
-    the end of that step.  Every array operation is elementwise over lanes,
-    so a lane's result does not depend on the rest of the batch.  Returns
-    one OrbitResult per seed, ``closed=False`` for a fixed point, a step
-    underflow, the time cap or a failed closure search.
+    area); each lane keeps its own step size (at most 0.1 cell diameters at
+    its initial speed), FSAL stage, section value and time cap (default 400
+    cell diameters at that speed), and leaves the batch when it closes or
+    fails.  Candidate closures (section crossings near a wrapped copy of
+    the seed) are located by Brent's method on the crossing step's dense
+    output and accepted only when the torus distance really vanishes, so
+    near-misses of other lattice copies do not truncate the orbit; after a
+    false alarm the lane restarts from the end of that step.  Every array
+    operation is elementwise over lanes, so a lane's result does not depend
+    on the rest of the batch.  Returns one OrbitResult per seed,
+    ``closed=False`` for a fixed point, a step underflow, the time cap or a
+    failed closure search.
     """
     tol = tol or Tolerance(1e-12, 1e-12, 400)
     seeds = [(float(y[0]), float(y[1])) for y in y0s]
@@ -606,7 +607,9 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
         t = np.where(ok, tb, t)
         last_sg = np.where(ok, sg1, last_sg)
         last_w = np.where(ok, w1, last_w)
-        h = h * _dp_step_factor(enorm)
+        # capped at 10 first steps: on straight drift lines the error
+        # estimate is 0, and an unbounded step would jump over the closure
+        h = np.minimum(h * _dp_step_factor(enorm), 10.0 * h0)
         # a lane at its time cap or below its smallest step has failed
         drop = ((t >= t_end) | (h < min_step)) & ~hit
         for i in np.flatnonzero(hit).tolist():

@@ -10,9 +10,6 @@ and a finite-difference Bloch oracle to check everything against.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -218,60 +215,32 @@ def agmon_distance(v: Potential1D, e: float) -> float:
 # Finite-difference Bloch oracle
 # ----------------------------------------------------------------------
 
-@functools.cache
-def _lapack_threads():
-    """(get, set) of the thread count of the OpenBLAS behind scipy.linalg,
-    or None when scipy is linked against another BLAS."""
-    from scipy.linalg import cython_lapack
-    lib = ctypes.CDLL(cython_lapack.__file__)
-    for prefix in ("scipy_openblas", "openblas"):
-        for suffix in ("", "64_"):
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                return get, put
-    return None
-
-
-@contextlib.contextmanager
-def _one_lapack_thread():
-    """Run scipy.linalg on the calling thread only.  A threaded solve gains
-    only while every CPU is idle: it stalls whenever another process holds
-    a CPU, and its rounding, so the oracle's output, depends on the CPU
-    count."""
-    control = _lapack_threads()
-    if control is None:
-        yield
-        return
-    get, put = control
-    before = get()
-    put(1)
-    try:
-        yield
-    finally:
-        put(before)
-
-
 def _fd_eigenvalues(v: Potential1D, h: float, q: float, n: int, count=None):
+    """Lowest `count` (default all) eigenvalues of the central-difference
+    Bloch operator on n points.  The ring's matrix is tridiagonal plus two
+    corners; in the zig-zag order 0, n-1, 1, n-2, ... every neighbour is at
+    most two places away, so it is solved as a pentadiagonal band matrix
+    (LAPACK ?sbevx/?hbevx: band reduction plus bisection)."""
     dx = TWO_PI / n
-    xs = np.arange(n) * dx
-    diag = 2.0 * h * h / dx ** 2 + v.value(xs)
+    diag = 2.0 * h * h / dx ** 2 + v.value(np.arange(n) * dx)
     hop = -h * h / dx ** 2
     phase = np.exp(2j * math.pi * q)
     real_phase = abs(phase.imag) < 1e-14
-    dtype = float if real_phase else complex
-    a = np.zeros((n, n), dtype=dtype)
-    np.fill_diagonal(a, diag)
-    idx = np.arange(n - 1)
-    a[idx, idx + 1] = hop
-    a[idx + 1, idx] = hop
-    a[n - 1, 0] = hop * (phase.real if real_phase else phase)
-    a[0, n - 1] = hop * (phase.real if real_phase else np.conj(phase))
+    zigzag = np.empty(n, dtype=int)
+    zigzag[0::2] = np.arange((n + 1) // 2)
+    zigzag[1::2] = n - 1 - np.arange(n // 2)
+    # lower band storage: ab[d, j] is entry (j + d, j) in zig-zag order
+    ab = np.zeros((3, n), dtype=float if real_phase else complex)
+    ab[0] = diag[zigzag]
+    ab[2, :n - 2] = hop
+    ab[1, 0] = hop * (phase.real if real_phase else phase)
+    ab[1, n - 2] = hop
     # imported here: scipy.linalg at module level would slow every import
-    from scipy.linalg import eigh
-    subset = None if count is None else [0, min(count, n) - 1]
-    with _one_lapack_thread():
-        return eigh(a, eigvals_only=True, subset_by_index=subset)
+    from scipy.linalg import eig_banded
+    if count is None:
+        return eig_banded(ab, lower=True, eigvals_only=True)
+    return eig_banded(ab, lower=True, eigvals_only=True, select="i",
+                      select_range=(0, min(count, n) - 1))
 
 
 def fd_bloch_oracle(v: Potential1D, h: float, q: float, grid_size: int = 512,

@@ -1,15 +1,19 @@
 import cmath
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from driftband import bloch
+from driftband.actions import EdgeActionTable, build_edge_tables
 from driftband.bloch import (DispersionCrossing, QuasiMomentum,
                              boundary_bloch_coeffs, boundary_family,
                              degeneracy_counts, dispersion_crossings,
                              interior_bloch_coeffs, interior_general_d_solve,
                              seed_gram_matrix, verify_boundary_conditions)
-from driftband.numerics import DomainError
+from driftband.classical import build_reeb_graph
+from driftband.numerics import DomainError, Tolerance, find_root
 from driftband.potential import FluxRatio, cosine_example
 from driftband.spectra import landau_level
 
@@ -214,6 +218,69 @@ def test_crossing_actions_form_half_lattice(crossing_setup):
     offsets = [(v / step) % 1.0 for v in i2s]
     offsets = [min(o, 1.0 - o) for o in offsets]
     assert max(offsets) < 1e-6
+
+
+def _pair_loop_crossings(p, eps, h, flux, mu):
+    """dispersion_crossings' crossings with each (n_plus, n_minus) pair
+    sampled on its own, both branches inverted at every q1 sample."""
+    i1 = (mu + 0.5) * h
+    graph = build_reeb_graph(p, eps, i1)
+    t2, t3 = build_edge_tables(p, eps, i1, ("i2", "i3"), graph, nodes=32,
+                               target=1e-7)
+    m = flux.M
+    (lo2, hi2), (lo3, hi3) = sorted(t2.i2_range), sorted(t3.i2_range)
+    qs = [float(t) for t in np.linspace(0.0, 1.0 / m, 33)]
+    found = []
+    for n_p in range(math.floor(m * lo2 / h) - 1, math.ceil(m * hi2 / h) + 2):
+        for n_m in range(math.floor(m * lo3 / h) - 1,
+                         math.ceil(m * hi3 / h) + 2):
+            def diff(q1):
+                a, b = h * (n_p / m - q1), h * (n_m / m + q1)
+                if not (lo2 <= a <= hi2 and lo3 <= b <= hi3):
+                    return None
+                return t2.energy_of_i2(a) - t3.energy_of_i2(b)
+
+            vals = [diff(q1) for q1 in qs]
+            for qa, qb, fa, fb in zip(qs[:-1], qs[1:], vals[:-1], vals[1:]):
+                if fa is None or fb is None or fa * fb > 0.0:
+                    continue
+                q_star = qa if fa == 0.0 else find_root(
+                    diff, qa, qb, Tolerance(1e-12, 1e-12, 200))
+                found.append((q_star, n_p, n_m,
+                              t2.energy_of_i2(h * (n_p / m - q_star))))
+    return sorted(found, key=lambda c: (c[0], c[3]))
+
+
+def test_crossings_invert_each_branch_sample_once(monkeypatch):
+    p = cosine_example(1.0, 2.0, 1.0)
+    flux, h = FluxRatio(5, 2), 0.3
+    expected = _pair_loop_crossings(p, 0.01, h, flux, 0)
+    # every energy_of_i2 call outside Brent's refinement, by (table, I2)
+    sampled = []
+    refining = []
+    energy_of_i2, root = EdgeActionTable.energy_of_i2, bloch.find_root
+
+    def counted(table, i2):
+        if not refining:
+            sampled.append((id(table), i2))
+        return energy_of_i2(table, i2)
+
+    def refine(*args, **kwargs):
+        refining.append(True)
+        try:
+            return root(*args, **kwargs)
+        finally:
+            refining.pop()
+
+    monkeypatch.setattr(EdgeActionTable, "energy_of_i2", counted)
+    monkeypatch.setattr(bloch, "find_root", refine)
+    out = dispersion_crossings(p, 0.01, h, flux, mu=0)
+    assert len(expected) > 4
+    assert [(c.q1_star, c.n_plus, c.n_minus, c.e_star)
+            for c in out["crossings"]] == expected
+    # neighbouring n share the samples at q1 = 0 and 1/M; the pair loop
+    # inverts each sample once for every n of the other branch
+    assert max(Counter(sampled).values()) <= 2
 
 
 def test_crossings_degenerate_at_zero_eps(crossing_setup):

@@ -237,6 +237,20 @@ def test_period_scales_inversely_with_eps():
     assert abs(t1 / t2 - 2.0) < 1e-6
 
 
+def test_straight_drift_lines_close():
+    # v = cos x1: the drift runs along x2 at the constant speed
+    # eps |A J0(sqrt(2 I1)) sin y1|, so each step's error estimate is 0
+    p = cosine_example(1.0, 0.0, 1.0)
+    eps, i1 = 0.02, 0.3
+    speed = eps * abs(bessel_j0(math.sqrt(2.0 * i1)))
+    for y0 in [(0.5, 0.3), (2.0, 1.0), (1.0, 4.0)]:
+        cls = classify_trajectory(p, eps, i1, y0)
+        assert cls.kind == "closed"
+        assert cls.winding == (0, -1)
+        period = p.lattice.a22 / (speed * abs(math.sin(y0[0])))
+        assert abs(cls.period / period - 1.0) < 1e-8
+
+
 def test_energy_conservation_along_orbit():
     p = cosine_example(2.0, 1.0, 1.0)
     i1 = 0.3

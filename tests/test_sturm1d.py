@@ -1,9 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from driftband import sturm1d
 from driftband.numerics import DomainError
 from driftband.sturm1d import (Potential1D, QuasimodeCheck, action_lower,
                                action_upper, agmon_distance, band_width_lower,
@@ -66,29 +69,53 @@ def test_oracle_full_spectrum_extends_the_subset(vcos):
     assert np.max(np.abs(full[:5] - head)) < 1e-12
 
 
-def test_oracle_solves_on_one_lapack_thread(vcos, monkeypatch):
-    import scipy.linalg
-    control = sturm1d._lapack_threads()
-    if control is None:
-        pytest.skip("scipy.linalg is not linked against OpenBLAS")
-    get, put = control
-    original = get()
-    seen = []
-    eigh = scipy.linalg.eigh
+def _dense_oracle_matrix(v, h, q, n):
+    """The central-difference Bloch matrix in grid order, built directly."""
+    dx = 2.0 * math.pi / n
+    hop = -h * h / dx ** 2
+    phase = np.exp(2j * math.pi * q)
+    a = np.zeros((n, n), dtype=complex)
+    np.fill_diagonal(a, 2.0 * h * h / dx ** 2 + v.value(np.arange(n) * dx))
+    idx = np.arange(n - 1)
+    a[idx, idx + 1] = hop
+    a[idx + 1, idx] = hop
+    a[n - 1, 0] = hop * phase
+    a[0, n - 1] = hop * np.conj(phase)
+    return a
 
-    def spy(*args, **kwargs):
-        seen.append(get())
-        return eigh(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
-    put(2)
-    try:
-        fd_bloch_oracle(vcos, 0.2, 0.3, 128, count=5)
-        after = get()
-    finally:
-        put(original)
-    assert seen == [1, 1]
-    assert after == 2
+@pytest.mark.parametrize("n", [64, 65, 128, 512])
+def test_banded_oracle_matches_dense_eigh(vcos, vtwo, n):
+    from scipy.linalg import eigh
+    for v in (vcos, vtwo):
+        for q in (0.0, 0.5, 0.23, 0.77):
+            dense = eigh(_dense_oracle_matrix(v, 0.2, q, n), eigvals_only=True)
+            scale = np.max(np.abs(dense))   # the 2-norm of the matrix
+            full = _fd_eigenvalues(v, 0.2, q, n)
+            head = _fd_eigenvalues(v, 0.2, q, n, count=12)
+            assert len(full) == n and len(head) == 12
+            assert np.max(np.abs(full - dense)) <= 1e-12 * scale
+            assert np.max(np.abs(head - dense[:12])) <= 1e-12 * scale
+
+
+def test_oracle_bytes_do_not_depend_on_blas_threads():
+    code = textwrap.dedent("""
+        from driftband.sturm1d import Potential1D, fd_bloch_oracle
+        v = Potential1D({1: 0.5, -1: 0.5, 2: 0.08 + 0.03j, -2: 0.08 - 0.03j})
+        for q in (0.0, 0.5, 0.23):
+            for count in (None, 28):
+                print(fd_bloch_oracle(v, 0.1, q, 512, count).tobytes().hex())
+        """)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].split()) == 6
+    assert outputs[0] == outputs[1]
 
 
 def test_band_edges_at_q0_and_half(vcos):
