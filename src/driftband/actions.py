@@ -431,9 +431,10 @@ def _log_ratio_integral(upper: float, tol: Tolerance = DEFAULT_TOL) -> float:
         raise DomainError("integral endpoint must be below 1")
 
     def f(x):
-        if x < 1e-6:
-            return 2.0 + 2.0 * x * x / 3.0
-        return math.log((1.0 + x) / (1.0 - x)) / x
+        small = x < 1e-6
+        safe = np.where(small, 0.5, x)
+        return np.where(small, 2.0 + 2.0 * x * x / 3.0,
+                        np.log((1.0 + safe) / (1.0 - safe)) / safe)
 
     return adaptive_quad(f, 0.0, upper, tol)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -67,12 +68,22 @@ _DEFAULTS = {
 }
 
 
+@functools.cache
+def _schema_validator():
+    """The schema's validator, built and checked against its metaschema
+    once per process (jsonschema is imported here, not with the package)."""
+    from jsonschema.validators import validator_for
+    cls = validator_for(_SCHEMA)
+    cls.check_schema(_SCHEMA)
+    return cls(_SCHEMA)
+
+
 def validate_config(cfg: dict) -> dict:
-    import jsonschema
-    try:
-        jsonschema.validate(cfg, _SCHEMA)
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
+    # the error jsonschema.validate would raise, from the cached validator
+    from jsonschema.exceptions import best_match
+    error = best_match(_schema_validator().iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(str(error)) from error
     if "params" in cfg and "physical" in cfg:
         raise ConfigError("give either params or physical, not both")
     canonical = json.loads(json.dumps(cfg, sort_keys=True))
@@ -461,7 +472,7 @@ def cmd_sturm(cfg, p, out):
     for nu, e in enumerate(levels):
         lo, hi = edges[nu] if nu < len(edges) else (math.nan, math.nan)
         try:
-            width = sturm1d.band_width_lower(v, h, nu, delta=0.02)
+            width = sturm1d.band_width_lower(v, h, e, delta=0.02)
         except (DomainError, ConvergenceError):
             width = math.nan
         rows.append((nu, float(lo), float(hi), float(e), float(width)))

@@ -1,6 +1,7 @@
 """Self-contained numerical kernels shared by the whole toolkit.
 
-Bessel J0, adaptive Gauss-Kronrod quadrature, Brent root bracketing,
+Bessel J0, adaptive Gauss-Kronrod quadrature (the integrand is an array
+function, called once per 15-node panel), Brent root bracketing,
 Hermitian eigenvalues of single matrices or stacks (checked input, solved
 by LAPACK) and an adaptive Dormand–Prince 4(5) with FSAL and dense output.
 The Dormand–Prince step exists twice: scalar, inside integrate_ode, and
@@ -139,29 +140,31 @@ _GAUSS_WEIGHTS = {  # 7-point Gauss shares nodes 1, 3, 5, 7
     1: 0.129484966168870, 3: 0.279705391489277,
     5: 0.381830050505119, 7: 0.417959183673469,
 }
+# the same rule as 15-vectors over the nodes -t_0, ..., -t_6, 0, t_6, ..., t_0
+_GK_NODES = np.array([-t for t in _KRONROD_NODES[:-1]]
+                     + list(_KRONROD_NODES[::-1]))
+_GK_KRONROD = np.array(_KRONROD_WEIGHTS[:-1] + _KRONROD_WEIGHTS[::-1])
+_GK_GAUSS = np.array([_GAUSS_WEIGHTS.get(i, 0.0)
+                      for i in (*range(7), *range(7, -1, -1))])
 
 
 def _gk15(f, a, b):
+    """One panel: (Kronrod value, |Kronrod - Gauss|), one call of f on the
+    15 nodes as an array."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    kron = 0.0
-    gauss = 0.0
-    for i, t in enumerate(_KRONROD_NODES):
-        if t == 0.0:
-            fv = f(c)
-            kron += _KRONROD_WEIGHTS[i] * fv
-            gauss += _GAUSS_WEIGHTS[i] * fv
-        else:
-            fp = f(c + h * t)
-            fm = f(c - h * t)
-            kron += _KRONROD_WEIGHTS[i] * (fp + fm)
-            if i in _GAUSS_WEIGHTS:
-                gauss += _GAUSS_WEIGHTS[i] * (fp + fm)
+    fv = f(c + h * _GK_NODES)
+    kron = float(_GK_KRONROD @ fv)
+    gauss = float(_GK_GAUSS @ fv)
     return h * kron, abs(h * (kron - gauss))
 
 
 def adaptive_quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol * |result|)."""
+    """Integrate f over [a, b] to max(abs_tol, rel_tol * |result|).
+
+    f is an array function: it maps the 15 nodes of a panel, an array of
+    shape (15,), to the 15 values.  It is called once per panel.
+    """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise DomainError("integration limits must be finite")
     if a > b:

@@ -152,7 +152,8 @@ def averaged_potential_oracle(p: FourierPotential, i1: float, y,
     y1, y2 = float(y[0]), float(y[1])
 
     def integrand(phi):
-        return p.value((r * math.sin(phi) + y1, r * math.cos(phi) + y2))
+        return p.value(np.stack([r * np.sin(phi) + y1, r * np.cos(phi) + y2],
+                                axis=-1))
 
     return adaptive_quad(integrand, 0.0, TWO_PI, tol) / TWO_PI
 

@@ -379,11 +379,17 @@ def homological_grid_residual(sol: HomologicalSolution, g: dict,
 # First averaging step: generating-function residual
 # ----------------------------------------------------------------------
 
+def _ring_potential(p: FourierPotential, i1: float, y, phi):
+    """Instantaneous potential at ring phase phi (a number or an array)."""
+    r = math.sqrt(2.0 * max(i1, 0.0))
+    phi = np.asarray(phi, dtype=float)
+    return p.value(np.stack([r * np.sin(phi) + y[0], r * np.cos(phi) + y[1]],
+                            axis=-1))
+
+
 def _ring_difference(p: FourierPotential, i1: float, y, phi: float) -> float:
     """Averaged minus instantaneous potential at ring phase phi."""
-    r = math.sqrt(2.0 * max(i1, 0.0))
-    ring = (r * math.sin(phi) + y[0], r * math.cos(phi) + y[1])
-    return averaged_potential(p, i1, y) - float(p.value(ring))
+    return averaged_potential(p, i1, y) - _ring_potential(p, i1, y, phi)
 
 
 def generating_function(p: FourierPotential, i1: float, y, psi: float,
@@ -394,9 +400,10 @@ def generating_function(p: FourierPotential, i1: float, y, psi: float,
     result smooth down to vanishing cyclotron action.
     """
     tol = tol or Tolerance(1e-11, 1e-11, 600)
+    averaged = averaged_potential(p, i1, y)
 
     def integrand(phi):
-        return _ring_difference(p, i1, y, phi)
+        return averaged - _ring_potential(p, i1, y, phi)
 
     if psi >= 0:
         part0 = adaptive_quad(integrand, 0.0, psi, tol)

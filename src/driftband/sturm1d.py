@@ -24,7 +24,11 @@ _QTOL = Tolerance(1e-12, 1e-12, 600)
 
 
 class Potential1D:
-    """Real 2 pi periodic trigonometric polynomial with cached extrema."""
+    """Real 2 pi periodic trigonometric polynomial with cached extrema.
+
+    ``value`` takes a point or an array of points; the derivatives take
+    points.
+    """
 
     def __init__(self, coeffs: dict):
         cleaned = {}
@@ -37,6 +41,12 @@ class Potential1D:
             if abs(cleaned.get(-k, 0.0) - c.conjugate()) > 1e-13 * max(scale, 1e-300):
                 raise DomainError("potential is not real valued")
         self.coeffs = cleaned
+        # v = mean + sum_k>0 (2 Re c_k cos kx - 2 Im c_k sin kx)
+        positive = sorted(k for k in cleaned if k > 0)
+        self._mean = cleaned.get(0, 0.0).real
+        self._wavenumbers = np.array(positive, dtype=float)
+        self._cos_coeffs = np.array([2.0 * cleaned[k].real for k in positive])
+        self._sin_coeffs = np.array([2.0 * cleaned[k].imag for k in positive])
         self._locate_extrema()
 
     @classmethod
@@ -44,12 +54,9 @@ class Potential1D:
         return cls({1: 0.5 * amplitude, -1: 0.5 * amplitude})
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.full(x.shape, self.coeffs.get(0, 0.0).real)
-        for k, c in self.coeffs.items():
-            if k <= 0:
-                continue
-            out = out + 2.0 * (c.real * np.cos(k * x) - c.imag * np.sin(k * x))
+        kx = np.multiply.outer(np.asarray(x, dtype=float), self._wavenumbers)
+        out = self._mean + (self._cos_coeffs * np.cos(kx)
+                            - self._sin_coeffs * np.sin(kx)).sum(axis=-1)
         return out if out.ndim else float(out)
 
     def deriv(self, x):
@@ -129,8 +136,15 @@ def _turning_points(v: Potential1D, e: float):
     def f(x):
         return v.value(x) - e
 
-    xm = find_root(f, x_left, v.x_min, _QTOL)
-    xp = find_root(f, v.x_min, x_right, _QTOL)
+    def polish(x):
+        # Brent stops within _QTOL of the root, and the quotient W below
+        # divides by the distance to it (an error of 3e-13 here is one of
+        # 2e-10 in the period); one Newton step takes it to rounding level
+        step = f(x) / v.deriv(x)
+        return x - step if abs(step) <= 10.0 * _QTOL.abs_tol else x
+
+    xm = polish(find_root(f, x_left, v.x_min, _QTOL))
+    xp = polish(find_root(f, v.x_min, x_right, _QTOL))
     return xm, xp
 
 
@@ -140,23 +154,25 @@ def _smooth_quotient(v: Potential1D, e: float, a: float, b: float,
 
     W is smooth and positive for simple turning points; near the endpoints
     it is evaluated from the Taylor series of v to dodge the 0/0 rounding
-    noise of the direct quotient.
+    noise of the direct quotient.  The returned w maps an array of points
+    to an array.
     """
     span = b - a
     cut = 1e-5 * span
+    d1a, d2a, d3a = v.deriv(a), v.second(a), v.third(a)
+    d1b, d2b, d3b = v.deriv(b), v.second(b), v.third(b)
 
     def w(x):
         dm = x - a
         dp = b - x
-        if dm < cut:
-            num = -sign * (v.deriv(a) + 0.5 * v.second(a) * dm
-                           + v.third(a) * dm * dm / 6.0)
-            return num / max(dp, 1e-300)
-        if dp < cut:
-            num = sign * (v.deriv(b) - 0.5 * v.second(b) * dp
-                          + v.third(b) * dp * dp / 6.0)
-            return num / max(dm, 1e-300)
-        return sign * (e - v.value(x)) / (dm * dp)
+        near_a = dm < cut
+        near_b = ~near_a & (dp < cut)
+        taylor_a = -sign * (d1a + 0.5 * d2a * dm + d3a * dm * dm / 6.0)
+        taylor_b = sign * (d1b - 0.5 * d2b * dp + d3b * dp * dp / 6.0)
+        num = np.where(near_a, taylor_a,
+                       np.where(near_b, taylor_b, sign * (e - v.value(x))))
+        den = np.where(near_a, dp, np.where(near_b, dm, dm * dp))
+        return num / np.maximum(den, 1e-300)
 
     return w
 
@@ -168,9 +184,10 @@ def _root_integral(v: Potential1D, e: float, a: float, b: float,
     w = _smooth_quotient(v, e, a, b, sign)
 
     def g(theta):
-        s, c = math.sin(theta), math.cos(theta)
+        s, c = np.sin(theta), np.cos(theta)
         x = a + span * s * s
-        return 2.0 * span * span * (s * c) ** 2 * math.sqrt(max(w(x), 0.0))
+        return (2.0 * span * span * (s * c) ** 2
+                * np.sqrt(np.maximum(w(x), 0.0)))
 
     return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL)
 
@@ -187,7 +204,7 @@ def action_upper(v: Potential1D, e: float) -> float:
         raise DomainError("energy below the barrier top")
 
     def f(x):
-        return math.sqrt(max(e - v.value(x), 0.0))
+        return np.sqrt(np.maximum(e - v.value(x), 0.0))
 
     return adaptive_quad(f, 0.0, TWO_PI, _QTOL) / TWO_PI
 
@@ -199,8 +216,8 @@ def period_integral(v: Potential1D, e: float) -> float:
     w = _smooth_quotient(v, e, xm, xp, +1.0)
 
     def g(theta):
-        x = xm + span * math.sin(theta) ** 2
-        return 2.0 / math.sqrt(max(w(x), 1e-300))
+        x = xm + span * np.sin(theta) ** 2
+        return 2.0 / np.sqrt(np.maximum(w(x), 1e-300))
 
     return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL)
 
@@ -264,34 +281,28 @@ def _window(v: Potential1D, delta: float | None) -> float:
     return 0.1 * (v.v_max - v.v_min) if delta is None else delta
 
 
-def _bs_level(v: Potential1D, h: float, nu: int, delta: float) -> float:
-    """The nu-th Bohr-Sommerfeld level: action_lower(E) = h (nu + 1/2)."""
-    cap = v.v_max - delta
-    target = h * (nu + 0.5)
-    if action_lower(v, cap) < target:
-        raise DomainError(f"level {nu} is not below the barrier window")
-    lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
-    return find_root(lambda x: action_lower(v, x) - target, lo, cap, _QTOL)
-
-
 def bs_levels_lower(v: Potential1D, h: float, delta: float | None = None):
-    """Bohr-Sommerfeld levels of the well below the barrier top."""
+    """Bohr-Sommerfeld levels of the well below the barrier window:
+    action_lower(E_nu) = h (nu + 1/2)."""
     if v.v_max <= v.v_min:
         return []  # flat potential: no well
-    delta = _window(v, delta)
-    top = action_lower(v, v.v_max - delta)
+    cap = v.v_max - _window(v, delta)
+    top = action_lower(v, cap)
+    lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
     levels = []
     while h * (len(levels) + 0.5) <= top and len(levels) <= 100000:
-        levels.append(_bs_level(v, h, len(levels), delta))
+        target = h * (len(levels) + 0.5)
+        levels.append(find_root(lambda x: action_lower(v, x) - target, lo,
+                                cap, _QTOL))
     return levels
 
 
-def band_width_lower(v: Potential1D, h: float, nu: int,
+def band_width_lower(v: Potential1D, h: float, e: float,
                      delta: float | None = None) -> float:
-    """Tunneling width of the nu-th low band: full swing of the dispersion,
+    """Tunneling width of the low band at the Bohr-Sommerfeld level e (one
+    of bs_levels_lower's): full swing of the dispersion,
     2 (omega h / pi) exp(-rho / h)."""
     delta = _window(v, delta)
-    e = _bs_level(v, h, nu, delta)
     if not (v.v_min + delta < e < v.v_max - delta):
         raise DomainError("level outside the tunneling window")
     omega = TWO_PI / period_integral(v, e)
@@ -477,7 +488,7 @@ def reeb_1d(v: Potential1D, e_cap: float | None = None) -> Reeb1D:
     # plain adaptive pass is accurate
     x0 = v.x_max
     outer = adaptive_quad(
-        lambda x: math.sqrt(max(v.v_max - v.value(x), 0.0)),
+        lambda x: np.sqrt(np.maximum(v.v_max - v.value(x), 0.0)),
         x0, x0 + TWO_PI, _QTOL) / math.pi
     return Reeb1D(v=v, has_well=True, outer_limit=outer,
                   upper_limit=0.5 * outer,

@@ -239,7 +239,7 @@ def test_c07_sturm_suite():
     levels = sturm1d.bs_levels_lower(v, h_w)
     edges = sturm1d.oracle_band_edges(v, h_w, v.v_max - 0.2, grid_size=1024)
     for nu in range(4):
-        w_formula = sturm1d.band_width_lower(v, h_w, nu, delta=0.02)
+        w_formula = sturm1d.band_width_lower(v, h_w, levels[nu], delta=0.02)
         w_oracle = edges[nu][1] - edges[nu][0]
         rho = sturm1d.agmon_distance(v, levels[nu])
         assert abs(math.log(w_formula) - math.log(w_oracle)) \

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +88,56 @@ def test_schema_is_valid_draft7():
     # schema a validator accepts (booleans stay booleans)
     jsonschema = pytest.importorskip("jsonschema")
     jsonschema.Draft7Validator.check_schema(schema())
+
+
+@pytest.mark.parametrize("cfg", [
+    {"nonsense": 1},
+    {"params": {"h": "0.1", "epsilon": 0.01}},
+    {"threads": 0},
+    {"sturm": {"oracle_grid": 32, "q_points": 1}},
+    {"potential": {"cosine": {"A": 1.0}}, "params": {"h": 0.1}},
+    {"sturm": {"coefficients": [{"k": 1.5, "re": 0.5}]}},
+])
+def test_config_errors_match_jsonschema_validate(cfg):
+    jsonschema = pytest.importorskip("jsonschema")
+    with pytest.raises(jsonschema.ValidationError) as expected:
+        jsonschema.validate(cfg, schema())
+    with pytest.raises(ConfigError) as got:
+        validate_config(cfg)
+    assert str(got.value) == str(expected.value)
+
+
+def test_schema_is_checked_once(monkeypatch):
+    from jsonschema.validators import validator_for
+    from driftband import cli
+    cls = validator_for(schema())
+    calls = []
+    check = cls.check_schema
+
+    def counting_check(*args, **kwargs):
+        calls.append(1)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(cls, "check_schema", counting_check)
+    cli._schema_validator.cache_clear()
+    try:
+        validate_config(dict(BASE))
+        assert len(calls) == 1
+        validate_config(dict(BASE))
+        with pytest.raises(ConfigError):
+            validate_config({"nonsense": 1})
+        assert len(calls) == 1
+    finally:
+        cli._schema_validator.cache_clear()
+
+
+def test_package_import_leaves_jsonschema_unloaded():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = ("import sys, driftband.cli; "
+            "sys.exit('jsonschema' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 # ------------------------------------------------------------- commands
@@ -277,3 +329,24 @@ def test_sturm_flat_potential(tmp_path):
         assert (tmp_path / name).exists()
     rows = (tmp_path / "sturm_bands.csv").read_text().splitlines()
     assert rows == ["nu,E_low,E_high,bohr_sommerfeld,width_formula"]
+
+
+def test_sturm_widths_use_the_listed_levels():
+    # each width is the tunneling formula at the Bohr-Sommerfeld level of
+    # its row, NaN exactly when that level is outside the 0.02 window
+    from driftband import sturm1d
+    from driftband.cli import cmd_sturm
+    cfg = validate_config({"sturm": {"cosine_amplitude": 0.05, "h": 0.02,
+                                     "q_points": 2, "oracle_grid": 128}})
+    _, files = cmd_sturm(cfg, None, None)
+    v = sturm1d.Potential1D.cosine(0.05)
+    levels = sturm1d.bs_levels_lower(v, 0.02)
+    rows = files["sturm_bands.csv"][1]
+    assert [row[3] for row in rows] == levels
+    inside = [v.v_min + 0.02 < e < v.v_max - 0.02 for e in levels]
+    assert any(inside) and not all(inside[:3]) and not all(inside[-2:])
+    for (_, _, _, e, width), ok in zip(rows, inside):
+        if ok:
+            assert width == sturm1d.band_width_lower(v, 0.02, e, delta=0.02)
+        else:
+            assert math.isnan(width)

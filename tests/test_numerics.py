@@ -8,7 +8,9 @@ from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
                                 NonHermitianError, Tolerance,
                                 adaptive_quad, bessel_j0, bessel_j0_zero,
                                 find_root, hermitian_eigenvalues,
-                                integrate_ode, _dp_lane_step, _dp_step)
+                                integrate_ode, _dp_lane_step, _dp_step,
+                                _gk15, _GAUSS_WEIGHTS, _KRONROD_NODES,
+                                _KRONROD_WEIGHTS)
 
 TOL = Tolerance(1e-12, 1e-12, 400)
 
@@ -74,12 +76,20 @@ def test_j0_rejects_nonfinite():
 
 # ------------------------------------------------------------ quadrature
 
+def _log_kernel(x):
+    # log((1+x)/(1-x))/x with its removable point at 0, on arrays
+    small = x < 1e-8
+    safe = np.where(small, 0.5, x)
+    return np.where(small, 2.0 + 2.0 * x * x / 3.0,
+                    np.log((1.0 + safe) / (1.0 - safe)) / safe)
+
+
 def test_quad_sin():
-    assert abs(adaptive_quad(math.sin, 0.0, math.pi, TOL) - 2.0) < 1e-11
+    assert abs(adaptive_quad(np.sin, 0.0, math.pi, TOL) - 2.0) < 1e-11
 
 
 def test_quad_cos_squared():
-    val = adaptive_quad(lambda x: math.cos(x) ** 2, 0.0, 2 * math.pi, TOL)
+    val = adaptive_quad(lambda x: np.cos(x) ** 2, 0.0, 2 * math.pi, TOL)
     assert abs(val - math.pi) < 1e-11
 
 
@@ -87,24 +97,73 @@ def test_quad_log_kernel_vs_series():
     # int_0^{1/2} log((1+x)/(1-x))/x dx = 2 sum (1/2)^(2k+1) / (2k+1)^2
     series = 2.0 * sum(0.5 ** (2 * k + 1) / (2 * k + 1) ** 2
                        for k in range(60))
-
-    def f(x):
-        if x < 1e-8:
-            return 2.0 + 2.0 * x * x / 3.0
-        return math.log((1.0 + x) / (1.0 - x)) / x
-
-    val = adaptive_quad(f, 0.0, 0.5, TOL)
+    val = adaptive_quad(_log_kernel, 0.0, 0.5, TOL)
     assert abs(val - series) < 1e-11
     assert abs(val - 1.0306) < 1e-3
 
 
 def test_quad_linearity():
-    f = math.sin
-    g = math.cos
+    f = np.sin
+    g = np.cos
     a, b = 0.3, 2.1
     lhs = adaptive_quad(lambda x: 2.5 * f(x) - 1.25 * g(x), a, b, TOL)
     rhs = 2.5 * adaptive_quad(f, a, b, TOL) - 1.25 * adaptive_quad(g, a, b, TOL)
     assert abs(lhs - rhs) < 1e-10
+
+
+def _scalar_gk15(f, a, b):
+    # the 15-node Gauss-Kronrod panel as a loop of scalar calls, node pair
+    # by node pair
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    kron = gauss = 0.0
+    for i, t in enumerate(_KRONROD_NODES):
+        fv = f(c) if t == 0.0 else f(c + h * t) + f(c - h * t)
+        kron += _KRONROD_WEIGHTS[i] * fv
+        gauss += _GAUSS_WEIGHTS.get(i, 0.0) * fv
+    return h * kron, abs(h * (kron - gauss))
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.sin, 0.3, 2.1),
+    (lambda x: np.cos(x) ** 2, 0.0, 2.0 * math.pi),
+    (_log_kernel, 0.0, 0.5),
+    (_log_kernel, 0.1, 0.9),
+])
+def test_array_panel_equals_scalar_panel(f, a, b):
+    val, err = _gk15(f, a, b)
+    ref_val, ref_err = _scalar_gk15(lambda x: float(f(np.float64(x))), a, b)
+    assert abs(val - ref_val) <= 1e-15 * abs(ref_val)
+    assert abs(err - ref_err) <= 1e-15 * abs(ref_val)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (np.sin, 0.0, 30.0),
+    (_log_kernel, 0.0, 0.99),
+    (lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0),
+])
+def test_quad_calls_f_once_per_panel(f, a, b):
+    panels = []
+
+    def spy(x):
+        assert isinstance(x, np.ndarray) and x.shape == (15,)
+        c, h = 0.5 * (x[0] + x[-1]), 0.5 * (x[-1] - x[0]) / _KRONROD_NODES[0]
+        panels.append((c - h, c + h))
+        return f(x)
+
+    adaptive_quad(spy, a, b, TOL)
+    # the first panel is [a, b]; every later one is a new half of an
+    # earlier panel, so no panel is evaluated twice (panel ends are read
+    # back from the nodes, to rounding)
+    eps = 1e-13 * (b - a)
+    assert len(panels) > 1
+    assert panels[0] == pytest.approx((a, b), abs=eps)
+    for k, (lo, hi) in enumerate(panels[1:], start=1):
+        parents = [(plo, phi) for plo, phi in panels[:k]
+                   if abs(phi - plo - 2.0 * (hi - lo)) <= eps
+                   and (abs(plo - lo) <= eps or abs(phi - hi) <= eps)]
+        assert parents, (lo, hi)
+        assert not any(abs(plo - lo) <= eps and abs(phi - hi) <= eps
+                       for plo, phi in panels[:k])
 
 
 # ------------------------------------------------------------ root finder

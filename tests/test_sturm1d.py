@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,13 +181,54 @@ def test_bs_error_scales_quadratically(vcos):
     assert abs(slope - 2.0) < 0.3
 
 
+# ------------------------------------------ integrals against mpmath
+
+def _mp_potential(v):
+    terms = [(k, 2 * mpmath.mpf(c.real), 2 * mpmath.mpf(c.imag))
+             for k, c in v.coeffs.items() if k > 0]
+    mean = mpmath.mpf(v.coeffs.get(0, 0.0).real)
+    return lambda x: mean + mpmath.fsum(
+        re * mpmath.cos(k * x) - im * mpmath.sin(k * x) for k, re, im in terms)
+
+
+@pytest.mark.parametrize("shape", ["vcos", "vtwo"])
+def test_integrals_match_mpmath(shape, request):
+    v = request.getfixturevalue(shape)
+    vm = _mp_potential(v)
+    two_pi = 2 * mpmath.pi
+    x_right = v.x_max if v.x_max > v.x_min else v.x_max + 2.0 * math.pi
+    with mpmath.workdps(30):
+        for frac in (0.15, 0.5, 0.85):
+            e = v.v_min + frac * (v.v_max - v.v_min)
+            xm = mpmath.findroot(lambda x: vm(x) - e,
+                                 (x_right - 2.0 * math.pi, v.x_min),
+                                 solver="anderson")
+            xp = mpmath.findroot(lambda x: vm(x) - e, (v.x_min, x_right),
+                                 solver="anderson")
+            lower = mpmath.quad(lambda x: mpmath.sqrt(e - vm(x)),
+                                [xm, v.x_min, xp]) / mpmath.pi
+            period = mpmath.quad(lambda x: 1 / mpmath.sqrt(e - vm(x)),
+                                 [xm, v.x_min, xp])
+            agmon = mpmath.quad(lambda x: mpmath.sqrt(vm(x) - e),
+                                [xp, x_right, xm + two_pi])
+            assert abs(action_lower(v, e) - lower) <= 1e-11
+            assert abs(period_integral(v, e) - period) <= 1e-11
+            assert abs(agmon_distance(v, e) - agmon) <= 1e-11
+        for above in (0.05, 0.5, 2.0):
+            e = v.v_max + above
+            upper = mpmath.quad(lambda x: mpmath.sqrt(e - vm(x)),
+                                [x_right - two_pi, x_right]) / two_pi
+            assert abs(action_upper(v, e) - upper) <= 1e-11
+
+
 # ------------------------------------------------------------ widths
 
 def test_width_monotone_in_level(vcos):
     h = 0.2
-    widths = [band_width_lower(vcos, h, nu, delta=0.02) for nu in range(4)]
+    levels = bs_levels_lower(vcos, h)[:4]
+    widths = [band_width_lower(vcos, h, e, delta=0.02) for e in levels]
     assert np.all(np.diff(widths) > 0.0)
-    rhos = [agmon_distance(vcos, e) for e in bs_levels_lower(vcos, h)[:4]]
+    rhos = [agmon_distance(vcos, e) for e in levels]
     assert np.all(np.diff(rhos) < 0.0)
 
 
@@ -195,7 +237,7 @@ def test_width_exponent_matches_oracle(vcos):
     levels = bs_levels_lower(vcos, h)
     edges = oracle_band_edges(vcos, h, vcos.v_max - 0.2, grid_size=1024)
     for nu in range(4):
-        w_formula = band_width_lower(vcos, h, nu, delta=0.02)
+        w_formula = band_width_lower(vcos, h, levels[nu], delta=0.02)
         w_oracle = edges[nu][1] - edges[nu][0]
         rho = agmon_distance(vcos, levels[nu])
         assert w_oracle > 0.0
@@ -205,23 +247,25 @@ def test_width_exponent_matches_oracle(vcos):
 @pytest.mark.parametrize("shape", ["vcos", "vtwo"])
 @pytest.mark.parametrize("delta", [0.02, None])
 def test_width_uses_the_listed_level(shape, delta, request):
-    # one level solve per width gives exactly the level bs_levels_lower lists
+    # the width is the tunneling formula at the level it is handed, and
+    # raises exactly outside the window (v_min + delta, v_max - delta)
     v = request.getfixturevalue(shape)
     h = 0.2
     levels = bs_levels_lower(v, h, delta)
     window = 0.1 * (v.v_max - v.v_min) if delta is None else delta
     assert len(levels) >= 4
-    for nu, e in enumerate(levels):
+    for e in levels:
         if e <= v.v_min + window:
             with pytest.raises(DomainError):
-                band_width_lower(v, h, nu, delta)
+                band_width_lower(v, h, e, delta)
             continue
         omega = 2.0 * math.pi / period_integral(v, e)
         rho = agmon_distance(v, e)
         expect = 2.0 * (omega * h / math.pi) * math.exp(-rho / h)
-        assert band_width_lower(v, h, nu, delta) == expect
-    with pytest.raises(DomainError):
-        band_width_lower(v, h, len(levels), delta)
+        assert band_width_lower(v, h, e, delta) == expect
+    for e in (v.v_min + window, v.v_max - window, v.v_max - 0.5 * window):
+        with pytest.raises(DomainError):
+            band_width_lower(v, h, e, delta)
 
 
 def test_dispersion_shape_factor(vcos):
