@@ -30,6 +30,7 @@ from .actions import build_edge_tables
 from .classical import _egcd, build_reeb_graph, conjugate_vector
 from .numerics import DomainError, find_root, Tolerance
 from .potential import FluxRatio, FourierPotential
+from .spectra import landau_level
 
 TWO_PI = 2.0 * math.pi
 
@@ -441,7 +442,7 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
     """
     if eps == 0.0:
         return {"degenerate": True, "crossings": []}
-    i1 = (mu + 0.5) * h
+    i1 = landau_level(mu, h)
     graph = build_reeb_graph(p, eps, i1)
     if graph.kind not in ("simple",):
         raise DomainError(f"no interior branches at this slice: {graph.kind}")
@@ -452,30 +453,45 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
     t2, t3 = build_edge_tables(p, eps, i1, ("i2", "i3"), graph,
                                nodes=table_nodes, target=1e-7)
     M = flux.M
+    steps = 32
+    qs = [float(t) for t in np.linspace(0.0, 1.0 / M, steps + 1)]
+    (lo2, hi2), (lo3, hi3) = sorted(t2.i2_range), sorted(t3.i2_range)
 
-    qs = [float(t) for t in np.linspace(0.0, 1.0 / M, 33)]
+    def i2_of(n, q1, sgn):
+        return h * (n / M - sgn * q1)
 
-    def branch(table, sgn):
-        lo, hi = sorted(table.i2_range)
+    def on_table(lo, hi, sgn):
+        """The indices of the q1 samples that put n on the table, by n."""
         ns = range(int(math.floor(M * lo / h)) - 1,
                    int(math.ceil(M * hi / h)) + 2)
+        return {n: {k for k, q1 in enumerate(qs)
+                    if lo <= i2_of(n, q1, sgn) <= hi} for n in ns}
 
-        def i2_of(n, q1):
-            return h * (n / M - sgn * q1)
+    def energies(table, sgn, on, other):
+        """Branch energy of each n at every q1 sample; None off the table
+        or where no n of the other branch is on its table.  Sample k of n
+        sits at I2 = h (steps n - sgn k) / (steps M): the last sample of n
+        is the first of n - sgn, and each I2 is inverted once."""
+        live = set().union(*other.values())
+        seen = {}
 
-        # the branch energy of each n at every q1 sample, None off the table
-        energies = {n: [table.energy_of_i2(a) if lo <= a <= hi else None
-                        for a in (i2_of(n, q1) for q1 in qs)] for n in ns}
-        return lo, hi, energies, i2_of
+        def energy(n, k):
+            key = steps * n - sgn * k
+            if key not in seen:
+                seen[key] = table.energy_of_i2(i2_of(n, qs[k], sgn))
+            return seen[key]
 
-    lo2, hi2, es2, i2p = branch(t2, sign)
-    lo3, hi3, es3, i2m = branch(t3, -sign)
+        return {n: [energy(n, k) if k in ks and k in live else None
+                    for k in range(steps + 1)] for n, ks in on.items()}
+
+    on2, on3 = on_table(lo2, hi2, sign), on_table(lo3, hi3, -sign)
+    es2, es3 = energies(t2, sign, on2, on3), energies(t3, -sign, on3, on2)
     crossings = []
     for n_p, e_p in es2.items():
         for n_m, e_m in es3.items():
             def diff(q1):
-                a = i2p(n_p, q1)
-                b = i2m(n_m, q1)
+                a = i2_of(n_p, q1, sign)
+                b = i2_of(n_m, q1, -sign)
                 if not (lo2 <= a <= hi2 and lo3 <= b <= hi3):
                     return None
                 return t2.energy_of_i2(a) - t3.energy_of_i2(b)
@@ -492,11 +508,11 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
                                        Tolerance(1e-12, 1e-12, 200))
                 else:
                     continue
-                a = i2p(n_p, q_star)
+                a = i2_of(n_p, q_star, sign)
                 crossings.append(DispersionCrossing(
                     mu=mu, q1_star=q_star, n_plus=n_p, n_minus=n_m,
                     e_star=t2.energy_of_i2(a), i2_plus=a,
-                    i2_minus=i2m(n_m, q_star)))
+                    i2_minus=i2_of(n_m, q_star, -sign)))
     crossings.sort(key=lambda c: (c.q1_star, c.e_star))
     return {"degenerate": False, "crossings": crossings,
             "drift": d, "i1": i1}

@@ -734,7 +734,7 @@ class ReebEdge:
 
 @dataclass
 class ReebGraph:
-    kind: str                    # "simple" | "equal_saddles" | "one_dimensional"
+    kind: str     # "simple" | "equal_saddles" | "one_dimensional" | "flat"
     i1: float
     eps: float
     vertices: list               # (kind, averaged energy) pairs
@@ -761,17 +761,12 @@ class ReebGraph:
 
 
 def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
-                     delta: float = 0.0, seeds: int = 32,
-                     grid: int = 192) -> ReebGraph:
+                     seeds: int = 32, grid: int = 192) -> ReebGraph:
     """Level-set topology of the averaged Hamiltonian at fixed I1."""
     model = DriftModel(p, eps, i1)
-    if model.is_flat():
-        g0 = i1 + eps * model.mean
-        return ReebGraph("flat", i1, eps,
-                         [("minimum", g0), ("maximum", g0)], [], None)
-    one_dim = model.one_dimensional_direction()
-    if one_dim is not None:
-        return _one_dimensional_graph(model, one_dim)
+    graph = _degenerate_graph(model)
+    if graph is not None:
+        return graph
     cps = _critical_points_of_model(model, seeds)
     if not cps.complete:
         raise UnsupportedTopologyError(
@@ -829,16 +824,28 @@ def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
     return ReebGraph("simple", i1, eps, vertices, edges, cps)
 
 
-def _one_dimensional_graph(model: DriftModel, direction):
-    # vbar is a 1D trig polynomial along the transversal phase
-    samples = model.grid_vbar(512)
-    lev_min = float(samples.min())
-    lev_max = float(samples.max())
-    g_min = model.i1 + model.eps * lev_min
-    g_max = model.i1 + model.eps * lev_max
+def _degenerate_graph(model: DriftModel):
+    """The Reeb graph of a flat or one-dimensional slice, else None.
+
+    A one-dimensional vbar depends on the phase k.s only (k the primitive
+    wave vector, s lattice coordinates); 512 steps along a lattice vector v
+    with k.v = 1 hit the phases m/512, as a 512 x 512 grid of the cell does.
+    """
+    if model.is_flat():
+        g0 = model.i1 + model.eps * model.mean
+        return ReebGraph("flat", model.i1, model.eps,
+                         [("minimum", g0), ("maximum", g0)], [], None)
+    direction = model.one_dimensional_direction()
+    if direction is None:
+        return None
     d = lexicographic_positive(direction)
     drift = DriftData(d)
     drift_neg = DriftData((-d[0], -d[1]), (-drift.f[0], -drift.f[1]))
+    # k = (d2, -d1), so v = (f2, -f1) has k.v = d.f = 1
+    st = np.outer(np.arange(512) / 512, (drift.f[1], -drift.f[0]))
+    vbar = model.averaged.value(model.lattice.to_cartesian(st))
+    g_min = model.i1 + model.eps * float(vbar.min())
+    g_max = model.i1 + model.eps * float(vbar.max())
     vertices = [("minimum", g_min), ("maximum", g_max)]
     edges = [ReebEdge("i2", (g_min, g_max), False, drift),
              ReebEdge("i3", (g_min, g_max), False, drift_neg)]
@@ -931,7 +938,7 @@ def _generic_series(p, eps, i1_max, grid):
     gaps = []
     for x in xs:
         model = DriftModel(p, max(eps, 1.0), float(x))
-        if model.is_flat() or model.one_dimensional_direction() is not None:
+        if _degenerate_graph(model) is not None:
             gaps.append(0.0)
             continue
         cps = _critical_points_of_model(model, seeds=16)
@@ -974,29 +981,18 @@ def build_regimes(p: FourierPotential, eps: float, i1_max: float,
     """Decompose the (I1, E) half-plane into topologically uniform regimes."""
     if delta < 0.0:
         raise DomainError("delta must be non-negative")
+    names = ("E_min", "E_lower_saddle", "E_upper_saddle", "E_max")
     i1s = np.linspace(0.0, i1_max, grid)
     if eps == 0.0:
-        curves = {name: i1s.copy() for name in
-                  ("E_min", "E_lower_saddle", "E_upper_saddle", "E_max")}
+        curves = {name: i1s.copy() for name in names}
         return RegimeChart([], i1s, curves, None, delta, collapsed=True)
     series = critical_i1_series(p, eps, i1_max)
-    curves = {"E_min": [], "E_lower_saddle": [], "E_upper_saddle": [],
-              "E_max": []}
+    rows = []                    # the four curves' values at each I1
     for x in i1s:
         model = DriftModel(p, eps, float(x))
-        if model.is_flat():
-            g0 = float(x) + eps * model.mean
-            for name in curves:
-                curves[name].append(g0)
-            continue
-        if model.one_dimensional_direction() is not None:
-            samples = model.grid_vbar(256)
-            lo = model.i1 + eps * float(samples.min())
-            hi = model.i1 + eps * float(samples.max())
-            curves["E_min"].append(lo)
-            curves["E_lower_saddle"].append(lo)
-            curves["E_upper_saddle"].append(hi)
-            curves["E_max"].append(hi)
+        graph = _degenerate_graph(model)
+        if graph is not None:
+            rows.append((graph.g_min, graph.g_min, graph.g_max, graph.g_max))
             continue
         cps = _critical_points_of_model(model, seeds=16)
         mins = cps.by_kind("minimum")
@@ -1006,15 +1002,12 @@ def build_regimes(p: FourierPotential, eps: float, i1_max: float,
                 f"no {'minimum' if not mins else 'maximum'} found at "
                 f"I1 = {float(x)}", points=list(cps))
         sads = sorted(c.value for c in cps.by_kind("saddle"))
-        curves["E_min"].append(min(c.value for c in mins))
-        curves["E_max"].append(max(c.value for c in maxs))
-        if len(sads) >= 2:
-            curves["E_lower_saddle"].append(sads[0])
-            curves["E_upper_saddle"].append(sads[-1])
-        else:
-            curves["E_lower_saddle"].append(math.nan)
-            curves["E_upper_saddle"].append(math.nan)
-    curves = {k: np.array(v) for k, v in curves.items()}
+        if len(sads) < 2:
+            sads = [math.nan]
+        rows.append((min(c.value for c in mins), sads[0], sads[-1],
+                     max(c.value for c in maxs)))
+    curves = {name: np.array([row[j] for row in rows])
+              for j, name in enumerate(names)}
 
     points = sorted(set(series.saddle_collision) | set(series.separable))
     points = [v for v in points if 0.0 < v < i1_max]

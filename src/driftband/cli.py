@@ -34,7 +34,7 @@ from .potential import (FluxRatio, FourierPotential, IrrationalFlux, Lattice,
                         PhysicalParams, SpectralParams, averaged_potential,
                         averaged_potential_oracle, cosine_example, flux_ratio,
                         physical_to_dimensionless)
-from .spectra import landau_level, semiclassical_spectrum
+from .spectra import landau_bands, landau_level, semiclassical_spectrum
 from . import sturm1d
 
 EXIT_OK = 0
@@ -63,8 +63,8 @@ with open(os.path.join(os.path.dirname(__file__), "schema.json"),
 _DEFAULTS = {
     "delta": None,          # resolved per command (3 h)
     "threads": 1,
-    "grids": {"i1_grid": 81, "level_grid": 192, "table_nodes": 32,
-              "harper_grid": [48, 48], "average_grid": 6},
+    "grids": {"i1_grid": 81, "table_nodes": 32, "harper_grid": [48, 48],
+              "average_grid": 6},
 }
 
 
@@ -346,12 +346,10 @@ def cmd_spectrum(cfg, p, out):
 def cmd_bands(cfg, p, out):
     params = resolve_params(cfg)
     i1_max, delta = _band_window(cfg, params.h)
-    spec = semiclassical_spectrum(p, params.epsilon, params.h, delta=delta,
-                                  i1_max=i1_max,
-                                  table_nodes=cfg["grids"]["table_nodes"])
+    bands = landau_bands(p, params.epsilon, params.h, delta, i1_max)
     rows = [(b.mu, float(b.i1), float(b.e_min), float(b.e_max),
-             float(b.width), int(b.degenerate)) for b in spec.bands]
-    payload = {"bands": len(rows), "delta": spec.delta}
+             float(b.width), int(b.degenerate)) for b in bands]
+    payload = {"bands": len(rows), "delta": delta}
     files = {"bands.csv": (
         ("mu", "i1", "E_min", "E_max", "width", "degenerate"), rows)}
     return payload, files

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import EdgeActionTable, build_edge_tables, separatrix_limits
-from .classical import (DriftModel, build_reeb_graph,
+from .classical import (DriftModel, ReebGraph, build_reeb_graph,
                         critical_i1_series)
 from .numerics import DomainError, NumericsError, Tolerance, adaptive_quad
 from .potential import FourierPotential, FluxRatio, averaged_potential
@@ -82,6 +82,7 @@ class LandauBand:
     width: float
     intervals: list           # merged (lo, hi) energy intervals
     degenerate: bool = False
+    graph: ReebGraph | None = None   # None at eps = 0
 
 
 @dataclass
@@ -91,19 +92,22 @@ class Spectrum:
     delta: float
     series: list
     bands: list
-    skipped_mu: list
     table_err_max: float = 0.0  # largest interp_error of the edge tables
+
+    @property
+    def skipped_mu(self):
+        """Landau indices of the degenerate bands (no quantized series)."""
+        return [b.mu for b in self.bands if b.degenerate]
 
     def projection(self):
         """Merged (lo, hi) intervals of the whole spectrum on the E axis."""
-        items = []
-        for s in self.series:
-            for st in s.states:
-                if st.is_interval:
-                    items.append(tuple(st.energy))
-                else:
-                    items.append((st.energy, st.energy))
-        return merge_intervals(items)
+        return merge_intervals(_intervals(self.series))
+
+
+def _intervals(series):
+    """(lo, hi) energy intervals of the states of some series."""
+    return [tuple(st.energy) if st.is_interval else (st.energy, st.energy)
+            for s in series for st in s.states]
 
 
 def merge_intervals(items):
@@ -173,6 +177,33 @@ def quantize_interior(table: EdgeActionTable, h: float, delta: float,
 # The full semiclassical spectrum
 # ----------------------------------------------------------------------
 
+def landau_bands(p: FourierPotential, eps: float, h: float, delta: float,
+                 i1_max: float) -> list:
+    """Landau bands (mu + 1/2) h <= i1_max, each with its Reeb graph.
+
+    A band spans the averaged energies g_min..g_max of its slice.  It is
+    degenerate when the slice is flat or one-dimensional, or lies within
+    delta of a critical cyclotron action; at eps = 0 every band is the bare
+    Landau level, with no graph.
+    """
+    crit_points = []
+    if eps > 0.0:
+        crit = critical_i1_series(p, eps, i1_max + h)
+        crit_points = sorted(set(crit.saddle_collision) | set(crit.separable))
+    bands = []
+    mu = 0
+    while (i1 := landau_level(mu, h)) <= i1_max:
+        graph = None if eps == 0.0 else build_reeb_graph(p, eps, i1)
+        lo, hi = (i1, i1) if graph is None else (graph.g_min, graph.g_max)
+        degenerate = any(abs(i1 - c) < delta for c in crit_points) or (
+            graph is not None and graph.kind in ("flat", "one_dimensional"))
+        bands.append(LandauBand(mu=mu, i1=i1, e_min=lo, e_max=hi,
+                                width=hi - lo, intervals=[(lo, hi)],
+                                degenerate=degenerate, graph=graph))
+        mu += 1
+    return bands
+
+
 def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
                            delta: float | None = None,
                            i1_max: float | None = None,
@@ -181,86 +212,45 @@ def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
     """Union of all regimes' quantized series, grouped into Landau bands.
 
     delta defaults to 3h (in action units; the same value excludes Landau
-    slices closer than delta to a critical cyclotron action).  Slices with
-    degenerate topology are reported in skipped_mu with a degenerate band
-    entry carrying only the width data.
+    slices closer than delta to a critical cyclotron action).  Degenerate
+    bands (see landau_bands) keep their whole energy range as their one
+    interval and get no series; the others get the quantized states of
+    their edge tables as intervals.
     """
     if delta is None:
         delta = 3.0 * h
     if i1_max is None:
         i1_max = 10.0 * h
+    bands = landau_bands(p, eps, h, delta, i1_max)
     series_out = []
-    bands = []
-    skipped = []
     table_err_max = 0.0
-    if eps > 0.0:
-        crit = critical_i1_series(p, eps, i1_max + h)
-        crit_points = sorted(set(crit.saddle_collision) | set(crit.separable))
-        continuum = crit.continuum
-    else:
-        crit_points = []
-        continuum = False
-    mu = 0
-    while True:
-        i1 = landau_level(mu, h)
-        if i1 > i1_max:
-            break
-        if eps == 0.0:
-            bands.append(LandauBand(mu=mu, i1=i1, e_min=i1, e_max=i1,
-                                    width=0.0, intervals=[(i1, i1)]))
-            mu += 1
+    for band in bands:
+        graph, mu = band.graph, band.mu
+        if graph is None or band.degenerate:
             continue
-        model = DriftModel(p, eps, i1)
-        if model.is_flat():
-            e0 = i1 + eps * model.mean
-            bands.append(LandauBand(mu=mu, i1=i1, e_min=e0, e_max=e0,
-                                    width=0.0, intervals=[(e0, e0)],
-                                    degenerate=True))
-            skipped.append(mu)
-            mu += 1
-            continue
-        near_critical = any(abs(i1 - c) < delta for c in crit_points)
-        graph = build_reeb_graph(p, eps, i1)
-        g_min, g_max = graph.g_min, graph.g_max
-        width = g_max - g_min
-        if near_critical or graph.kind == "one_dimensional":
-            bands.append(LandauBand(mu=mu, i1=i1, e_min=g_min, e_max=g_max,
-                                    width=width, intervals=[(g_min, g_max)],
-                                    degenerate=True))
-            skipped.append(mu)
-            mu += 1
-            continue
-        intervals = []
         # boundary edges first; open edges exist on simple graphs only
         edges = ("i1", "i4", "i2", "i3") if graph.kind == "simple" else (
             "i1", "i4")
-        tables = build_edge_tables(p, eps, i1, edges, graph,
+        tables = build_edge_tables(p, eps, band.i1, edges, graph,
                                    nodes=table_nodes, target=table_target)
         table_err_max = max([table_err_max]
                             + [t.interp_error for t in tables])
-        for edge, table in zip(edges[:2], tables):
-            states = quantize_boundary(table, h, delta,
-                                       regime_id=f"{edge}@mu={mu}")
+        first = len(series_out)
+        for edge, table in zip(edges, tables):
+            rid = f"{edge}@mu={mu}"
+            if edge in ("i1", "i4"):
+                kind = "points"
+                states = quantize_boundary(table, h, delta, regime_id=rid)
+            else:
+                kind = "intervals"
+                state = quantize_interior(table, h, delta, regime_id=rid)
+                states = [] if state is None else [state]
             if states:
-                series_out.append(SpectralSeries(
-                    regime_id=f"{edge}@mu={mu}", kind="points", edge=edge,
-                    states=states))
-                intervals.extend((s.energy, s.energy) for s in states)
-        for edge, table in zip(edges[2:], tables[2:]):
-            state = quantize_interior(table, h, delta,
-                                      regime_id=f"{edge}@mu={mu}")
-            if state is not None:
-                series_out.append(SpectralSeries(
-                    regime_id=f"{edge}@mu={mu}", kind="intervals",
-                    edge=edge, states=[state]))
-                intervals.append(tuple(state.energy))
-        bands.append(LandauBand(mu=mu, i1=i1, e_min=g_min, e_max=g_max,
-                                width=width,
-                                intervals=merge_intervals(intervals)))
-        mu += 1
+                series_out.append(SpectralSeries(regime_id=rid, kind=kind,
+                                                 edge=edge, states=states))
+        band.intervals = merge_intervals(_intervals(series_out[first:]))
     return Spectrum(h=h, eps=eps, delta=delta, series=series_out,
-                    bands=bands, skipped_mu=skipped,
-                    table_err_max=table_err_max)
+                    bands=bands, table_err_max=table_err_max)
 
 
 def landau_band_width(p: FourierPotential, eps: float, i1: float) -> float:

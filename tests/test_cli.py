@@ -97,6 +97,7 @@ def test_schema_is_valid_draft7():
     {"sturm": {"oracle_grid": 32, "q_points": 1}},
     {"potential": {"cosine": {"A": 1.0}}, "params": {"h": 0.1}},
     {"sturm": {"coefficients": [{"k": 1.5, "re": 0.5}]}},
+    {"grids": {"level_grid": 192}},
 ])
 def test_config_errors_match_jsonschema_validate(cfg):
     jsonschema = pytest.importorskip("jsonschema")
@@ -209,6 +210,63 @@ def test_spectrum_envelope_carries_table_error(tmp_path):
     }
     env = run("spectrum", cfg, str(tmp_path))
     assert 0.0 < env["payload"]["table_err_max"] <= 1e-6
+
+
+J0_ZERO = 2.404825557695773
+
+BAND_CONFIGS = {
+    "readme": ({"potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+                "params": {"h": 0.1, "epsilon": 0.01}, "i1_max": 0.45,
+                "delta": 0.01}, []),
+    "equal_saddles": ({
+        "potential": {"cosine": {"A": 1.0, "B": 1.0, "beta": 1.0}},
+        "params": {"h": 0.1, "epsilon": 0.01}, "i1_max": 0.45,
+        "delta": 0.01}, []),
+    "zero_eps": ({"potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+                  "params": {"h": 0.1, "epsilon": 0.0}, "i1_max": 0.45}, []),
+    # mu = 0 sits at I1 = z^2 / 2, where both damping factors vanish
+    "flat": ({"potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+              "params": {"h": J0_ZERO ** 2, "epsilon": 0.01},
+              "i1_max": J0_ZERO ** 2}, [0]),
+    "one_dimensional": ({
+        "potential": {
+            "lattice": {"a21": 0.0, "a22": 2 * math.pi},
+            "coefficients": [
+                {"k1": 1, "k2": 0, "re": 0.5, "im": 0.0},
+                {"k1": -1, "k2": 0, "re": 0.5, "im": 0.0},
+            ],
+        },
+        "params": {"h": 0.1, "epsilon": 0.01}, "i1_max": 0.45},
+        [0, 1, 2, 3, 4]),
+    # the saddles of cosine(1, 1.2, 1.5) collide at I1 = 0.2595...
+    "near_critical": ({
+        "potential": {"cosine": {"A": 1.0, "B": 1.2, "beta": 1.5}},
+        "params": {"h": 0.1, "epsilon": 0.01}, "i1_max": 0.25,
+        "delta": 0.02}, [2]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAND_CONFIGS))
+def test_bands_match_spectrum_without_edge_tables(tmp_path, monkeypatch,
+                                                  name):
+    from driftband import spectra
+    cfg, skipped = BAND_CONFIGS[name]
+
+    def no_tables(*args, **kwargs):
+        raise AssertionError("bands built an edge table")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectra, "build_edge_tables", no_tables)
+        run("bands", json.loads(json.dumps(cfg)), str(tmp_path / "bands"))
+    env = run("spectrum", json.loads(json.dumps(cfg)),
+              str(tmp_path / "spectrum"))
+    text = (tmp_path / "bands" / "bands.csv").read_text().splitlines()
+    rows = [(int(mu), float(i1), float(lo), float(hi), float(w), int(deg))
+            for mu, i1, lo, hi, w, deg in (r.split(",") for r in text[1:])]
+    assert rows == [(b["mu"], b["i1"], b["e_min"], b["e_max"], b["width"],
+                     int(b["degenerate"])) for b in env["payload"]["bands"]]
+    assert env["payload"]["skipped_mu"] == skipped
+    assert [r[0] for r in rows if r[5]] == skipped
 
 
 # ----------------------------------------------------------- determinism
