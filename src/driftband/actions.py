@@ -45,23 +45,16 @@ class ActionComputer:
         self.i1 = i1
         self.model = DriftModel(p, eps, i1)
         self.graph = graph or build_reeb_graph(p, eps, i1)
-        if self.graph.kind not in ("simple", "one_dimensional"):
-            if self.graph.kind == "equal_saddles":
-                # only the contractible edges exist; keep going for those
-                pass
-            else:
-                raise DomainError(f"degenerate topology: {self.graph.kind}")
-        self._saddles = {}
-        if self.graph.critical_points is not None:
-            sads = self.graph.critical_points.by_kind("saddle")
-            sads = sorted(sads, key=lambda c: c.value)
-            if len(sads) == 2:
-                self._saddles["lower"] = sads[0]
-                self._saddles["upper"] = sads[1]
-            self._extrema = {
-                "minimum": self.graph.critical_points.by_kind("minimum")[0],
-                "maximum": self.graph.critical_points.by_kind("maximum")[0],
-            }
+        # an equal-saddles graph has only its contractible edges; a flat or
+        # one-dimensional one has no saddle to seed from
+        if self.graph.kind not in ("simple", "equal_saddles"):
+            raise DomainError(f"degenerate topology: {self.graph.kind}")
+        # both kinds carry one minimum, two saddles and one maximum
+        cps = self.graph.critical_points
+        lower, upper = sorted(cps.by_kind("saddle"), key=lambda c: c.value)
+        self._saddles = {"lower": lower, "upper": upper}
+        self._extrema = {"minimum": cps.by_kind("minimum")[0],
+                         "maximum": cps.by_kind("maximum")[0]}
 
     @property
     def cell_over_2pi(self) -> float:
@@ -131,9 +124,6 @@ class ActionComputer:
             hi = self._saddles["upper"]
             return [self._segment_seed(lo.y, hi.y, lev)]
         if edge_id in ("i2", "i3"):
-            if self.graph.kind == "one_dimensional":
-                # any vertical scan line crosses both open components
-                raise DomainError("use level tracing for 1D topology")
             sad = self._saddles["lower"]
             u = self._saddle_plus_direction("lower")
             return [self._saddle_ray_seed(sad, u, lev),

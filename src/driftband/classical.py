@@ -285,7 +285,6 @@ class LevelSetComponent:
     winding: tuple           # integer lattice winding (d1, d2)
     energy: float            # averaged energy of the level
     level: float             # vbar value
-    orientation: int = 1
 
     @property
     def contractible(self):
@@ -299,7 +298,9 @@ class LevelSetComponent:
 _MS_SEGMENTS = {
     # case index from corner signs (bit set when corner > 0), corners
     # ordered (i,j), (i+1,j), (i+1,j+1), (i,j+1); edges 0=bottom 1=right
-    # 2=top 3=left; each entry is a list of (edge_in, edge_out) pairs
+    # 2=top 3=left; each entry is a list of (edge_in, edge_out) pairs,
+    # oriented so that the corners above the level lie on the right of the
+    # segment: it runs along the drift J grad(vbar)
     1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
     6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
     11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
@@ -310,9 +311,9 @@ def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
                     grid: int = 256, guard: float | None = None):
     """Connected components of {averaged energy = g} on the torus.
 
-    Each component is an oriented polyline (oriented along the Hamiltonian
-    drift flow) with an integer winding vector; winding (0, 0) iff the
-    component is contractible.
+    Each component is a polyline oriented along the drift J grad(vbar),
+    with an integer winding vector; winding (0, 0) iff the component is
+    contractible.
     """
     model = DriftModel(p, eps, i1)
     lev = model.level_of(g)
@@ -327,19 +328,24 @@ def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
         if any(abs(lev - lv) < guard for lv in levels):
             raise SeparatrixProximityError(
                 f"level {lev} is within {guard} of a critical level")
-    return _trace_components(model, lev, grid)
+    return _trace_components(model, model.grid_vbar(grid), lev)
 
 
-def _level_segments(model: DriftModel, lev: float, n: int):
-    """Marching-squares segments of {vbar = lev} on the periodic n x n grid.
+def _level_segments(model: DriftModel, v: np.ndarray, lev: float):
+    """Marching-squares segments of {vbar = lev} on the periodic grid v
+    (model.grid_vbar(n), n = v.shape[0]).
 
     One (edge_in, edge_out, point_in, point_out) per segment, crossed cells
-    in row-major order.  Edge ids are wrapped: i*n + j for the bottom edge
-    of cell (i, j), n*n + i*n + j for its left edge.  Points are cell-local
-    (unwrapped) lattice coordinates.
+    in row-major order.  vbar > lev lies on the right of every segment, so
+    each runs along the drift J grad(vbar) (the lattice map keeps the
+    orientation, a22 > 0), and every crossed edge is the exit of exactly one
+    segment and the entry of exactly one other.  Edge ids are wrapped:
+    i*n + j for the bottom edge of cell (i, j), n*n + i*n + j for its left
+    edge.  Points are cell-local (unwrapped) lattice coordinates.
     """
     lat = model.lattice
-    v = model.grid_vbar(n) - lev
+    n = v.shape[0]
+    v = v - lev
     if np.any(v == 0.0):
         v = v + 1e-13 * max(model.l1, 1.0)
     # case bits from corners (i,j), (i+1,j), (i+1,j+1), (i,j+1) of each cell
@@ -384,14 +390,10 @@ def _level_segments(model: DriftModel, lev: float, n: int):
     return segments
 
 
-def _trace_components(model: DriftModel, lev: float, grid: int):
+def _trace_components(model: DriftModel, v: np.ndarray, lev: float):
     lat = model.lattice
-    segments = _level_segments(model, lev, grid)
-    seg_by_edge = {}
-    for sid, (e_in, e_out, _, _) in enumerate(segments):
-        seg_by_edge.setdefault(e_in, []).append(sid)
-        seg_by_edge.setdefault(e_out, []).append(sid)
-
+    segments = _level_segments(model, v, lev)
+    succ = {seg[0]: sid for sid, seg in enumerate(segments)}
     used = [False] * len(segments)
     components = []
     for start in range(len(segments)):
@@ -399,14 +401,13 @@ def _trace_components(model: DriftModel, lev: float, grid: int):
             continue
         chain = []
         sid = start
-        enter = segments[start][0]
         # unwrapped coordinates: keep a running integer offset so the chain
         # lives on the covering plane
         offset = np.zeros(2)
         prev_pt = None
         while True:
             used[sid] = True
-            e_in, e_out, pt_in, pt_out = segments[sid]
+            _, e_out, pt_in, pt_out = segments[sid]
             if prev_pt is not None:
                 # align this segment's entry point with the previous exit;
                 # cell-local coordinates differ from the running unwrapped
@@ -415,31 +416,18 @@ def _trace_components(model: DriftModel, lev: float, grid: int):
                 offset = offset + np.round(delta)
             chain.append(pt_in + offset)
             prev_pt = pt_out + offset
-            # continue through the exit edge into the adjacent cell
-            nxt = [s for s in seg_by_edge.get(e_out, []) if s != sid]
-            nxt = [s for s in nxt if not used[s] or s == start]
-            if not nxt:
-                chain.append(prev_pt)
-                break
-            sid = nxt[0]
-            if segments[sid][0] != e_out:
-                # flip the neighbor so that it is entered through e_out
-                e0, e1, p0, p1 = segments[sid]
-                segments[sid] = (e1, e0, p1, p0)
+            # continue into the segment entered through this exit edge
+            sid = succ[e_out]
             if sid == start:
                 chain.append(prev_pt)
                 break
-        if len(chain) < 4:
-            continue
         st = np.array(chain)
         winding = np.round(st[-1] - st[0]).astype(int)
         ys = lat.to_cartesian(st)
         ys = _refine_polyline(model, ys, lev)
-        comp = LevelSetComponent(points=ys, winding=(int(winding[0]),
-                                                     int(winding[1])),
-                                 energy=model.i1 + model.eps * lev, level=lev)
-        _orient_along_flow(model, comp)
-        components.append(comp)
+        components.append(LevelSetComponent(
+            points=ys, winding=(int(winding[0]), int(winding[1])),
+            energy=model.i1 + model.eps * lev, level=lev))
     components.sort(key=lambda c: (c.winding, float(c.points[0, 0])))
     return components
 
@@ -454,18 +442,6 @@ def _refine_polyline(model, ys, lev, iterations=4):
         out[k, 0] -= r * d1[k] / n2[k]
         out[k, 1] -= r * d2[k] / n2[k]
     return out
-
-
-def _orient_along_flow(model, comp):
-    mid = len(comp.points) // 2
-    y1, y2 = comp.points[mid]
-    d1, d2 = model.grad(y1, y2)
-    flow = np.array([-d2, d1])
-    tangent = comp.points[mid + 1] - comp.points[mid]
-    if float(flow @ tangent) < 0.0:
-        comp.points = comp.points[::-1].copy()
-        comp.winding = (-comp.winding[0], -comp.winding[1])
-    comp.orientation = 1
 
 
 # ----------------------------------------------------------------------
@@ -768,19 +744,18 @@ def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
     if graph is not None:
         return graph
     cps = _critical_points_of_model(model, seeds)
-    if not cps.complete:
-        raise UnsupportedTopologyError(
-            f"Newton converged from fewer than half of the {seeds}x{seeds} "
-            f"seeds; the {len(cps)} points found may be incomplete",
-            points=list(cps))
     mins = cps.by_kind("minimum")
     maxs = cps.by_kind("maximum")
     sads = cps.by_kind("saddle")
+    if not cps.complete:
+        raise UnsupportedTopologyError(
+            f"Newton converged from fewer than half of the {seeds}x{seeds} "
+            f"seeds; the {len(mins)} minima, {len(sads)} saddles and "
+            f"{len(maxs)} maxima found may be incomplete", points=list(cps))
     if len(cps) != 4 or len(mins) != 1 or len(maxs) != 1 or len(sads) != 2:
-        extras = [c for c in cps]
         raise UnsupportedTopologyError(
             f"not a minimal Morse function: {len(mins)} minima, "
-            f"{len(maxs)} maxima, {len(sads)} saddles", points=extras)
+            f"{len(maxs)} maxima, {len(sads)} saddles", points=list(cps))
     g_min = mins[0].value
     g_max = maxs[0].value
     g_lo, g_hi = sorted(s.value for s in sads)
@@ -800,7 +775,8 @@ def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
         "i4": g_hi + 0.5 * (g_max - g_hi),
         "mid": 0.5 * (g_lo + g_hi),
     }
-    comps_mid = _trace_components(model, model.level_of(probe["mid"]), grid)
+    v = model.grid_vbar(grid)
+    comps_mid = _trace_components(model, v, model.level_of(probe["mid"]))
     open_comps = [c for c in comps_mid if not c.contractible]
     if len(open_comps) != 2:
         raise UnsupportedTopologyError(
@@ -817,7 +793,7 @@ def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
         ReebEdge("i4", (g_hi, g_max), True, DriftData((0, 0))),
     ]
     for eid in ("i1", "i4"):
-        comps = _trace_components(model, model.level_of(probe[eid]), grid)
+        comps = _trace_components(model, v, model.level_of(probe[eid]))
         if len(comps) != 1 or not comps[0].contractible:
             raise UnsupportedTopologyError(
                 f"edge {eid} level has unexpected structure")
@@ -936,14 +912,19 @@ def _cosine_series(A, B, beta, i1_max, grid):
 def _generic_series(p, eps, i1_max, grid):
     xs = np.linspace(0.0, i1_max, grid + 1)
     gaps = []
+    degenerate = 0
     for x in xs:
-        model = DriftModel(p, max(eps, 1.0), float(x))
+        model = DriftModel(p, eps, float(x))
         if _degenerate_graph(model) is not None:
             gaps.append(0.0)
+            degenerate += 1
             continue
         cps = _critical_points_of_model(model, seeds=16)
         sads = sorted(c.level for c in cps.by_kind("saddle"))
         gaps.append(sads[-1] - sads[0] if len(sads) >= 2 else math.nan)
+    if degenerate == len(xs):
+        # one-dimensional (or flat) at every I1: no isolated collision
+        return CriticalSeries([], [], [], continuum=True)
     collisions = []
     tol = 1e-9 * max(p.coeff_l1, 1e-300)
     for idx in range(1, grid):

@@ -279,9 +279,17 @@ def test_series_merged_for_proportional_amplitudes():
 
 
 def test_series_continuum_flag():
-    p = cosine_example(1.0, 1.0, 1.0)
-    series = critical_i1_series(p, EPS, 5.0)
-    assert series.continuum
+    # one-dimensional at every I1: the cosine series with A = B, beta = 1
+    # and the generic scan on two one-dimensional general potentials
+    lattice = Lattice(0.0, 2 * math.pi)
+    one_mode = FourierPotential(lattice, {(1, 0): 0.5, (-1, 0): 0.5})
+    two_modes = FourierPotential(lattice, {
+        (1, 0): 0.5, (-1, 0): 0.5, (2, 0): 0.2 + 0.1j, (-2, 0): 0.2 - 0.1j})
+    for p, i1_max in [(cosine_example(1.0, 1.0, 1.0), 5.0),
+                      (one_mode, 0.45), (two_modes, 0.45)]:
+        series = critical_i1_series(p, EPS, i1_max)
+        assert series.continuum
+        assert series.saddle_collision == []
 
 
 def test_series_distinct_for_beta_two():
@@ -599,22 +607,51 @@ def _assert_trace_matches_scalar(model, lev, n, monkeypatch):
     those traced from the scalar segments and the scalar refinement (up to
     the last bit of sin/cos, which numpy and libm may round differently)."""
     ref_segments, saddle_cells = _scalar_segments(model, lev, n)
-    segments = classical._level_segments(model, lev, n)
+    v = model.grid_vbar(n)
+    segments = classical._level_segments(model, v, lev)
     assert len(segments) == len(ref_segments) > 0
     for (e0, e1, p0, p1), (r0, r1, q0, q1) in zip(segments, ref_segments):
         assert (e0, e1) == (r0, r1)
         assert np.array_equal(p0, q0) and np.array_equal(p1, q1)
-    comps = classical._trace_components(model, lev, n)
+    comps = classical._trace_components(model, v, lev)
     with monkeypatch.context() as m:
         m.setattr(classical, "_level_segments",
-                  lambda model, lev, n: _scalar_segments(model, lev, n)[0])
+                  lambda model, v, lev: _scalar_segments(model, lev, n)[0])
         m.setattr(classical, "_refine_polyline", _scalar_refine)
-        ref = classical._trace_components(model, lev, n)
+        ref = classical._trace_components(model, v, lev)
     assert [c.winding for c in comps] == [c.winding for c in ref]
     for c, r in zip(comps, ref):
         assert c.points.shape == r.points.shape
         assert np.max(np.abs(c.points - r.points)) <= 1e-12
     return comps, saddle_cells
+
+
+def _assert_crossed_edges_paired(model, lev, n):
+    """Every grid edge whose end signs differ is the edge_in of exactly one
+    segment and the edge_out of exactly one."""
+    v = model.grid_vbar(n)
+    d = v - lev
+    if np.any(d == 0.0):
+        d = d + 1e-13 * max(model.l1, 1.0)
+    pos = d > 0.0
+    i, j = np.nonzero(pos != np.roll(pos, -1, axis=0))
+    crossed = (i * n + j).tolist()
+    i, j = np.nonzero(pos != np.roll(pos, -1, axis=1))
+    crossed += (n * n + i * n + j).tolist()
+    segments = classical._level_segments(model, v, lev)
+    assert sorted(s[0] for s in segments) == sorted(crossed)
+    assert sorted(s[1] for s in segments) == sorted(crossed)
+
+
+def _assert_along_the_drift(model, comps):
+    """At every interior point the central chord has a positive component
+    along the drift J grad(vbar): the orientation comes from the
+    marching-squares table alone."""
+    for comp in comps:
+        pts = comp.points
+        _, (d1, d2), _ = model.arrays(pts[1:-1, 0], pts[1:-1, 1])
+        chord = pts[2:] - pts[:-2]
+        assert np.all(-d2 * chord[:, 0] + d1 * chord[:, 1] > 0.0)
 
 
 @pytest.mark.parametrize("case", range(len(TOPOLOGY_CASES)))
@@ -628,6 +665,8 @@ def test_level_segments_match_cell_loops(case, monkeypatch):
         for n in (48, 192):
             comps, _ = _assert_trace_matches_scalar(model, lev, n, monkeypatch)
             assert len(comps) == (2 if eid == "i2" else 1)
+            _assert_crossed_edges_paired(model, lev, n)
+            _assert_along_the_drift(model, comps)
 
 
 def test_saddle_cells_on_coarse_grid(monkeypatch):
@@ -645,10 +684,25 @@ def test_saddle_cells_on_coarse_grid(monkeypatch):
     for n in (8, 10):
         comps, saddle_cells = _assert_trace_matches_scalar(model, lev, n,
                                                            monkeypatch)
+        _assert_crossed_edges_paired(model, lev, n)
         seen += saddle_cells
         for comp in comps:
             assert comp.closure_defect(p.lattice) < 1e-8
     assert seen > 0
+
+
+def test_reeb_graph_evaluates_the_grid_once(monkeypatch):
+    sizes = []
+    real = DriftModel.grid_vbar
+
+    def counted(self, n):
+        sizes.append(n)
+        return real(self, n)
+
+    monkeypatch.setattr(DriftModel, "grid_vbar", counted)
+    graph = build_reeb_graph(cosine_example(2.0, 1.0, 1.0), EPS, 0.3)
+    assert graph.kind == "simple"
+    assert sizes == [192]
 
 
 def _scalar_critical_points(model, seeds):
@@ -770,6 +824,27 @@ def test_reeb_graph_rejects_incomplete_points(monkeypatch, tmp_path):
         "params": {"h": 0.1, "epsilon": EPS}, "i1": 0.3}))
     out = tmp_path / "out"
     assert main(["reeb", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+def test_incomplete_points_error_names_the_counts(tmp_path, capsys):
+    # the oblique-only potential has a complete 2/4/2 set, yet fewer than
+    # half of the Newton lanes converge; the gate stays, and the message
+    # says what was found
+    cfg = tmp_path / "oblique.json"
+    cfg.write_text(json.dumps({
+        "potential": {
+            "lattice": {"a21": 0.0, "a22": 2 * math.pi},
+            "coefficients": [
+                {"k1": k1, "k2": k2, "re": re, "im": 0.0}
+                for k1, k2, re in [(1, 1, 0.5), (-1, -1, 0.5),
+                                   (1, -1, 0.3), (-1, 1, 0.3)]],
+        },
+        "params": {"h": 0.1, "epsilon": EPS}, "i1": 0.1}))
+    out = tmp_path / "out"
+    assert main(["reeb", "--config", str(cfg), "--out", str(out)]) == 3
+    message = json.loads(capsys.readouterr().err)["message"]
+    for count in ("2 minima", "4 saddles", "2 maxima"):
+        assert count in message
 
 
 @pytest.mark.parametrize("keep", [("maximum", "saddle"),

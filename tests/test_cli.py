@@ -408,3 +408,36 @@ def test_sturm_widths_use_the_listed_levels():
             assert width == sturm1d.band_width_lower(v, 0.02, e, delta=0.02)
         else:
             assert math.isnan(width)
+
+
+README_GENERAL = {
+    "potential": {
+        "lattice": {"a21": 0.0, "a22": 2 * math.pi},
+        "coefficients": [
+            {"k1": 1, "k2": 0, "re": 0.5, "im": 0.0},
+            {"k1": -1, "k2": 0, "re": 0.5, "im": 0.0},
+        ],
+    },
+    "params": {"h": 0.1, "epsilon": 0.01},
+}
+
+
+def test_regimes_of_one_dimensional_potential_are_a_continuum(tmp_path):
+    # one-dimensional at every I1: no collision splits the I1 axis, so the
+    # one slice carries the two open edges
+    env = run("regimes", json.loads(json.dumps(README_GENERAL)),
+              str(tmp_path))
+    payload = env["payload"]
+    assert payload["critical_i1"] == {"saddle_collision": [],
+                                      "separable": [], "continuum": True}
+    assert [r["edge"] for r in payload["regimes"]] == ["i2", "i3"]
+
+
+def test_actions_refuse_one_dimensional_graph(tmp_path, capsys):
+    cfgfile = tmp_path / "general.json"
+    cfgfile.write_text(json.dumps(README_GENERAL))
+    out = tmp_path / "out"
+    assert main(["actions", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "one_dimensional" in err["message"]
