@@ -1,8 +1,9 @@
 """Harper-type difference operators per Landau band.
 
 Quantizing the averaged symbol at a fixed Landau level turns the slow
-coordinate pair into a one-dimensional shift operator of step h; for the
-cosine example this is the classical Harper equation
+coordinate pair into a one-dimensional shift operator of step h: a mode
+(k1, k2) of the damped potential becomes a k1-site shift times an on-site
+wave.  For the cosine example this is the classical Harper equation
 A' (w(y+h) + w(y-h))/2 + B' cos(beta y) w(y) = lambda w(y) with the damped
 amplitudes A', B'.  At commensurate flux (beta h / 2 pi = M/N) the operator
 reduces by Floquet substitution to N x N Hermitian Bloch matrices whose
@@ -18,8 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import DomainError, HermitianMatrix, hermitian_eigenvalues
-from .potential import (FLUX_DENOMINATOR_CAP, FourierPotential, FluxRatio,
-                        bessel_j0)
+from .potential import FLUX_DENOMINATOR_CAP, FourierPotential, FluxRatio
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,16 +30,28 @@ class CommensurabilityError(DomainError):
 
 @dataclass(frozen=True)
 class HarperModel:
-    hop: float            # shift-average coefficient A'
-    pot: float            # cosine coefficient B'
-    beta: float
+    symbol: FourierPotential  # averaged potential, damped at i1_mu
     h_step: float
-    i1_mu: float          # Landau action of the reduced band
+    i1_mu: float              # Landau action of the reduced band
     eps: float
 
     def __post_init__(self):
         if not self.h_step > 0.0:
             raise DomainError("h_step must be positive")
+
+    @property
+    def beta(self) -> float:
+        return TWO_PI / self.symbol.lattice.a22
+
+    @property
+    def hop(self) -> float:
+        """Shift-average coefficient A': 2 Re of the damped (1, 0) mode."""
+        return 2.0 * self.symbol.coeffs.get((1, 0), 0j).real
+
+    @property
+    def pot(self) -> float:
+        """Cosine coefficient B': 2 Re of the damped (0, 1) mode."""
+        return 2.0 * self.symbol.coeffs.get((0, 1), 0j).real
 
     def flux_fraction(self, denominator_cap: int = FLUX_DENOMINATOR_CAP):
         """beta h / (2 pi) as M/N in lowest terms, or None."""
@@ -58,25 +70,17 @@ class HarperModel:
 
 def harper_from_landau(p: FourierPotential, mu: int, h: float,
                        eps: float) -> HarperModel:
-    """Reduce the cosine example at the mu-th Landau level."""
-    keys = set(p.coeffs) - {(0, 0)}
-    if keys != {(1, 0), (-1, 0), (0, 1), (0, -1)}:
-        raise DomainError("harper_from_landau expects the two-cosine example")
-    A = 2.0 * p.coeffs[(1, 0)].real
-    B = 2.0 * p.coeffs[(0, 1)].real
-    beta = TWO_PI / p.lattice.a22
+    """Reduce the averaged symbol of p at the mu-th Landau level."""
     i1 = (mu + 0.5) * h
-    r = math.sqrt(2.0 * i1)
-    return HarperModel(hop=A * bessel_j0(r), pot=B * bessel_j0(beta * r),
-                       beta=beta, h_step=h, i1_mu=i1, eps=eps)
+    return HarperModel(p.damped(i1), h, i1, eps)
 
 
 def bloch_matrix(model: HarperModel, flux, theta1: float,
                  phi0: float) -> HermitianMatrix:
     """N x N Floquet reduction of the Harper operator.
 
-    Sites phi_j = phi0 + 2 pi M j / N carry the cosine; the hop closes
-    around the N-cycle with boundary phase e^(i N theta1).
+    Sites phi_j = phi0 + 2 pi M j / N carry the on-site waves; the hops
+    close around the N-cycle with boundary phase e^(i N theta1).
     """
     frac = _checked_fraction(model, flux)
     return HermitianMatrix(_bloch_stack(model, frac, [theta1], [phi0])[0])
@@ -93,23 +97,55 @@ def _checked_fraction(model: HarperModel, flux) -> Fraction:
 
 def _bloch_stack(model: HarperModel, frac: Fraction, thetas,
                  phis) -> np.ndarray:
-    """Bloch matrices at the points (thetas[i], phis[i]), shape (k, N, N)."""
+    """Bloch matrices at the points (thetas[i], phis[i]), shape (k, N, N).
+
+    Mode (k1, k2) with wave number kappa is the wave e^(i s phi_j),
+    s = kappa / beta, times a k1-site hop.  The wave is Weyl-symmetrized,
+    evaluated midway along the hop, and a hop that crosses the cycle end
+    picks up the Bloch phase from w_(j+N) = e^(i N theta1) w_j.
+    """
     m, n = frac.numerator, frac.denominator
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     j = np.arange(n)
+    steps = TWO_PI * m * j / n
+    sites = phis[:, None] + steps
+    modes = {k: (c, _wave_ratio(model, k, frac))
+             for k, c in sorted(model.symbol.coeffs.items())}
+    # a fixed summation order: the diagonal (the mean, then one k1 = 0
+    # mode per conjugate pair), then the hops by descending k1.  Hops are
+    # added, not assigned: for small N several modes share one entry.
+    diag = np.zeros(sites.shape)
+    for (k1, k2), (c, s) in modes.items():
+        if (k1, k2) == (0, 0):
+            diag += c.real
+        elif k1 == 0 and k2 > 0:
+            wave = c.real * np.cos(s * sites) - c.imag * np.sin(s * sites)
+            diag += 2.0 * wave
     a = np.zeros((thetas.size, n, n), dtype=complex)
-    a[:, j, j] = model.pot * np.cos(phis[:, None] + TWO_PI * m * j / n)
-    # row j is the difference equation at site j; crossing the cycle end
-    # picks up the Bloch phase from w_(j+N) = e^(i N theta1) w_j.  The hops
-    # are added, not assigned: for N = 1, 2 both land on the same entry.
-    up = np.ones((thetas.size, n), dtype=complex)
-    dn = np.ones((thetas.size, n), dtype=complex)
-    up[:, n - 1] = np.exp(1j * n * thetas)
-    dn[:, 0] = np.exp(-1j * n * thetas)
-    a[:, j, (j + 1) % n] += 0.5 * model.hop * up
-    a[:, j, (j - 1) % n] += 0.5 * model.hop * dn
+    a[:, j, j] = diag
+    for (k1, _), (c, s) in reversed(modes.items()):
+        if k1 == 0:
+            continue
+        # the phase splits into a factor per site and one per point and
+        # wrap count: e^(i s phi0) times the Bloch phase
+        wrap = (j + k1) // n
+        wraps = np.arange(wrap[0], wrap[-1] + 1)
+        site = c * np.exp(1j * s * (steps + math.pi * m * k1 / n))
+        point = np.exp(1j * (s * phis[:, None]
+                             + n * np.multiply.outer(thetas, wraps)))
+        a[:, j, (j + k1) % n] += site * point[:, wrap - wrap[0]]
     return a
+
+
+def _wave_ratio(model: HarperModel, mode, frac: Fraction) -> float:
+    """s = kappa / beta of a mode, checked to close around the N-cycle."""
+    s = model.symbol.lattice.dual_vector(*mode)[1] / model.beta
+    # phi_(j+N) = phi_j + 2 pi M, so the wave closes when s M is integral
+    if abs(s * frac.numerator - round(s * frac.numerator)) > 1e-9:
+        raise CommensurabilityError(
+            f"mode {mode} does not close on the Bloch cycle at flux {frac}")
+    return s
 
 
 # Bloch matrices are built and solved in stacks of at most this many
@@ -134,8 +170,6 @@ def _as_fraction(flux):
     if isinstance(flux, FluxRatio):
         # main flux eta = N/M corresponds to beta h / 2 pi = M/N
         return Fraction(flux.M, flux.N)
-    if isinstance(flux, tuple):
-        return Fraction(flux[0], flux[1])
     raise DomainError(f"cannot interpret flux {flux!r}")
 
 
@@ -143,8 +177,6 @@ def _as_fraction(flux):
 class BandTable:
     bands: list                  # ascending (lam_lo, lam_hi)
     e_bands: list                # same intervals mapped to energies
-    grid_resolution: tuple
-    gap_floor: float
     touching: list = field(default_factory=list)
 
     @property
@@ -197,46 +229,5 @@ def band_table(model: HarperModel, flux, grid=(64, 64),
                 if bands[idx + 1][0] - bands[idx][1] < gap_floor]
     e_bands = [(float(model.lambda_to_energy(lo)),
                 float(model.lambda_to_energy(hi))) for lo, hi in bands]
-    return BandTable(bands=bands, e_bands=e_bands, grid_resolution=(g1, g2),
-                     gap_floor=gap_floor, touching=touching)
+    return BandTable(bands=bands, e_bands=e_bands, touching=touching)
 
-
-def general_symbol_matrix(p: FourierPotential, mu: int, h: float, eps: float,
-                          flux, theta) -> HermitianMatrix:
-    """Bloch matrix of the averaged symbol for any trigonometric potential.
-
-    Mode (k1, k2) of the averaged potential acts as a k1-site hop times an
-    on-site wave, Weyl-symmetrized: the entry at column j carries the phase
-    of the wave evaluated midway along the hop.  Coefficients come damped
-    by the cyclotron average at the mu-th Landau action.
-    """
-    m_over_n = _as_fraction(flux)
-    m, n = m_over_n.numerator, m_over_n.denominator
-    theta1, phi0 = theta
-    beta = TWO_PI / p.lattice.a22
-    if abs(beta * h / TWO_PI - m / n) > 1e-9:
-        raise CommensurabilityError("h and the lattice are incommensurate")
-    i1 = (mu + 0.5) * h
-    damped = p.damped(i1)
-    y0 = phi0 / beta
-    ys = y0 + h * np.arange(n)
-    a = np.zeros((n, n), dtype=complex)
-    for (k1, k2), c in damped.coeffs.items():
-        if (k1, k2) == (0, 0):
-            a += np.eye(n) * c.real
-            continue
-        _, kappa = p.lattice.dual_vector(k1, k2)
-        # the wave must close around the N-cycle
-        closure = kappa * n * h / TWO_PI
-        if abs(closure - round(closure)) > 1e-9:
-            raise CommensurabilityError(
-                f"mode {(k1, k2)} does not close on the Bloch cycle")
-        for j in range(n):
-            col_raw = j + k1
-            wrap = col_raw // n
-            col = col_raw % n
-            # Weyl symmetrization: the wave is evaluated midway of the hop
-            phase = np.exp(1j * kappa * (ys[j] + 0.5 * k1 * h))
-            bloch = np.exp(1j * n * theta1 * wrap)
-            a[j, col] += c * phase * bloch
-    return HermitianMatrix(a)

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,18 +6,53 @@ import numpy as np
 import pytest
 
 from driftband import harper
-from driftband.harper import (BandTable, CommensurabilityError, HarperModel,
-                              band_table, bloch_matrix, general_symbol_matrix,
-                              harper_from_landau)
+from driftband.cli import main
+from driftband.harper import (CommensurabilityError, HarperModel, band_table,
+                              bloch_matrix, harper_from_landau)
 from driftband.numerics import bessel_j0, bessel_j0_zero, hermitian_eigenvalues
-from driftband.potential import FluxRatio, cosine_example
+from driftband.potential import (FluxRatio, FourierPotential, Lattice,
+                                 cosine_example)
 
 
 def make_model(hop=1.0, pot=1.0, m=1, n=3):
     # beta = 1 and h chosen so that beta h / 2 pi = m/n
     h = 2 * math.pi * m / n
-    return HarperModel(hop=hop, pot=pot, beta=1.0, h_step=h, i1_mu=0.5 * h,
-                       eps=0.01)
+    return HarperModel(symbol=cosine_example(hop, pot, 1.0), h_step=h,
+                       i1_mu=0.5 * h, eps=0.01)
+
+
+def reference_matrix(p, mu, h, flux, theta):
+    """Bloch matrix of the averaged symbol, built one entry at a time.
+
+    Mode (k1, k2) of the averaged potential acts as a k1-site hop times an
+    on-site wave, Weyl-symmetrized: the entry at column j carries the phase
+    of the wave evaluated midway along the hop.  Coefficients come damped
+    by the cyclotron average at the mu-th Landau action.
+    """
+    m, n = flux.numerator, flux.denominator
+    theta1, phi0 = theta
+    beta = 2 * math.pi / p.lattice.a22
+    assert abs(beta * h / (2 * math.pi) - m / n) <= 1e-9
+    damped = p.damped((mu + 0.5) * h)
+    ys = phi0 / beta + h * np.arange(n)
+    a = np.zeros((n, n), dtype=complex)
+    for (k1, k2), c in damped.coeffs.items():
+        if (k1, k2) == (0, 0):
+            a += np.eye(n) * c.real
+            continue
+        _, kappa = p.lattice.dual_vector(k1, k2)
+        # the wave must close around the N-cycle
+        closure = kappa * n * h / (2 * math.pi)
+        assert abs(closure - round(closure)) <= 1e-9
+        for j in range(n):
+            col_raw = j + k1
+            wrap = col_raw // n
+            col = col_raw % n
+            # Weyl symmetrization: the wave is evaluated midway of the hop
+            phase = np.exp(1j * kappa * (ys[j] + 0.5 * k1 * h))
+            bloch = np.exp(1j * n * theta1 * wrap)
+            a[j, col] += c * phase * bloch
+    return a
 
 
 # ----------------------------------------------------------- reduction
@@ -81,8 +117,8 @@ def test_trace_is_potential_sum():
 
 
 def test_incommensurate_rejected():
-    model = HarperModel(hop=1.0, pot=1.0, beta=1.0, h_step=1.0, i1_mu=0.5,
-                        eps=0.01)
+    model = HarperModel(symbol=cosine_example(1.0, 1.0, 1.0), h_step=1.0,
+                        i1_mu=0.5, eps=0.01)
     with pytest.raises(CommensurabilityError):
         bloch_matrix(model, Fraction(1, 3), 0.0, 0.0)
 
@@ -209,8 +245,7 @@ def test_general_matrix_matches_cosine_reduction():
     model = harper_from_landau(p, 0, h, 0.01)
     for th, ph in [(0.0, 0.0), (0.13, 0.8), (1.0, 2.2)]:
         a = bloch_matrix(model, Fraction(m, n), th, ph).entries
-        b = general_symbol_matrix(p, 0, h, 0.01, Fraction(m, n),
-                                  (th, ph)).entries
+        b = reference_matrix(p, 0, h, Fraction(m, n), (th, ph))
         assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -218,7 +253,8 @@ def test_pure_potential_is_diagonal():
     p = cosine_example(0.0, 1.0, 1.0)
     m, n = 1, 4
     h = 2 * math.pi * m / n
-    a = general_symbol_matrix(p, 0, h, 0.01, Fraction(m, n), (0.3, 0.5)).entries
+    a = bloch_matrix(harper_from_landau(p, 0, h, 0.01), Fraction(m, n),
+                     0.3, 0.5).entries
     off = a - np.diag(np.diag(a))
     assert np.max(np.abs(off)) == 0.0
 
@@ -227,8 +263,124 @@ def test_general_matrix_hermitian():
     p = cosine_example(1.1, 0.6, 1.0)
     m, n = 1, 6
     h = 2 * math.pi * m / n
-    a = general_symbol_matrix(p, 1, h, 0.02, Fraction(m, n), (0.7, 1.9)).entries
+    a = bloch_matrix(harper_from_landau(p, 1, h, 0.02), Fraction(m, n),
+                     0.7, 1.9).entries
     assert np.max(np.abs(a - a.conj().T)) < 1e-14
+
+
+# the oblique potential of the operator-oracle plan, on the square lattice
+OBLIQUE = {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3, (0, -1): 0.3,
+           (1, 1): 0.1, (-1, -1): 0.1, (1, -1): 0.05j, (-1, 1): -0.05j}
+
+
+def random_symbol(rng, lattice, degree=3):
+    # conjugate-symmetric random modes, as in the acceptance suite
+    coeffs = {(0, 0): rng.normal()}
+    for k1 in range(-degree, degree + 1):
+        for k2 in range(-degree, degree + 1):
+            if (k1, k2) > (0, 0) and rng.uniform() < 0.4:
+                c = rng.normal() + 1j * rng.normal()
+                coeffs[(k1, k2)] = c
+                coeffs[(-k1, -k2)] = c.conjugate()
+    return FourierPotential(lattice, coeffs)
+
+
+def _general_cases():
+    rng = np.random.default_rng(11)
+    yield FourierPotential(Lattice(0.0, 2 * math.pi), OBLIQUE), 0, 2, 5
+    # rectangular lattices: every mode closes at any flux; k1 up to 3
+    # wraps more than once around the small cycles
+    for mu, (m, n) in zip((0, 1, 2, 0), [(1, 1), (1, 2), (2, 5), (3, 7)]):
+        lattice = Lattice(0.0, rng.uniform(2.0, 9.0))
+        yield random_symbol(rng, lattice), mu, m, n
+    # a21 = pi: odd k1 carry s = -1/2 (mod 1), which closes at even M
+    yield random_symbol(rng, Lattice(math.pi, 3.0), degree=2), 1, 2, 5
+
+
+@pytest.mark.parametrize("p,mu,m,n", list(_general_cases()),
+                         ids=["oblique", "rect-1/1", "rect-1/2", "rect-2/5",
+                              "rect-3/7", "a21_pi-2/5"])
+def test_general_stack_matches_reference(p, mu, m, n):
+    h = p.lattice.a22 * m / n
+    model = harper_from_landau(p, mu, h, 0.01)
+    for th, ph in [(0.0, 0.0), (0.13, 0.8), (1.0, 2.2), (-0.4, 5.9)]:
+        a = bloch_matrix(model, Fraction(m, n), th, ph).entries
+        b = reference_matrix(p, mu, h, Fraction(m, n), (th, ph))
+        assert np.max(np.abs(a - b)) < 1e-13
+        assert np.max(np.abs(a - a.conj().T)) < 1e-13
+
+
+def test_unclosed_mode_names_it():
+    p = FourierPotential(Lattice(1.0, 2 * math.pi), OBLIQUE)
+    model = harper_from_landau(p, 0, 2 * math.pi * 2 / 5, 0.01)
+    with pytest.raises(CommensurabilityError, match=r"mode \(-1, -1\)"):
+        bloch_matrix(model, Fraction(2, 5), 0.0, 0.0)
+
+
+# ------------------------------------------------ harper command, any symbol
+
+def _oblique_config(a21, grid=(8, 8)):
+    return {"potential": {
+                "lattice": {"a21": a21, "a22": 2 * math.pi},
+                "coefficients": [{"k1": k1, "k2": k2, "re": complex(c).real,
+                                  "im": complex(c).imag}
+                                 for (k1, k2), c in OBLIQUE.items()]},
+            "params": {"h": 2 * math.pi * 2 / 5, "epsilon": 0.01},
+            "flux": {"N": 5, "M": 2},
+            "grids": {"harper_grid": list(grid)}}
+
+
+def _run_harper(tmp_path, cfg):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code = main(["harper", "--config", str(cfgfile), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("A,B", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0)])
+def test_harper_degenerate_cosine(tmp_path, A, B):
+    # a vanishing amplitude drops its modes; the band table still has N rows
+    code, out = _run_harper(tmp_path, {
+        "potential": {"cosine": {"A": A, "B": B, "beta": 1.0}},
+        "params": {"h": 2 * math.pi / 3, "epsilon": 0.01},
+        "flux": {"N": 3, "M": 1},
+        "grids": {"harper_grid": [8, 8]}})
+    assert code == 0
+    payload = json.loads((out / "harper.json").read_text())["payload"]
+    assert payload["bands"] == 3
+    assert payload["hop"] == 0.0 or payload["pot"] == 0.0
+    assert payload["touching"] == [0, 1]
+    if A == B == 0.0:
+        assert payload["hop"] == payload["pot"] == 0.0
+        assert payload["lambda_extent"] == 0.0
+
+
+def test_harper_oblique_bands_hold_reference_eigenvalues(tmp_path):
+    g = 8
+    code, out = _run_harper(tmp_path, _oblique_config(0.0, (g, g)))
+    assert code == 0
+    payload = json.loads((out / "harper.json").read_text())["payload"]
+    assert payload["bands"] == 5
+    rows = (out / "harper_bands.csv").read_text().splitlines()[1:]
+    bands = [tuple(float(x) for x in r.split(",")[3:]) for r in rows]
+    assert len(bands) == 5
+    p = FourierPotential(Lattice(0.0, 2 * math.pi), OBLIQUE)
+    thetas = np.linspace(0.0, 2 * math.pi / 5, g, endpoint=False)
+    phis = np.linspace(0.0, 2 * math.pi, g, endpoint=False)
+    for th, ph in [(thetas[0], phis[0]), (thetas[3], phis[5]),
+                   (thetas[7], phis[2])]:
+        lam = np.linalg.eigvalsh(reference_matrix(
+            p, 0, 2 * math.pi * 2 / 5, Fraction(2, 5), (th, ph)))
+        for (lo, hi), x in zip(bands, lam):
+            assert lo - 1e-12 <= x <= hi + 1e-12
+
+
+def test_harper_unclosed_mode_exits_2(tmp_path, capsys):
+    code, _ = _run_harper(tmp_path, _oblique_config(1.0))
+    assert code == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "mode (-1, -1) does not close" in message
 
 
 # --------------------------------------------- flux ratio interoperability
