@@ -126,10 +126,22 @@ class DriftModel:
         return (g - self.i1) / self.eps
 
     def grid_vbar(self, n):
-        """vbar on an n x n grid over the unit cell in lattice coordinates."""
-        s = np.arange(n) / n
-        st = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1)
-        return self.averaged.value(self.lattice.to_cartesian(st))
+        """vbar on an n x n grid over the unit cell in lattice coordinates,
+        v[i, j] = vbar((i a1 + j a2) / n).
+
+        G.(s a1 + t a2) = 2 pi (k1 s + k2 t), so each mode c_k is the outer
+        product of u = c_k e^(2 pi i k1 i / n) and w = e^(2 pi i k2 j / n),
+        and the grid, Re sum_k u w = Re u Re w - Im u Im w, is one real
+        (n x 2 modes) @ (2 modes x n) product.  k i is reduced mod n first:
+        every phase lies in [0, 2 pi).
+        """
+        k = np.array(list(self.averaged.coeffs), dtype=np.int64).reshape(-1, 2)
+        c = np.array(list(self.averaged.coeffs.values()), dtype=complex)
+        phase = (TWO_PI / n) * (k[:, :, None] * np.arange(n) % n)
+        u = c[:, None] * np.exp(1j * phase[:, 0])
+        w = np.exp(1j * phase[:, 1])
+        return (np.concatenate([u.real, u.imag]).T
+                @ np.concatenate([w.real, -w.imag]))
 
     def is_flat(self, rel_tol=1e-12):
         """True when the averaged potential is constant to working precision
@@ -295,16 +307,24 @@ class LevelSetComponent:
         return float(np.max(np.abs(self.points[-1] - self.points[0] - shift)))
 
 
-_MS_SEGMENTS = {
-    # case index from corner signs (bit set when corner > 0), corners
-    # ordered (i,j), (i+1,j), (i+1,j+1), (i,j+1); edges 0=bottom 1=right
-    # 2=top 3=left; each entry is a list of (edge_in, edge_out) pairs,
-    # oriented so that the corners above the level lie on the right of the
-    # segment: it runs along the drift J grad(vbar)
-    1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)],
-    6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)], 9: [(2, 0)],
-    11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)],
-}
+# case index from corner signs (bit set when corner > 0), corners ordered
+# (i,j), (i+1,j), (i+1,j+1), (i,j+1); edges 0=bottom 1=right 2=top 3=left;
+# each entry lists the (edge_in, edge_out) pairs of the case, oriented so
+# that the corners above the level lie on the right of the segment: it runs
+# along the drift J grad(vbar).  The saddle cases 5 and 10 are listed with
+# the cell center above the level; with the center below, the two exits
+# swap.
+_MS_SEGMENTS = (
+    (), ((3, 0),), ((0, 1),), ((3, 1),), ((1, 2),), ((3, 0), (1, 2)),
+    ((0, 2),), ((3, 2),), ((2, 3),), ((2, 0),), ((0, 1), (2, 3)),
+    ((2, 1),), ((1, 3),), ((1, 0),), ((0, 3),), (),
+)
+_MS_COUNT = np.array([len(pairs) for pairs in _MS_SEGMENTS])
+_MS_SIDES = np.array([(pairs + ((0, 0), (0, 0)))[:2]
+                      for pairs in _MS_SEGMENTS])  # (case, pair, in/out)
+# side s of cell (i, j) is the grid edge from corner (i + di, j + dj) along
+# axis 0 (i) or 1 (j): rows (axis, di, dj) for bottom, right, top, left
+_MS_EDGES = np.array([(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0)])
 
 
 def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
@@ -335,13 +355,14 @@ def _level_segments(model: DriftModel, v: np.ndarray, lev: float):
     """Marching-squares segments of {vbar = lev} on the periodic grid v
     (model.grid_vbar(n), n = v.shape[0]).
 
-    One (edge_in, edge_out, point_in, point_out) per segment, crossed cells
-    in row-major order.  vbar > lev lies on the right of every segment, so
-    each runs along the drift J grad(vbar) (the lattice map keeps the
-    orientation, a22 > 0), and every crossed edge is the exit of exactly one
-    segment and the entry of exactly one other.  Edge ids are wrapped:
-    i*n + j for the bottom edge of cell (i, j), n*n + i*n + j for its left
-    edge.  Points are cell-local (unwrapped) lattice coordinates.
+    Returns arrays (e_in, e_out, p_in, p_out), one row per segment: crossed
+    cells in row-major order, a saddle cell's two segments in table order.
+    vbar > lev lies on the right of every segment, so each runs along the
+    drift J grad(vbar) (the lattice map keeps the orientation, a22 > 0), and
+    every crossed edge is the exit of exactly one segment and the entry of
+    exactly one other.  Edge ids are wrapped: i*n + j for the bottom edge of
+    cell (i, j), n*n + i*n + j for its left edge.  Points are cell-local
+    (unwrapped) lattice coordinates.
     """
     lat = model.lattice
     n = v.shape[0]
@@ -349,84 +370,69 @@ def _level_segments(model: DriftModel, v: np.ndarray, lev: float):
     if np.any(v == 0.0):
         v = v + 1e-13 * max(model.l1, 1.0)
     # case bits from corners (i,j), (i+1,j), (i+1,j+1), (i,j+1) of each cell
-    pos = (v > 0.0).astype(np.int8)
-    pos_i = np.roll(pos, -1, axis=0)
-    case = (pos | pos_i << 1 | np.roll(pos_i, -1, axis=1) << 2
-            | np.roll(pos, -1, axis=1) << 3)
-    ci, cj = np.nonzero((case != 0) & (case != 15))
-    # crossing fraction of the bottom (h) and left (v) edge of each cell;
-    # only edges whose end signs differ are read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac_h = v / (v - np.roll(v, -1, axis=0))
-        frac_v = v / (v - np.roll(v, -1, axis=1))
-    ni, nj = (ci + 1) % n, (cj + 1) % n
-    # the cell's sides in the order bottom, right, top, left
-    edges = np.stack([ci * n + cj, n * n + ni * n + cj, ci * n + nj,
-                      n * n + ci * n + cj], axis=1).tolist()
-    pts = np.empty((len(ci), 4, 2))
-    pts[:, 0, 0], pts[:, 0, 1] = ci + frac_h[ci, cj], cj
-    pts[:, 1, 0], pts[:, 1, 1] = ci + 1.0, cj + frac_v[ni, cj]
-    pts[:, 2, 0], pts[:, 2, 1] = ci + frac_h[ci, nj], cj + 1.0
-    pts[:, 3, 0], pts[:, 3, 1] = ci, cj + frac_v[ci, cj]
-    pts /= n
-
-    segments = []
-    for c, (i, j, idx) in enumerate(zip(ci.tolist(), cj.tolist(),
-                                        case[ci, cj].tolist())):
-        if idx in (5, 10):
-            # saddle cell: split against the center sample
-            center = lat.to_cartesian(np.array([(i + 0.5) / n,
-                                                (j + 0.5) / n]))
-            cpos = model.vbar(center[0], center[1]) - lev > 0.0
-            if idx == 5:
-                pairs = [(3, 0), (1, 2)] if cpos else [(3, 2), (1, 0)]
-            else:
-                pairs = [(0, 1), (2, 3)] if cpos else [(0, 3), (2, 1)]
-        else:
-            pairs = _MS_SEGMENTS[idx]
-        e, p = edges[c], pts[c]
-        for ein, eout in pairs:
-            segments.append((e[ein], e[eout], p[ein], p[eout]))
-    return segments
+    pos = np.pad(v > 0.0, ((0, 1), (0, 1)), mode="wrap").astype(np.int8)
+    case = (pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2
+            | pos[:-1, 1:] << 3)
+    ci, cj = np.nonzero((case > 0) & (case < 15))
+    idx = case[ci, cj]
+    # saddle cells split against the center sample
+    below = np.zeros(len(ci), dtype=bool)
+    for c in np.nonzero((idx == 5) | (idx == 10))[0].tolist():
+        center = lat.to_cartesian(np.array([(int(ci[c]) + 0.5) / n,
+                                            (int(cj[c]) + 0.5) / n]))
+        below[c] = not model.vbar(center[0], center[1]) - lev > 0.0
+    cell = np.repeat(np.arange(len(ci)), _MS_COUNT[idx])
+    pair = np.zeros(len(cell), dtype=np.int64)
+    pair[1:] = cell[1:] == cell[:-1]
+    sides = np.stack([_MS_SIDES[idx[cell], pair, 0],
+                      _MS_SIDES[idx[cell], pair ^ below[cell], 1]])
+    # entry (row 0) and exit (row 1) edge of every segment, crossed at the
+    # fraction f from its start corner (a1, a2)
+    axis, di, dj = np.moveaxis(_MS_EDGES[sides], -1, 0)
+    a1, a2 = ci[cell] + di, cj[cell] + dj
+    w1, w2 = a1 % n, a2 % n
+    va = v[w1, w2]
+    f = va / (va - v[(w1 + 1 - axis) % n, (w2 + axis) % n])
+    e = axis * n * n + w1 * n + w2
+    p = np.stack([a1 + f * (1 - axis), a2 + f * axis], axis=-1) / n
+    return e[0], e[1], p[0], p[1]
 
 
 def _trace_components(model: DriftModel, v: np.ndarray, lev: float):
     lat = model.lattice
-    segments = _level_segments(model, v, lev)
-    succ = {seg[0]: sid for sid, seg in enumerate(segments)}
-    used = [False] * len(segments)
-    components = []
-    for start in range(len(segments)):
+    e_in, e_out, p_in, p_out = _level_segments(model, v, lev)
+    # succ[k]: the segment entered through the exit edge of segment k
+    order = np.argsort(e_in)
+    succ = order[np.searchsorted(e_in, e_out, sorter=order)].tolist()
+    used = [False] * len(succ)
+    chains = []
+    for start in range(len(succ)):
         if used[start]:
             continue
-        chain = []
-        sid = start
-        # unwrapped coordinates: keep a running integer offset so the chain
-        # lives on the covering plane
-        offset = np.zeros(2)
-        prev_pt = None
-        while True:
+        cycle = [start]
+        used[start] = True
+        sid = succ[start]
+        while sid != start:
+            cycle.append(sid)
             used[sid] = True
-            _, e_out, pt_in, pt_out = segments[sid]
-            if prev_pt is not None:
-                # align this segment's entry point with the previous exit;
-                # cell-local coordinates differ from the running unwrapped
-                # chain by integer lattice shifts only
-                delta = prev_pt - (pt_in + offset)
-                offset = offset + np.round(delta)
-            chain.append(pt_in + offset)
-            prev_pt = pt_out + offset
-            # continue into the segment entered through this exit edge
-            sid = succ[e_out]
-            if sid == start:
-                chain.append(prev_pt)
-                break
-        st = np.array(chain)
+            sid = succ[sid]
+        # unwrap onto the covering plane: consecutive segments meet on one
+        # edge, whose cell-local coordinates differ by an integer shift
+        pin, pout = p_in[cycle], p_out[cycle]
+        off = np.zeros_like(pin)
+        off[1:] = np.cumsum(np.round(pout[:-1] - pin[1:]), axis=0)
+        chains.append(np.concatenate([pin + off, pout[-1:] + off[-1]]))
+    if not chains:
+        return []
+    # refinement is pointwise: one call for every component
+    ys = _refine_polyline(model, lat.to_cartesian(np.concatenate(chains)),
+                          lev)
+    ends = np.cumsum([len(st) for st in chains])[:-1]
+    components = []
+    for st, pts in zip(chains, np.split(ys, ends)):
         winding = np.round(st[-1] - st[0]).astype(int)
-        ys = lat.to_cartesian(st)
-        ys = _refine_polyline(model, ys, lev)
         components.append(LevelSetComponent(
-            points=ys, winding=(int(winding[0]), int(winding[1])),
+            points=pts, winding=(int(winding[0]), int(winding[1])),
             energy=model.i1 + model.eps * lev, level=lev))
     components.sort(key=lambda c: (c.winding, float(c.points[0, 0])))
     return components

@@ -28,7 +28,7 @@ from .classical import (SeparatrixProximityError, UnsupportedTopologyError,
 from .actions import build_edge_tables, separatrix_limits
 from .bloch import (QuasiMomentum, boundary_family, dispersion_crossings,
                     verify_boundary_conditions)
-from .harper import band_table, harper_from_landau
+from .harper import CommensurabilityError, band_table, harper_from_landau
 from .numerics import ConvergenceError, DomainError, NumericsError, Tolerance
 from .potential import (FluxRatio, FourierPotential, IrrationalFlux, Lattice,
                         PhysicalParams, SpectralParams, averaged_potential,
@@ -370,17 +370,28 @@ def cmd_harper(cfg, p, out):
             # h realizing beta h / (2 pi) = frac is a22 * frac
             h = p.lattice.a22 * float(frac)
             model = harper_from_landau(p, mu, h, params.epsilon)
-            table = band_table(model, frac,
-                               grid=tuple(cfg["grids"]["harper_grid"]))
+            try:
+                table = band_table(model, frac,
+                                   grid=tuple(cfg["grids"]["harper_grid"]))
+            except CommensurabilityError as exc:
+                return exc  # a mode does not close at this flux
             return [(f"{frac.numerator}/{frac.denominator}", b,
                      float(lo), float(hi))
                     for b, (lo, hi) in enumerate(table.bands)]
 
-        rows = [r for chunk in parallel_map(one, fracs, threads)
+        chunks = parallel_map(one, fracs, threads)
+        skipped = [frac for frac, chunk in zip(fracs, chunks)
+                   if isinstance(chunk, CommensurabilityError)]
+        if len(skipped) == len(fracs):
+            raise CommensurabilityError(
+                f"no flux with denominator at most {cap} closes: {chunks[0]}")
+        rows = [r for chunk in chunks if isinstance(chunk, list)
                 for r in chunk]
         files["butterfly.csv"] = (("flux_m_over_n", "band", "lambda_low",
                                    "lambda_high"), rows)
         payload["flux_count"] = len(fracs)
+        payload["skipped_flux"] = [[f.numerator, f.denominator]
+                                   for f in skipped]
     else:
         flux = resolve_flux(cfg, p, params.h)
         if isinstance(flux, IrrationalFlux):

@@ -23,9 +23,8 @@ from driftband.classical import (build_reeb_graph, build_regimes,
                                  lifted_hamiltonian_range, trace_level_set,
                                  DriftModel)
 from driftband.cli import run as cli_run
-from driftband.harper import band_table, bloch_matrix, harper_from_landau
-from driftband.numerics import (Tolerance, bessel_j0, hermitian_eigenvalues,
-                                integrate_ode)
+from driftband.harper import _sweep_eigenvalues, band_table, harper_from_landau
+from driftband.numerics import Tolerance, bessel_j0, integrate_ode
 from driftband.potential import (FluxRatio, FourierPotential, Lattice,
                                  averaged_potential, averaged_potential_oracle,
                                  cosine_example)
@@ -174,23 +173,25 @@ def test_c06_landau_width_crosscheck():
         h = a22 * float(frac)
         n = frac.denominator
         model = harper_from_landau(p, 0, h, EPS)
-        # coarse sweep of the full spectrum extent plus local refinement
-        lam_min, lam_max = math.inf, -math.inf
-        arg_min = arg_max = (0.0, 0.0)
-        for th in np.linspace(0.0, 2 * math.pi / n, 8, endpoint=False):
-            for ph in np.linspace(0.0, 2 * math.pi, 32, endpoint=False):
-                lam = hermitian_eigenvalues(bloch_matrix(model, frac, th, ph))
-                if lam[0] < lam_min:
-                    lam_min, arg_min = lam[0], (th, ph)
-                if lam[-1] > lam_max:
-                    lam_max, arg_max = lam[-1], (th, ph)
-        for which, (th0, ph0) in (("min", arg_min), ("max", arg_max)):
-            for th in np.linspace(th0 - 0.8 / n, th0 + 0.8 / n, 7):
-                for ph in np.linspace(ph0 - 0.2, ph0 + 0.2, 7):
-                    lam = hermitian_eigenvalues(
-                        bloch_matrix(model, frac, th, ph))
-                    lam_min = min(lam_min, lam[0])
-                    lam_max = max(lam_max, lam[-1])
+        # coarse sweep of the full spectrum extent plus local refinement,
+        # each solved as stacks of Bloch matrices (bounded in memory, as
+        # band_table's); theta outer, phi inner, and argmin/argmax keep the
+        # first extremum in this order
+        th, ph = (x.ravel() for x in np.meshgrid(
+            np.linspace(0.0, 2 * math.pi / n, 8, endpoint=False),
+            np.linspace(0.0, 2 * math.pi, 32, endpoint=False),
+            indexing="ij"))
+        lam = _sweep_eigenvalues(model, frac, th, ph)
+        k_min, k_max = lam[:, 0].argmin(), lam[:, -1].argmax()
+        lam_min, lam_max = lam[k_min, 0], lam[k_max, -1]
+        patch = [np.meshgrid(np.linspace(th[k] - 0.8 / n, th[k] + 0.8 / n, 7),
+                             np.linspace(ph[k] - 0.2, ph[k] + 0.2, 7),
+                             indexing="ij") for k in (k_min, k_max)]
+        lam = _sweep_eigenvalues(
+            model, frac, np.concatenate([t.ravel() for t, _ in patch]),
+            np.concatenate([f.ravel() for _, f in patch]))
+        lam_min = min(lam_min, lam[:, 0].min())
+        lam_max = max(lam_max, lam[:, -1].max())
         i1 = landau_level(0, h)
         model_range = 4.0 * abs(bessel_j0(math.sqrt(2.0 * i1)))
         gap = abs((lam_max - lam_min) - model_range)

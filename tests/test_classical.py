@@ -602,21 +602,72 @@ def _scalar_refine(model, ys, lev, iterations=4):
     return out
 
 
+def _as_arrays(segments):
+    """A list of (edge_in, edge_out, point_in, point_out) as the arrays
+    _level_segments returns."""
+    e_in, e_out, p_in, p_out = zip(*segments)
+    return (np.array(e_in), np.array(e_out), np.array(p_in),
+            np.array(p_out))
+
+
+def _walk_per_segment(model, v, lev):
+    """Successor walk one segment at a time (the loop of earlier versions):
+    a running integer offset aligns each entry point with the previous
+    exit; each component is refined on its own."""
+    lat = model.lattice
+    segments = list(zip(*classical._level_segments(model, v, lev)))
+    succ = {int(seg[0]): sid for sid, seg in enumerate(segments)}
+    used = [False] * len(segments)
+    components = []
+    for start in range(len(segments)):
+        if used[start]:
+            continue
+        chain = []
+        sid = start
+        offset = np.zeros(2)
+        prev_pt = None
+        while True:
+            used[sid] = True
+            _, e_out, pt_in, pt_out = segments[sid]
+            if prev_pt is not None:
+                offset = offset + np.round(prev_pt - (pt_in + offset))
+            chain.append(pt_in + offset)
+            prev_pt = pt_out + offset
+            sid = succ[int(e_out)]
+            if sid == start:
+                chain.append(prev_pt)
+                break
+        st = np.array(chain)
+        winding = np.round(st[-1] - st[0]).astype(int)
+        ys = classical._refine_polyline(model, lat.to_cartesian(st), lev)
+        components.append(classical.LevelSetComponent(
+            points=ys, winding=(int(winding[0]), int(winding[1])),
+            energy=model.i1 + model.eps * lev, level=lev))
+    components.sort(key=lambda c: (c.winding, float(c.points[0, 0])))
+    return components
+
+
 def _assert_trace_matches_scalar(model, lev, n, monkeypatch):
-    """Segments must be identical to the cell loops'; components equal to
-    those traced from the scalar segments and the scalar refinement (up to
-    the last bit of sin/cos, which numpy and libm may round differently)."""
+    """Segments must be identical to the cell loops'; components identical
+    to the per-segment walk's on the same grid, and equal to those traced
+    from the scalar segments and the scalar refinement (up to the last bit
+    of sin/cos, which numpy and libm may round differently)."""
     ref_segments, saddle_cells = _scalar_segments(model, lev, n)
     v = model.grid_vbar(n)
     segments = classical._level_segments(model, v, lev)
-    assert len(segments) == len(ref_segments) > 0
-    for (e0, e1, p0, p1), (r0, r1, q0, q1) in zip(segments, ref_segments):
-        assert (e0, e1) == (r0, r1)
-        assert np.array_equal(p0, q0) and np.array_equal(p1, q1)
+    assert len(segments[0]) == len(ref_segments) > 0
+    for got, want in zip(segments, _as_arrays(ref_segments)):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
     comps = classical._trace_components(model, v, lev)
+    walked = _walk_per_segment(model, v, lev)
+    assert [c.winding for c in comps] == [c.winding for c in walked]
+    for c, w in zip(comps, walked):
+        assert np.array_equal(c.points, w.points)
     with monkeypatch.context() as m:
         m.setattr(classical, "_level_segments",
-                  lambda model, v, lev: _scalar_segments(model, lev, n)[0])
+                  lambda model, v, lev: _as_arrays(
+                      _scalar_segments(model, lev, n)[0]))
         m.setattr(classical, "_refine_polyline", _scalar_refine)
         ref = classical._trace_components(model, v, lev)
     assert [c.winding for c in comps] == [c.winding for c in ref]
@@ -638,9 +689,9 @@ def _assert_crossed_edges_paired(model, lev, n):
     crossed = (i * n + j).tolist()
     i, j = np.nonzero(pos != np.roll(pos, -1, axis=1))
     crossed += (n * n + i * n + j).tolist()
-    segments = classical._level_segments(model, v, lev)
-    assert sorted(s[0] for s in segments) == sorted(crossed)
-    assert sorted(s[1] for s in segments) == sorted(crossed)
+    e_in, e_out, _, _ = classical._level_segments(model, v, lev)
+    assert sorted(e_in.tolist()) == sorted(crossed)
+    assert sorted(e_out.tolist()) == sorted(crossed)
 
 
 def _assert_along_the_drift(model, comps):
@@ -703,6 +754,28 @@ def test_reeb_graph_evaluates_the_grid_once(monkeypatch):
     graph = build_reeb_graph(cosine_example(2.0, 1.0, 1.0), EPS, 0.3)
     assert graph.kind == "simple"
     assert sizes == [192]
+
+
+def _oblique(a21, a22):
+    """The 8-mode oblique potential of the operator-oracle plan."""
+    return _potential(a21, a22, {(1, 0): 0.5, (0, 1): 0.3, (1, 1): 0.1,
+                                 (1, -1): 0.05j})
+
+
+@pytest.mark.parametrize("p", [cosine_example(2.0, 1.0, 1.0),
+                               _sheared_few_mode(),
+                               _oblique(0.0, 2 * math.pi),
+                               _oblique(1.3, 5.0)],
+                         ids=["cosine", "sheared", "oblique", "oblique-a21"])
+def test_grid_vbar_matches_direct_evaluation(p):
+    model = DriftModel(p, EPS, 0.2)
+    for n in (8, 9, 10, 48, 191, 192, 512):
+        s = np.arange(n) / n
+        st = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1)
+        direct = model.averaged.value(p.lattice.to_cartesian(st))
+        grid = model.grid_vbar(n)
+        assert grid.shape == (n, n)
+        assert np.max(np.abs(grid - direct)) <= 1e-14 * model.l1
 
 
 def _scalar_critical_points(model, seeds):

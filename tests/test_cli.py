@@ -332,6 +332,47 @@ def test_harper_butterfly_mode(tmp_path):
     assert lines[0] == "flux_m_over_n,band,lambda_low,lambda_high"
     # one row per (flux, band): sum of denominators
     assert len(lines) - 1 == 2 + 3 + 3 + 4 + 4
+    assert env["payload"]["skipped_flux"] == []
+
+
+def _butterfly_config(a21):
+    # modes (+-1, 0) and (0, +-1) on the lattice with second generator
+    # (a21, 2 pi): a (1, 0) hop closes at flux M/N iff a21 M / (2 pi) is
+    # integral
+    coeffs = [{"k1": k1, "k2": k2, "re": c, "im": 0.0}
+              for (k1, k2), c in (((1, 0), 0.5), ((-1, 0), 0.5),
+                                  ((0, 1), 0.3), ((0, -1), 0.3))]
+    return {"potential": {"lattice": {"a21": a21, "a22": 2 * math.pi},
+                          "coefficients": coeffs},
+            "params": {"h": 0.5, "epsilon": 0.01},
+            "harper_farey_max": 4,
+            "grids": {"harper_grid": [8, 8]}}
+
+
+def test_harper_butterfly_skips_fluxes_that_do_not_close(tmp_path):
+    # at a21 = pi only the even-M flux 2/3 closes; the sweep keeps it and
+    # lists the other four
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(_butterfly_config(math.pi)))
+    out = tmp_path / "out"
+    assert main(["harper", "--config", str(cfgfile), "--out", str(out)]) == 0
+    payload = json.loads((out / "harper.json").read_text())["payload"]
+    assert payload["flux_count"] == 5
+    assert payload["skipped_flux"] == [[1, 4], [1, 3], [1, 2], [3, 4]]
+    lines = (out / "butterfly.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["2/3", "0"], ["2/3", "1"], ["2/3", "2"]]
+
+
+def test_harper_butterfly_exits_2_when_no_flux_closes(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(_butterfly_config(1.0)))
+    out = tmp_path / "out"
+    assert main(["harper", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "denominator at most 4" in err["message"]
+    assert "does not close" in err["message"]
 
 
 def test_booleans_are_written_as_json_booleans(tmp_path):
