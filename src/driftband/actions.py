@@ -86,7 +86,8 @@ class ActionComputer:
         # first of 400 ray samples above the level, all evaluated at once
         span = 2.0 * math.hypot(TWO_PI, self.p.lattice.a22)
         ss = np.linspace(1e-6, span, 400)
-        vals, _, _ = self.model.arrays(y0[0] + ss * u[0], y0[1] + ss * u[1])
+        vals, _ = self.model.value_grad(y0[0] + ss * u[0],
+                                        y0[1] + ss * u[1])
         above = np.flatnonzero(vals - lev > 0.0)
         if not len(above):
             raise DomainError("no crossing along the saddle ray")

@@ -91,6 +91,27 @@ class DriftModel:
 
     # -- array path ----------------------------------------------------------
 
+    def _mode_terms(self, y1, y2):
+        """Per mode at arrays of points: (g1, g2, re cos - im sin,
+        -2 (re sin + im cos)) of the phase g1 y1 + g2 y2."""
+        for g1, g2, re, im in self.modes:
+            ph = g1 * y1 + g2 * y2
+            c, s = np.cos(ph), np.sin(ph)
+            yield g1, g2, re * c - im * s, -2.0 * (re * s + im * c)
+
+    def value_grad(self, y1, y2):
+        """vbar and gradient at arrays of points, summed mode by mode as in
+        `arrays`, so each element has the same bits as there."""
+        y1 = np.asarray(y1, dtype=float)
+        y2 = np.asarray(y2, dtype=float)
+        v = np.full(y1.shape, self.mean)
+        d1, d2 = np.zeros((2,) + y1.shape)
+        for g1, g2, part, w in self._mode_terms(y1, y2):
+            v += 2.0 * part
+            d1 += g1 * w
+            d2 += g2 * w
+        return v, (d1, d2)
+
     def arrays(self, y1, y2):
         """vbar, gradient and Hessian at arrays of points.
 
@@ -101,12 +122,8 @@ class DriftModel:
         y2 = np.asarray(y2, dtype=float)
         v = np.full(y1.shape, self.mean)
         d1, d2, h11, h12, h22 = np.zeros((5,) + y1.shape)
-        for g1, g2, re, im in self.modes:
-            ph = g1 * y1 + g2 * y2
-            c, s = np.cos(ph), np.sin(ph)
-            part = re * c - im * s
+        for g1, g2, part, w in self._mode_terms(y1, y2):
             v += 2.0 * part
-            w = -2.0 * (re * s + im * c)
             d1 += g1 * w
             d2 += g2 * w
             w = -2.0 * part
@@ -441,7 +458,7 @@ def _trace_components(model: DriftModel, v: np.ndarray, lev: float):
 def _refine_polyline(model, ys, lev, iterations=4):
     out = ys.copy()
     for _ in range(iterations):
-        vb, (d1, d2), _ = model.arrays(out[:, 0], out[:, 1])
+        vb, (d1, d2) = model.value_grad(out[:, 0], out[:, 1])
         n2 = d1 * d1 + d2 * d2
         k = n2 >= 1e-30  # points on a flat patch stay where they are
         r = vb[k] - lev

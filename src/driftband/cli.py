@@ -477,13 +477,18 @@ def cmd_sturm(cfg, p, out):
     oracle_grid = scfg.get("oracle_grid", 512)
     levels = sturm1d.bs_levels_lower(v, h)
     edges = sturm1d.oracle_band_edges(v, h, v.v_max, grid_size=oracle_grid)
+    # widths of the levels inside the 0.02 tunneling window, in one pass
+    inside = [nu for nu, e in enumerate(levels)
+              if v.v_min + 0.02 < e < v.v_max - 0.02]
+    try:
+        widths = dict(zip(inside, sturm1d.band_width_lower(
+            v, h, [levels[nu] for nu in inside], delta=0.02)))
+    except ConvergenceError:
+        widths = {}
     rows = []
     for nu, e in enumerate(levels):
         lo, hi = edges[nu] if nu < len(edges) else (math.nan, math.nan)
-        try:
-            width = sturm1d.band_width_lower(v, h, e, delta=0.02)
-        except (DomainError, ConvergenceError):
-            width = math.nan
+        width = widths.get(nu, math.nan)
         rows.append((nu, float(lo), float(hi), float(e), float(width)))
     files = {"sturm_bands.csv": (
         ("nu", "E_low", "E_high", "bohr_sommerfeld", "width_formula"), rows)}
@@ -494,9 +499,9 @@ def cmd_sturm(cfg, p, out):
     if ends:
         nu_ref = ends[len(ends) // 2][0]
         count = int(2.2 * math.sqrt(max(e_cap - v.v_min, 1.0)) / h) + 10
-        for qv in np.linspace(0.05, 0.95, qn):
-            e_formula = sturm1d.dispersion_upper(v, h, nu_ref, float(qv),
-                                                 e_cap=e_cap + 2.0)
+        qs = np.linspace(0.05, 0.95, qn)
+        formula = sturm1d.dispersion_upper(v, h, nu_ref, qs, e_cap=e_cap + 2.0)
+        for qv, e_formula in zip(qs, formula):
             oracle = sturm1d.fd_bloch_oracle(v, h, float(qv), oracle_grid,
                                              count=count)
             e_oracle = float(oracle[np.argmin(np.abs(oracle - e_formula))])

@@ -120,7 +120,9 @@ def _bloch_stack(model: HarperModel, frac: Fraction, thetas,
         if (k1, k2) == (0, 0):
             diag += c.real
         elif k1 == 0 and k2 > 0:
-            wave = c.real * np.cos(s * sites) - c.imag * np.sin(s * sites)
+            wave = c.real * np.cos(s * sites)
+            if c.imag != 0.0:
+                wave = wave - c.imag * np.sin(s * sites)
             diag += 2.0 * wave
     a = np.zeros((thetas.size, n, n), dtype=complex)
     a[:, j, j] = diag
@@ -128,13 +130,17 @@ def _bloch_stack(model: HarperModel, frac: Fraction, thetas,
         if k1 == 0:
             continue
         # the phase splits into a factor per site and one per point and
-        # wrap count: e^(i s phi0) times the Bloch phase
+        # wrap count: e^(i s phi0) times the Bloch phase, which is 1 for
+        # the wrap-0 sites of an s = 0 wave
         wrap = (j + k1) // n
-        wraps = np.arange(wrap[0], wrap[-1] + 1)
         site = c * np.exp(1j * s * (steps + math.pi * m * k1 / n))
-        point = np.exp(1j * (s * phis[:, None]
-                             + n * np.multiply.outer(thetas, wraps)))
-        a[:, j, (j + k1) % n] += site * point[:, wrap - wrap[0]]
+        for w in range(wrap[0], wrap[-1] + 1):
+            hop = wrap == w
+            phase = site[hop]
+            if s != 0.0 or w != 0:
+                phase = phase * np.exp(1j * (s * phis[:, None]
+                                             + n * (thetas[:, None] * w)))
+            a[:, j[hop], (j[hop] + k1) % n] += phase
     return a
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BracketError, DomainError, Tolerance, adaptive_quad,
-                       find_root)
+from .numerics import (BracketError, ConvergenceError, DomainError, Tolerance,
+                       adaptive_quad, find_root)
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,8 +26,7 @@ _QTOL = Tolerance(1e-12, 1e-12, 600)
 class Potential1D:
     """Real 2 pi periodic trigonometric polynomial with cached extrema.
 
-    ``value`` takes a point or an array of points; the derivatives take
-    points.
+    ``value`` and its derivatives take a point or an array of points.
     """
 
     def __init__(self, coeffs: dict):
@@ -54,37 +53,29 @@ class Potential1D:
         return cls({1: 0.5 * amplitude, -1: 0.5 * amplitude})
 
     def value(self, x):
-        kx = np.multiply.outer(np.asarray(x, dtype=float), self._wavenumbers)
-        out = self._mean + (self._cos_coeffs * np.cos(kx)
-                            - self._sin_coeffs * np.sin(kx)).sum(axis=-1)
-        return out if out.ndim else float(out)
+        return self._mean + self._fourier_sum(x, 0, odd=False)
 
     def deriv(self, x):
-        total = 0.0
-        for k, c in self.coeffs.items():
-            if k <= 0:
-                continue
-            total += -2.0 * k * (c.real * math.sin(k * x)
-                                 + c.imag * math.cos(k * x))
-        return total
+        return -self._fourier_sum(x, 1, odd=True)
 
     def second(self, x):
-        total = 0.0
-        for k, c in self.coeffs.items():
-            if k <= 0:
-                continue
-            total += -2.0 * k * k * (c.real * math.cos(k * x)
-                                     - c.imag * math.sin(k * x))
-        return total
+        return -self._fourier_sum(x, 2, odd=False)
 
     def third(self, x):
-        total = 0.0
-        for k, c in self.coeffs.items():
-            if k <= 0:
-                continue
-            total += 2.0 * k ** 3 * (c.real * math.sin(k * x)
-                                     + c.imag * math.cos(k * x))
-        return total
+        return self._fourier_sum(x, 3, odd=True)
+
+    def _fourier_sum(self, x, power, odd):
+        """sum_k k^power (C_k cos kx - S_k sin kx), or with odd the partner
+        sum_k k^power (C_k sin kx + S_k cos kx), where v = mean +
+        sum_k (C_k cos kx - S_k sin kx); a float at a point, else an array.
+        Each element is summed over the modes alone, so it does not depend
+        on the other points."""
+        kx = np.multiply.outer(np.asarray(x, dtype=float), self._wavenumbers)
+        c, s = np.cos(kx), np.sin(kx)
+        terms = (self._cos_coeffs * s + self._sin_coeffs * c if odd
+                 else self._cos_coeffs * c - self._sin_coeffs * s)
+        out = (self._wavenumbers ** power * terms).sum(axis=-1)
+        return out if out.ndim else float(out)
 
     def _locate_extrema(self):
         xs = np.linspace(0.0, TWO_PI, 4097)[:-1]
@@ -123,38 +114,89 @@ class Potential1D:
 
 
 # ----------------------------------------------------------------------
-# Classically allowed integrals (square-root endpoints handled by the
-# sine substitution x = x- + (x+ - x-) sin^2)
+# Array root passes and the integrals of the well (square-root endpoints
+# handled by the sine substitution x = x- + (x+ - x-) sin^2), one lane per
+# energy
 # ----------------------------------------------------------------------
 
-def _turning_points(v: Potential1D, e: float):
-    if not (v.v_min < e < v.v_max):
+_ROOT_ITER = 100
+_EPS = np.finfo(float).eps
+
+
+def _bracketed_newton(fun, lo, hi, x, step_tol, floor=0.0):
+    """Roots in [lo, hi] of lane functions that rise across their brackets.
+
+    fun(x, lanes) returns (residual, slope) at the points x of the listed
+    lanes; each residual is < 0 at its lane's lo and > 0 at its hi.  Every
+    iteration narrows each bracket by the sign at the iterate and takes a
+    Newton step, or bisects when the step leaves the bracket or the slope
+    is not positive.  A lane stops when a Newton step is within
+    step_tol(x), when its residual is within floor, or when its bracket is
+    down to adjacent floats.  Every operation is elementwise, so a lane's
+    result does not depend on the rest of the batch.
+    """
+    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), x.shape)
+    live = np.arange(x.size)
+    for _ in range(_ROOT_ITER):
+        if live.size == 0:
+            return x
+        xi = x[live]
+        r, slope = fun(xi, live)
+        below = r < 0.0
+        lo[live] = a = np.where(below, xi, lo[live])
+        hi[live] = b = np.where(below, hi[live], xi)
+        new = xi - np.divide(r, slope, out=np.full(xi.shape, np.nan),
+                             where=slope > 0.0)
+        newton = (a <= new) & (new <= b)
+        new = np.where(newton, new, 0.5 * (a + b))
+        settled = np.abs(r) <= floor[live]
+        x[live] = np.where(settled, xi, new)
+        stop = settled | (new == xi) | (newton & (np.abs(new - xi)
+                                                   <= step_tol(xi)))
+        live = live[~stop]
+    raise ConvergenceError("array root iteration limit exceeded")
+
+
+def _turning_points(v: Potential1D, e):
+    """Turning points x- < x_min < x+ of the well at an array of energies,
+    by one safeguarded Newton pass over both sides."""
+    e = np.asarray(e, dtype=float)
+    if not np.all((v.v_min < e) & (e < v.v_max)):
         raise DomainError("energy outside the well")
     x_right = v.x_max if v.x_max > v.x_min else v.x_max + TWO_PI
-    x_left = x_right - TWO_PI
+    n = e.size
+    side = np.repeat([-1.0, 1.0], n)        # x- lanes, then x+ lanes
+    ee = np.concatenate([e, e])
+    lo = np.repeat([x_right - TWO_PI, v.x_min], n)
+    hi = np.repeat([v.x_min, x_right], n)
+    # first guess from the harmonic well, the bracket midpoint outside it
+    curvature = 0.5 * v.second(v.x_min)
+    reach = (np.sqrt((ee - v.v_min) / curvature) if curvature > 0.0
+             else np.full(2 * n, np.inf))
+    guess = v.x_min + side * reach
+    guess = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
+    # side (v - e) rises across each bracket; below `floor` it is rounding
+    scale = np.abs(ee) + abs(v._mean) + np.sum(np.abs(v._cos_coeffs)
+                                               + np.abs(v._sin_coeffs))
 
-    def f(x):
-        return v.value(x) - e
+    def fun(x, lanes):
+        s = side[lanes]
+        return s * (v.value(x) - ee[lanes]), s * v.deriv(x)
 
-    def polish(x):
-        # Brent stops within _QTOL of the root, and the quotient W below
-        # divides by the distance to it (an error of 3e-13 here is one of
-        # 2e-10 in the period); one Newton step takes it to rounding level
-        step = f(x) / v.deriv(x)
-        return x - step if abs(step) <= 10.0 * _QTOL.abs_tol else x
-
-    xm = polish(find_root(f, x_left, v.x_min, _QTOL))
-    xp = polish(find_root(f, v.x_min, x_right, _QTOL))
-    return xm, xp
+    x = _bracketed_newton(fun, lo, hi, guess,
+                          lambda x: 8.0 * _EPS * (1.0 + np.abs(x)),
+                          floor=4.0 * _EPS * scale)
+    return x[:n], x[n:]
 
 
-def _smooth_quotient(v: Potential1D, e: float, a: float, b: float,
-                     sign: float):
+def _smooth_quotient(v: Potential1D, e, a, b, sign: float):
     """W with sign*(e - v(x)) = (x - a)(b - a - (x - a)) W(x) on [a, b].
 
     W is smooth and positive for simple turning points; near the endpoints
     it is evaluated from the Taylor series of v to dodge the 0/0 rounding
-    noise of the direct quotient.  The returned w maps an array of points
+    noise of the direct quotient.  e, a and b are floats or arrays that
+    broadcast against the points; the returned w maps an array of points
     to an array.
     """
     span = b - a
@@ -177,55 +219,155 @@ def _smooth_quotient(v: Potential1D, e: float, a: float, b: float,
     return w
 
 
-def _root_integral(v: Potential1D, e: float, a: float, b: float,
-                   sign: float) -> float:
-    """int_a^b sqrt(sign*(e - v)) dx between simple turning points a < b."""
+def _sine_integrands(v: Potential1D, e, a, b, sign: float):
+    """theta -> the integrands of int_a^b sqrt(sign*(e - v)) dx and of
+    int_a^b dx / sqrt(sign*(e - v)) in theta on [0, pi/2], where
+    x = a + (b - a) sin^2 theta."""
     span = b - a
     w = _smooth_quotient(v, e, a, b, sign)
 
     def g(theta):
         s, c = np.sin(theta), np.cos(theta)
-        x = a + span * s * s
-        return (2.0 * span * span * (s * c) ** 2
-                * np.sqrt(np.maximum(w(x), 0.0)))
+        wx = np.maximum(w(a + span * s * s), 0.0)
+        return (2.0 * span * span * (s * c) ** 2 * np.sqrt(wx),
+                2.0 / np.sqrt(np.maximum(wx, 1e-300)))
 
-    return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL)
+    return g
+
+
+def _gauss_theta(n):
+    """n-point Gauss-Legendre rule on [0, pi/2]: Newton's method on the
+    Legendre recurrence from cosine first guesses.  (numpy's leggauss would
+    add 1.3 MB and a few ms to every start-up for its module.)"""
+    t = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones(n), t
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * t * p1 - (k - 1) * p0) / k
+        dp = n * (t * p1 - p0) / (t * t - 1.0)
+        t = t - p1 / dp
+    weight = 2.0 / ((1.0 - t * t) * dp * dp)
+    return 0.25 * math.pi * (t + 1.0), 0.25 * math.pi * weight
+
+
+_THETA, _WEIGHT = _gauss_theta(48)          # the rule
+_THETA_EST, _WEIGHT_EST = _gauss_theta(32)  # its error estimate
+_NODES = np.concatenate([_THETA, _THETA_EST])
+
+
+def _sine_rule(v: Potential1D, e, a, b, sign: float, checked):
+    """Both integrals of _sine_integrands per lane (arrays e, a < b), by the
+    48-point Gauss-Legendre rule in theta on the same nodes; |48-point -
+    32-point| is the error estimate.  The integrals listed in `checked`
+    (0: the root, 1: the inverse root) are redone by adaptive_quad in every
+    lane whose estimate exceeds _QTOL, so they meet it."""
+    g = _sine_integrands(v, e[:, None], a[:, None], b[:, None], sign)
+    out = []
+    m = _THETA.size
+    for k, vals in enumerate(g(_NODES)):
+        q = (vals[:, :m] * _WEIGHT).sum(axis=-1)
+        if k in checked:
+            est = np.abs(q - (vals[:, m:] * _WEIGHT_EST).sum(axis=-1))
+            for i in np.flatnonzero(est > np.maximum(
+                    _QTOL.abs_tol, _QTOL.rel_tol * np.abs(q))):
+                lane = _sine_integrands(v, e[i], a[i], b[i], sign)
+                q[i] = adaptive_quad(lambda t: lane(t)[k], 0.0, 0.5 * math.pi,
+                                     _QTOL)
+        out.append(q)
+    return out
+
+
+def _well_actions(v: Potential1D, e):
+    """Well action at an array of energies, to _QTOL, and its slope
+    dA/dE = T(E) / 2 pi as the rule gives it (Newton steps need no more)."""
+    xm, xp = _turning_points(v, e)
+    root, inverse = _sine_rule(v, e, xm, xp, +1.0, checked=(0,))
+    return root / math.pi, inverse / TWO_PI
+
+
+def _level_tol(e):
+    # a Newton step this short leaves an error of order (step)^2 A''/A'
+    return 1e-10 * (1.0 + np.abs(e))
+
+
+def _energies_of(actions, targets, lo: float, hi: float, guess):
+    """Energies in [lo, hi] where the action reaches each target, one lane
+    per target; actions maps an array of energies to (A, dA/dE)."""
+    targets = np.asarray(targets, dtype=float)
+
+    def fun(es, lanes):
+        action, slope = actions(es)
+        return action - targets[lanes], slope
+
+    return _bracketed_newton(fun, np.full(targets.shape, lo),
+                             np.full(targets.shape, hi),
+                             np.clip(guess, lo, hi), _level_tol)
+
+
+def _well_levels(v: Potential1D, targets, lo: float, hi: float):
+    """Energies in [lo, hi] whose well actions are the targets; the first
+    guess is the harmonic well's, A = (E - v_min) / omega0."""
+    omega = math.sqrt(max(2.0 * v.second(v.x_min), 0.0))
+    return _energies_of(lambda es: _well_actions(v, es), targets, lo, hi,
+                        v.v_min + np.asarray(targets) * omega)
 
 
 def action_lower(v: Potential1D, e: float) -> float:
     """(1/pi) int sqrt(e - v) over the allowed segment (the well action)."""
+    return float(_well_actions(v, np.array([e], dtype=float))[0][0])
+
+
+def period_integral(v: Potential1D, e: float) -> float:
+    """int dx / sqrt(e - v) over the allowed segment."""
+    e = np.array([e], dtype=float)
     xm, xp = _turning_points(v, e)
-    return _root_integral(v, e, xm, xp, +1.0) / math.pi
+    return float(_sine_rule(v, e, xm, xp, +1.0, checked=(1,))[1][0])
+
+
+def agmon_distance(v: Potential1D, e: float) -> float:
+    """Tunneling integral of sqrt(v - e) across the forbidden segment."""
+    e = np.array([e], dtype=float)
+    xm, xp = _turning_points(v, e)
+    return float(_sine_rule(v, e, xp, xm + TWO_PI, -1.0, checked=(0,))[0][0])
+
+
+# ----------------------------------------------------------------------
+# Above the barrier: the full-period action by the periodic trapezoid rule
+# ----------------------------------------------------------------------
+
+_CIRCLE = np.linspace(0.0, TWO_PI, 129)[:-1]   # every other point: estimate
+
+
+def _upper_actions(v: Potential1D, e):
+    """action_upper at an array of energies >= v_max, to _QTOL, and its
+    slope as the rule gives it.  The integrand is smooth and periodic, so
+    the trapezoid rule on 128 points converges geometrically; a lane whose
+    64-point value differs by more than _QTOL is redone by adaptive_quad."""
+    gap = np.maximum(e[:, None] - v.value(_CIRCLE), 0.0)
+    root = np.sqrt(gap)
+    action = root.mean(axis=-1)
+    est = np.abs(action - root[:, ::2].mean(axis=-1))
+    for i in np.flatnonzero(est > np.maximum(_QTOL.abs_tol,
+                                             _QTOL.rel_tol * np.abs(action))):
+        action[i] = adaptive_quad(
+            lambda x: np.sqrt(np.maximum(e[i] - v.value(x), 0.0)), 0.0,
+            TWO_PI, _QTOL) / TWO_PI
+    slope = (0.5 / np.sqrt(np.maximum(gap, 1e-300))).mean(axis=-1)
+    return action, slope
+
+
+def _upper_levels(v: Potential1D, targets, lo: float, hi: float):
+    """Energies in [lo, hi] whose full-period actions are the targets; the
+    first guess is the free particle's, A = sqrt(E - mean)."""
+    return _energies_of(lambda es: _upper_actions(v, es), targets, lo, hi,
+                        v._mean + np.square(targets))
 
 
 def action_upper(v: Potential1D, e: float) -> float:
     """(1/2 pi) int_0^2pi sqrt(e - v) for energies above the barrier."""
     if e < v.v_max:
         raise DomainError("energy below the barrier top")
-
-    def f(x):
-        return np.sqrt(np.maximum(e - v.value(x), 0.0))
-
-    return adaptive_quad(f, 0.0, TWO_PI, _QTOL) / TWO_PI
-
-
-def period_integral(v: Potential1D, e: float) -> float:
-    """int dx / sqrt(e - v) over the allowed segment."""
-    xm, xp = _turning_points(v, e)
-    span = xp - xm
-    w = _smooth_quotient(v, e, xm, xp, +1.0)
-
-    def g(theta):
-        x = xm + span * np.sin(theta) ** 2
-        return 2.0 / np.sqrt(np.maximum(w(x), 1e-300))
-
-    return adaptive_quad(g, 0.0, 0.5 * math.pi, _QTOL)
-
-
-def agmon_distance(v: Potential1D, e: float) -> float:
-    """Tunneling integral of sqrt(v - e) across the forbidden segment."""
-    xm, xp = _turning_points(v, e)
-    return _root_integral(v, e, xp, xm + TWO_PI, -1.0)
+    return float(_upper_actions(v, np.array([e], dtype=float))[0][0])
 
 
 # ----------------------------------------------------------------------
@@ -283,49 +425,55 @@ def _window(v: Potential1D, delta: float | None) -> float:
 
 def bs_levels_lower(v: Potential1D, h: float, delta: float | None = None):
     """Bohr-Sommerfeld levels of the well below the barrier window:
-    action_lower(E_nu) = h (nu + 1/2)."""
+    action_lower(E_nu) = h (nu + 1/2), all solved together."""
     if v.v_max <= v.v_min:
         return []  # flat potential: no well
     cap = v.v_max - _window(v, delta)
     top = action_lower(v, cap)
+    targets = []
+    while h * (len(targets) + 0.5) <= top and len(targets) <= 100000:
+        targets.append(h * (len(targets) + 0.5))
+    if not targets:
+        return []
     lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
-    levels = []
-    while h * (len(levels) + 0.5) <= top and len(levels) <= 100000:
-        target = h * (len(levels) + 0.5)
-        levels.append(find_root(lambda x: action_lower(v, x) - target, lo,
-                                cap, _QTOL))
-    return levels
+    return _well_levels(v, targets, lo, cap).tolist()
 
 
-def band_width_lower(v: Potential1D, h: float, e: float,
-                     delta: float | None = None) -> float:
+def band_width_lower(v: Potential1D, h: float, e, delta: float | None = None):
     """Tunneling width of the low band at the Bohr-Sommerfeld level e (one
-    of bs_levels_lower's): full swing of the dispersion,
-    2 (omega h / pi) exp(-rho / h)."""
+    of bs_levels_lower's, or an array of them): full swing of the
+    dispersion, 2 (omega h / pi) exp(-rho / h).  The period and the Agmon
+    integral come from one pass at the same turning points."""
     delta = _window(v, delta)
-    if not (v.v_min + delta < e < v.v_max - delta):
+    es = np.atleast_1d(np.asarray(e, dtype=float))
+    if not np.all((v.v_min + delta < es) & (es < v.v_max - delta)):
         raise DomainError("level outside the tunneling window")
-    omega = TWO_PI / period_integral(v, e)
-    rho = agmon_distance(v, e)
-    return 2.0 * (omega * h / math.pi) * math.exp(-rho / h)
+    xm, xp = _turning_points(v, es)
+    period = _sine_rule(v, es, xm, xp, +1.0, checked=(1,))[1]
+    rho = _sine_rule(v, es, xp, xm + TWO_PI, -1.0, checked=(0,))[0]
+    widths = [2.0 * (TWO_PI / t * h / math.pi) * math.exp(-r / h)
+              for t, r in zip(period.tolist(), rho.tolist())]
+    return widths[0] if np.ndim(e) == 0 else np.array(widths)
 
 
 def gap_ends_upper(v: Potential1D, h: float, e_cap: float,
                    delta: float | None = None):
-    """Band/gap boundaries above the barrier: action_upper(E) = h nu / 2."""
+    """Band/gap boundaries above the barrier: action_upper(E) = h nu / 2,
+    all solved together."""
     lo = v.v_max + _window(v, delta)
     if e_cap <= lo:
         return []
     i_lo = action_upper(v, lo)
     i_hi = action_upper(v, e_cap)
-    out = []
+    nus = []
     nu = int(math.ceil(2.0 * i_lo / h))
     while h * nu / 2.0 <= i_hi:
-        target = h * nu / 2.0
-        e = find_root(lambda x: action_upper(v, x) - target, lo, e_cap, _QTOL)
-        out.append((nu, e))
+        nus.append(nu)
         nu += 1
-    return out
+    if not nus:
+        return []
+    ends = _upper_levels(v, [h * nu / 2.0 for nu in nus], lo, e_cap)
+    return list(zip(nus, ends.tolist()))
 
 
 def dispersion_branch_action(nu: int, q: float, h: float) -> float:
@@ -341,17 +489,21 @@ def dispersion_branch_action(nu: int, q: float, h: float) -> float:
     return h * ((nu - 1) / 2.0 + q)
 
 
-def dispersion_upper(v: Potential1D, h: float, nu: int, q: float,
-                     e_cap: float | None = None) -> float:
-    """Upper-domain dispersion by inverting the full-period action."""
-    target = dispersion_branch_action(nu, q, h)
+def dispersion_upper(v: Potential1D, h: float, nu: int, q,
+                     e_cap: float | None = None):
+    """Upper-domain dispersion by inverting the full-period action, at one
+    quasimomentum q or, solved together, at an array of them."""
+    targets = np.array([dispersion_branch_action(nu, float(x), h)
+                        for x in np.atleast_1d(q)])
     lo = v.v_max + 1e-10
-    if action_upper(v, lo) > target:
+    if action_upper(v, lo) > targets.min():
         raise DomainError("band is not above the barrier")
-    hi = e_cap or (v.v_max + 10.0 + 4.0 * target * target)
-    while action_upper(v, hi) < target:
+    top = targets.max()
+    hi = v.v_max + 10.0 + 4.0 * top * top if e_cap is None else e_cap
+    while action_upper(v, hi) < top:
         hi = v.v_max + 2.0 * (hi - v.v_max)
-    return find_root(lambda x: action_upper(v, x) - target, lo, hi, _QTOL)
+    energies = _upper_levels(v, targets, lo, hi)
+    return float(energies[0]) if np.ndim(q) == 0 else energies
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +635,7 @@ def reeb_1d(v: Potential1D, e_cap: float | None = None) -> Reeb1D:
     has_well = (v.v_max - v.v_min) > 1e-13 * (1.0 + abs(v.v_max))
     if not has_well:
         return Reeb1D(v=v, has_well=False, outer_limit=0.0, upper_limit=0.0,
-                      e_cap=e_cap or (v.v_max + 4.0))
+                      e_cap=v.v_max + 4.0 if e_cap is None else e_cap)
     # at the barrier top the integrand has double zeros at both ends, so a
     # plain adaptive pass is accurate
     x0 = v.x_max
@@ -492,7 +644,8 @@ def reeb_1d(v: Potential1D, e_cap: float | None = None) -> Reeb1D:
         x0, x0 + TWO_PI, _QTOL) / math.pi
     return Reeb1D(v=v, has_well=True, outer_limit=outer,
                   upper_limit=0.5 * outer,
-                  e_cap=e_cap or (v.v_max + 4.0 * (v.v_max - v.v_min)))
+                  e_cap=(v.v_max + 4.0 * (v.v_max - v.v_min) if e_cap is None
+                         else e_cap))
 
 
 # ----------------------------------------------------------------------

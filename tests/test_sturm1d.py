@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
-import mpmath
 import numpy as np
 import pytest
 
-from driftband.numerics import DomainError
+from driftband import sturm1d
+from driftband.numerics import DomainError, Tolerance, adaptive_quad, find_root
 from driftband.sturm1d import (Potential1D, QuasimodeCheck, action_lower,
                                action_upper, agmon_distance, band_width_lower,
                                bs_levels_lower, dispersion_branch_action,
@@ -181,9 +182,159 @@ def test_bs_error_scales_quadratically(vcos):
     assert abs(slope - 2.0) < 0.3
 
 
+# ------------------------------------- the nested-Brent level reference
+
+_REF_TOL = Tolerance(1e-12, 1e-12, 600)
+
+
+def _brent_turning_points(v, e):
+    x_right = v.x_max if v.x_max > v.x_min else v.x_max + 2.0 * math.pi
+
+    def f(x):
+        return v.value(x) - e
+
+    def polish(x):
+        step = f(x) / v.deriv(x)
+        return x - step if abs(step) <= 10.0 * _REF_TOL.abs_tol else x
+
+    return (polish(find_root(f, x_right - 2.0 * math.pi, v.x_min, _REF_TOL)),
+            polish(find_root(f, v.x_min, x_right, _REF_TOL)))
+
+
+def _brent_action(v, e):
+    """The well action with both turning points rooted again by Brent and
+    the sine-substituted integral by adaptive quadrature."""
+    a, b = _brent_turning_points(v, e)
+    span = b - a
+    d1a, d2a, d3a = v.deriv(a), v.second(a), v.third(a)
+    d1b, d2b, d3b = v.deriv(b), v.second(b), v.third(b)
+
+    def w(x):
+        dm, dp = x - a, b - x
+        near_a = dm < 1e-5 * span
+        near_b = ~near_a & (dp < 1e-5 * span)
+        num = np.where(near_a, -(d1a + 0.5 * d2a * dm + d3a * dm * dm / 6.0),
+                       np.where(near_b, d1b - 0.5 * d2b * dp
+                                + d3b * dp * dp / 6.0, e - v.value(x)))
+        den = np.where(near_a, dp, np.where(near_b, dm, dm * dp))
+        return num / np.maximum(den, 1e-300)
+
+    def g(theta):
+        s, c = np.sin(theta), np.cos(theta)
+        return (2.0 * span * span * (s * c) ** 2
+                * np.sqrt(np.maximum(w(a + span * s * s), 0.0)))
+
+    return adaptive_quad(g, 0.0, 0.5 * math.pi, _REF_TOL) / math.pi
+
+
+def _brent_levels(v, h, delta=None):
+    """bs_levels_lower as one Brent solve of _brent_action per level."""
+    window = 0.1 * (v.v_max - v.v_min) if delta is None else delta
+    cap = v.v_max - window
+    top = _brent_action(v, cap)
+    lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
+    levels = []
+    while h * (len(levels) + 0.5) <= top:
+        target = h * (len(levels) + 0.5)
+        levels.append(find_root(lambda x: _brent_action(v, x) - target, lo,
+                                cap, _REF_TOL))
+    return levels
+
+
+@pytest.mark.parametrize("shape", ["vcos", "vtwo"])
+@pytest.mark.parametrize("h", [0.45, 0.23, 0.05, 0.01])
+@pytest.mark.parametrize("delta", [None, 0.02])
+def test_levels_match_nested_brent(shape, h, delta, request):
+    v = request.getfixturevalue(shape)
+    levels = bs_levels_lower(v, h, delta)
+    reference = _brent_levels(v, h, delta)
+    assert len(levels) == len(reference) > 0
+    assert max(abs(a - b) for a, b in zip(levels, reference)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ["vcos", "vtwo"])
+def test_lanes_do_not_depend_on_their_batch(shape, request):
+    v = request.getfixturevalue(shape)
+    h = 0.05
+    levels = bs_levels_lower(v, h)
+    lo = v.v_min + 1e-12 * (v.v_max - v.v_min)
+    cap = v.v_max - 0.1 * (v.v_max - v.v_min)
+    targets = [h * (nu + 0.5) for nu in range(len(levels))]
+    for nu in (0, len(levels) // 2, len(levels) - 1):
+        assert sturm1d._well_levels(v, [targets[nu]], lo, cap)[0] \
+            == levels[nu]
+    # the same lanes in another order and batch
+    picked = [len(levels) - 1, 3, 0, 7]
+    alone = sturm1d._well_levels(v, [targets[nu] for nu in picked], lo, cap)
+    assert alone.tolist() == [levels[nu] for nu in picked]
+    inside = [e for e in levels if v.v_min + 0.02 < e < v.v_max - 0.02]
+    widths = band_width_lower(v, h, inside, delta=0.02)
+    assert widths.tolist() == [band_width_lower(v, h, e, delta=0.02)
+                               for e in inside]
+    actions, _ = sturm1d._well_actions(v, np.array(levels))
+    assert actions.tolist() == [action_lower(v, e) for e in levels]
+
+
+def test_near_barrier_cap_uses_the_fallback(vcos, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return adaptive_quad(*args)
+
+    monkeypatch.setattr(sturm1d, "adaptive_quad", counted)
+    delta = 2e-5   # 1e-5 of the barrier: the 48- and 32-point rules disagree
+    levels = bs_levels_lower(vcos, 0.23, delta)
+    # the cap's action and at least one Newton iterate at the cap
+    assert len(calls) >= 2
+    monkeypatch.undo()
+    reference = _brent_levels(vcos, 0.23, delta)
+    assert len(levels) == len(reference)
+    assert max(abs(a - b) for a, b in zip(levels, reference)) <= 1e-12
+    # the top level's action, redone by the fallback, inverts to 1e-12
+    e = vcos.v_max - 3e-5
+    target = action_lower(vcos, e)
+    cap = vcos.v_max - delta
+    assert abs(sturm1d._well_levels(vcos, [target], -1.0, cap)[0] - e) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ["vcos", "vtwo"])
+def test_array_derivatives_equal_scalar_values(shape, request):
+    v = request.getfixturevalue(shape)
+    xs = np.linspace(-1.0, 8.0, 37)
+    for f in (v.value, v.deriv, v.second, v.third):
+        values = f(xs)
+        assert values.shape == xs.shape
+        assert values.tolist() == [f(float(x)) for x in xs]
+        assert isinstance(f(1.0), float)
+        assert f(xs.reshape(37, 1)).shape == (37, 1)
+
+
+def test_no_warning_from_a_newton_step_at_an_extremum(vcos):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # r = x^3 - 1/8 starts at its stationary point x = 0, slope 0
+        root = sturm1d._bracketed_newton(
+            lambda x, lanes: (x ** 3 - 0.125, 3.0 * x * x), [0.0], [1.0],
+            [0.0], lambda x: 1e-15)
+        assert abs(root[0] - 0.5) <= 1e-15
+        # energies one float from the extrema; -cos has its minimum at 0
+        for v in (vcos, Potential1D({1: -0.5, -1: -0.5})):
+            es = np.array([np.nextafter(v.v_min, math.inf),
+                           np.nextafter(v.v_max, -math.inf)])
+            xm, xp = sturm1d._turning_points(v, es)
+            assert np.all(xm <= v.x_min) and np.all(v.x_min <= xp)
+            # within the rounding floor 4 eps (|e| + sum |2 c_k|)
+            floor = 4.0 * np.finfo(float).eps * (np.abs(es) + 1.0)
+            assert np.all(np.abs(v.value(xm) - es) <= floor)
+            assert np.all(np.abs(v.value(xp) - es) <= floor)
+            assert np.all(np.isfinite(sturm1d._well_actions(v, es)[0]))
+
+
 # ------------------------------------------ integrals against mpmath
 
-def _mp_potential(v):
+def _mp_potential(v, mpmath):
     terms = [(k, 2 * mpmath.mpf(c.real), 2 * mpmath.mpf(c.imag))
              for k, c in v.coeffs.items() if k > 0]
     mean = mpmath.mpf(v.coeffs.get(0, 0.0).real)
@@ -193,8 +344,9 @@ def _mp_potential(v):
 
 @pytest.mark.parametrize("shape", ["vcos", "vtwo"])
 def test_integrals_match_mpmath(shape, request):
+    mpmath = pytest.importorskip("mpmath")
     v = request.getfixturevalue(shape)
-    vm = _mp_potential(v)
+    vm = _mp_potential(v, mpmath)
     two_pi = 2 * mpmath.pi
     x_right = v.x_max if v.x_max > v.x_min else v.x_max + 2.0 * math.pi
     with mpmath.workdps(30):
@@ -489,6 +641,19 @@ def test_reeb_energy_outside_edge_raises(vtwo):
         graph.energy("i1", graph.outer_limit + 1e-3)
     with pytest.raises(DomainError):
         graph.energy("i2", graph.upper_limit - 1e-3)
+
+
+def test_reeb_keeps_a_zero_cap():
+    # v in [-4, -2]: a cap of 0.0 is a real cap, not an absent one
+    v = Potential1D({0: -3.0, 1: 0.5, -1: 0.5})
+    graph = reeb_1d(v, e_cap=0.0)
+    assert graph.e_cap == 0.0
+    top = graph.action("i2", 0.0)
+    assert abs(graph.energy("i2", top - 1e-3) - 0.0) < 0.01
+    with pytest.raises(DomainError):
+        graph.energy("i2", top + 1e-3)
+    free = reeb_1d(Potential1D({0: -1.0}), e_cap=0.0)
+    assert free.e_cap == 0.0
 
 
 # ---------------------------------------------------------------- weyl
