@@ -542,9 +542,7 @@ def _edge_singular_template(comp: ActionComputer, edge: str):
     g = comp.graph
 
     def amp(which, passages):
-        c = comp._saddles[which]
-        h11, h12, h22 = comp.model.hessian(c.y[0], c.y[1])
-        det = abs(h11 * h22 - h12 * h12)
+        det = abs(comp._saddles[which].hess_det)
         return passages / (TWO_PI * comp.eps * math.sqrt(det))
 
     if g.kind == "equal_saddles":

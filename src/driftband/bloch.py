@@ -436,9 +436,12 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
                          table_nodes: int = 32):
     """Crossings of the rising and falling interior dispersion branches.
 
-    For drift (+-1, 0) the branch energies are the interior energy maps
-    evaluated at I2 = h (n/M -+ q1); branches from the two Reeb edges cross
-    at isolated q1, located here by bisection on the energy difference.
+    For drift (1, 0) the branches sit at I2 = h (n+/M - q1) on edge i2 and
+    I3 = h (n-/M + q1) on edge i3.  A crossing at energy g has I2(g) + I3(g)
+    = h k / M, k = n+ + n-; both tables rise on their shared window, so each
+    integer k in that range gives one crossing, in ascending energy.  Then
+    n+ = ceil(M I2 / h) puts q1 in [0, 1/M) (q1 = 0 within 1e-9 of an
+    integer).
     """
     if eps == 0.0:
         return {"degenerate": True, "crossings": []}
@@ -446,73 +449,27 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
     graph = build_reeb_graph(p, eps, i1)
     if graph.kind not in ("simple",):
         raise DomainError(f"no interior branches at this slice: {graph.kind}")
+    # edge i2 carries the lexicographically positive drift
     d = graph.edge("i2").drift.d
-    if d not in ((1, 0), (-1, 0)):
-        raise DomainError(f"dispersion branches need drift (+-1,0), got {d}")
-    sign = d[0]
+    if d != (1, 0):
+        raise DomainError(f"dispersion branches need drift (1,0), got {d}")
     t2, t3 = build_edge_tables(p, eps, i1, ("i2", "i3"), graph,
                                nodes=table_nodes, target=1e-7)
     M = flux.M
-    steps = 32
-    qs = [float(t) for t in np.linspace(0.0, 1.0 / M, steps + 1)]
-    (lo2, hi2), (lo3, hi3) = sorted(t2.i2_range), sorted(t3.i2_range)
 
-    def i2_of(n, q1, sgn):
-        return h * (n / M - sgn * q1)
+    def level(g):  # M (I2 + I3) / h, the k of a crossing at g
+        return M * (t2.i2_of_energy(g) + t3.i2_of_energy(g)) / h
 
-    def on_table(lo, hi, sgn):
-        """The indices of the q1 samples that put n on the table, by n."""
-        ns = range(int(math.floor(M * lo / h)) - 1,
-                   int(math.ceil(M * hi / h)) + 2)
-        return {n: {k for k, q1 in enumerate(qs)
-                    if lo <= i2_of(n, q1, sgn) <= hi} for n in ns}
-
-    def energies(table, sgn, on, other):
-        """Branch energy of each n at every q1 sample; None off the table
-        or where no n of the other branch is on its table.  Sample k of n
-        sits at I2 = h (steps n - sgn k) / (steps M): the last sample of n
-        is the first of n - sgn, and each I2 is inverted once."""
-        live = set().union(*other.values())
-        seen = {}
-
-        def energy(n, k):
-            key = steps * n - sgn * k
-            if key not in seen:
-                seen[key] = table.energy_of_i2(i2_of(n, qs[k], sgn))
-            return seen[key]
-
-        return {n: [energy(n, k) if k in ks and k in live else None
-                    for k in range(steps + 1)] for n, ks in on.items()}
-
-    on2, on3 = on_table(lo2, hi2, sign), on_table(lo3, hi3, -sign)
-    es2, es3 = energies(t2, sign, on2, on3), energies(t3, -sign, on3, on2)
+    g_lo, g_hi = t2.g_range
     crossings = []
-    for n_p, e_p in es2.items():
-        for n_m, e_m in es3.items():
-            def diff(q1):
-                a = i2_of(n_p, q1, sign)
-                b = i2_of(n_m, q1, -sign)
-                if not (lo2 <= a <= hi2 and lo3 <= b <= hi3):
-                    return None
-                return t2.energy_of_i2(a) - t3.energy_of_i2(b)
-
-            vals = [None if a is None or b is None else a - b
-                    for a, b in zip(e_p, e_m)]
-            for qa, qb, fa, fb in zip(qs[:-1], qs[1:], vals[:-1], vals[1:]):
-                if fa is None or fb is None:
-                    continue
-                if fa == 0.0:
-                    q_star = qa
-                elif fa * fb < 0.0:
-                    q_star = find_root(lambda t: diff(float(t)), qa, qb,
-                                       Tolerance(1e-12, 1e-12, 200))
-                else:
-                    continue
-                a = i2_of(n_p, q_star, sign)
-                crossings.append(DispersionCrossing(
-                    mu=mu, q1_star=q_star, n_plus=n_p, n_minus=n_m,
-                    e_star=t2.energy_of_i2(a), i2_plus=a,
-                    i2_minus=i2_of(n_m, q_star, -sign)))
-    crossings.sort(key=lambda c: (c.q1_star, c.e_star))
+    for k in range(math.ceil(level(g_lo)), math.floor(level(g_hi)) + 1):
+        g = find_root(lambda x: level(x) - k, g_lo, g_hi,
+                      Tolerance(1e-15, 1e-15, 300))
+        i2 = t2.i2_of_energy(g)
+        n_plus = math.ceil(M * i2 / h - 1e-9)  # q1 = 0, not 1/M, at the edge
+        crossings.append(DispersionCrossing(
+            mu=mu, q1_star=max(n_plus / M - i2 / h, 0.0), n_plus=n_plus,
+            n_minus=k - n_plus, e_star=g, i2_plus=i2,
+            i2_minus=t3.i2_of_energy(g)))
     return {"degenerate": False, "crossings": crossings,
             "drift": d, "i1": i1}

@@ -428,6 +428,7 @@ def cmd_bloch(cfg, p, out):
     bcfg = cfg.get("bloch", {})
     qvals = bcfg.get("q", [0.0, 0.0])
     q = QuasiMomentum(q1=float(qvals[0]), q2=float(qvals[1]))
+    q.check(flux.M)
     s = bcfg.get("s", 0)
     window = min(bcfg.get("window", 8), 16)
     a21 = p.lattice.a21
@@ -498,7 +499,8 @@ def cmd_sturm(cfg, p, out):
     disp_rows = []
     if ends:
         nu_ref = ends[len(ends) // 2][0]
-        count = int(2.2 * math.sqrt(max(e_cap - v.v_min, 1.0)) / h) + 10
+        # the spectrum at q is ordered by band: branch nu_ref is index nu_ref
+        count = nu_ref + 2
         qs = np.linspace(0.05, 0.95, qn)
         formula = sturm1d.dispersion_upper(v, h, nu_ref, qs, e_cap=e_cap + 2.0)
         for qv, e_formula in zip(qs, formula):

@@ -23,7 +23,8 @@ from driftband.classical import (build_reeb_graph, build_regimes,
                                  lifted_hamiltonian_range, trace_level_set,
                                  DriftModel)
 from driftband.cli import run as cli_run
-from driftband.harper import _sweep_eigenvalues, band_table, harper_from_landau
+from driftband.harper import (_STACK_ENTRIES, _bloch_stack, band_table,
+                              harper_from_landau)
 from driftband.numerics import Tolerance, bessel_j0, integrate_ode
 from driftband.potential import (FluxRatio, FourierPotential, Lattice,
                                  averaged_potential, averaged_potential_oracle,
@@ -162,6 +163,38 @@ def test_c05_harper_band_and_subband_count(N, M):
            f"(N={N} bands, min gap {min(table.gaps()):.2e}, {dt:.1f}s)")
 
 
+def _extreme_eigenvalues(model, frac, thetas, phis):
+    """Lowest and highest eigenvalue, shape (k, 2), of the cosine Bloch
+    matrices at k paired points.  Each matrix is tridiagonal plus two
+    corners, so in the zig-zag order 0, N-1, 1, N-2, ... it is
+    pentadiagonal (as in sturm1d's FD oracle): both extremes come from
+    its band form, not from the whole spectrum."""
+    from scipy.linalg import eig_banded
+    n = frac.denominator
+    zigzag = np.empty(n, dtype=int)
+    zigzag[0::2] = np.arange((n + 1) // 2)
+    zigzag[1::2] = n - 1 - np.arange(n // 2)
+    # entry (j + d, j) of the zig-zag order, d = 0, 1, 2, is entry
+    # (zigzag[j + d], zigzag[j]) of the matrix
+    band = np.zeros((n, n), dtype=bool)
+    for d in range(3):
+        band[zigzag[d:], zigzag[:n - d]] = band[zigzag[:n - d], zigzag[d:]] \
+            = True
+    step = max(1, _STACK_ENTRIES // (n * n))
+    out = []
+    for i in range(0, len(thetas), step):
+        a = _bloch_stack(model, frac, thetas[i:i + step], phis[i:i + step])
+        assert not a[0][~band].any()
+        # lower band storage: ab[d, j] is entry (j + d, j)
+        ab = np.zeros((len(a), 3, n), dtype=complex)
+        for d in range(3):
+            ab[:, d, :n - d] = a[:, zigzag[d:], zigzag[:n - d]]
+        out += [[eig_banded(b, lower=True, eigvals_only=True, select="i",
+                            select_range=(k, k))[0] for k in (0, n - 1)]
+                for b in ab]
+    return np.array(out)
+
+
 def test_c06_landau_width_crosscheck():
     t0 = time.time()
     p = cosine_example(1.0, 1.0, 1.0)
@@ -174,20 +207,20 @@ def test_c06_landau_width_crosscheck():
         n = frac.denominator
         model = harper_from_landau(p, 0, h, EPS)
         # coarse sweep of the full spectrum extent plus local refinement,
-        # each solved as stacks of Bloch matrices (bounded in memory, as
+        # each built as stacks of Bloch matrices (bounded in memory, as
         # band_table's); theta outer, phi inner, and argmin/argmax keep the
         # first extremum in this order
         th, ph = (x.ravel() for x in np.meshgrid(
             np.linspace(0.0, 2 * math.pi / n, 8, endpoint=False),
             np.linspace(0.0, 2 * math.pi, 32, endpoint=False),
             indexing="ij"))
-        lam = _sweep_eigenvalues(model, frac, th, ph)
+        lam = _extreme_eigenvalues(model, frac, th, ph)
         k_min, k_max = lam[:, 0].argmin(), lam[:, -1].argmax()
         lam_min, lam_max = lam[k_min, 0], lam[k_max, -1]
         patch = [np.meshgrid(np.linspace(th[k] - 0.8 / n, th[k] + 0.8 / n, 7),
                              np.linspace(ph[k] - 0.2, ph[k] + 0.2, 7),
                              indexing="ij") for k in (k_min, k_max)]
-        lam = _sweep_eigenvalues(
+        lam = _extreme_eigenvalues(
             model, frac, np.concatenate([t.ravel() for t, _ in patch]),
             np.concatenate([f.ravel() for _, f in patch]))
         lam_min = min(lam_min, lam[:, 0].min())

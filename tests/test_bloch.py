@@ -1,6 +1,5 @@
 import cmath
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +13,8 @@ from driftband.bloch import (DispersionCrossing, QuasiMomentum,
                              seed_gram_matrix, verify_boundary_conditions)
 from driftband.classical import build_reeb_graph
 from driftband.numerics import DomainError, Tolerance, find_root
-from driftband.potential import FluxRatio, cosine_example
+from driftband.potential import (FluxRatio, FourierPotential, Lattice,
+                                 cosine_example)
 from driftband.spectra import landau_level
 
 FLUXES = [(1, 1), (2, 1), (3, 2), (5, 3), (7, 5)]
@@ -251,36 +251,87 @@ def _pair_loop_crossings(p, eps, h, flux, mu):
     return sorted(found, key=lambda c: (c[0], c[3]))
 
 
-def test_crossings_invert_each_branch_sample_once(monkeypatch):
-    p = cosine_example(1.0, 2.0, 1.0)
-    flux, h = FluxRatio(5, 2), 0.3
+def _oblique_potential():
+    # the (0, 1) mode dominates, so edge i2 drifts along (1, 0)
+    return FourierPotential(Lattice(0.2, 5.5), {
+        (1, 0): 0.15, (-1, 0): 0.15, (0, 1): 0.5, (0, -1): 0.5,
+        (1, 1): 0.04 + 0.01j, (-1, -1): 0.04 - 0.01j})
+
+
+@pytest.mark.parametrize("case", ["cosine-h0.3", "cosine-flux-h",
+                                  "oblique"])
+def test_crossings_match_pair_loop_reference(case, monkeypatch):
+    flux = FluxRatio(5, 2)
+    m = flux.M
+    p = _oblique_potential() if case == "oblique" \
+        else cosine_example(1.0, 2.0, 1.0)
+    h = p.lattice.a22 * m / flux.N if case == "cosine-flux-h" else 0.3
     expected = _pair_loop_crossings(p, 0.01, h, flux, 0)
-    # every energy_of_i2 call outside Brent's refinement, by (table, I2)
-    sampled = []
-    refining = []
-    energy_of_i2, root = EdgeActionTable.energy_of_i2, bloch.find_root
+    i1 = landau_level(0, h)
+    t2, t3 = build_edge_tables(p, 0.01, i1, ("i2", "i3"),
+                               build_reeb_graph(p, 0.01, i1), nodes=32,
+                               target=1e-7)
+    invert = EdgeActionTable.energy_of_i2
+    roots = []
+    root = bloch.find_root
 
-    def counted(table, i2):
-        if not refining:
-            sampled.append((id(table), i2))
-        return energy_of_i2(table, i2)
+    def no_inversion(table, i2):
+        raise AssertionError("dispersion_crossings inverted a table")
 
-    def refine(*args, **kwargs):
-        refining.append(True)
-        try:
-            return root(*args, **kwargs)
-        finally:
-            refining.pop()
+    def counted(*args, **kwargs):
+        roots.append(args[1:3])
+        return root(*args, **kwargs)
 
-    monkeypatch.setattr(EdgeActionTable, "energy_of_i2", counted)
-    monkeypatch.setattr(bloch, "find_root", refine)
-    out = dispersion_crossings(p, 0.01, h, flux, mu=0)
-    assert len(expected) > 4
-    assert [(c.q1_star, c.n_plus, c.n_minus, c.e_star)
-            for c in out["crossings"]] == expected
-    # neighbouring n share the samples at q1 = 0 and 1/M; the pair loop
-    # inverts each sample once for every n of the other branch
-    assert max(Counter(sampled).values()) == 1
+    monkeypatch.setattr(EdgeActionTable, "energy_of_i2", no_inversion)
+    monkeypatch.setattr(bloch, "find_root", counted)
+    crossings = dispersion_crossings(p, 0.01, h, flux, mu=0)["crossings"]
+    assert expected and len(roots) == len(crossings)
+    found = {(c.n_plus, c.n_minus): c for c in crossings}
+    assert len(found) == len(crossings)
+    for q_star, n_p, n_m, e in expected:
+        c = found.pop((n_p, n_m))
+        assert abs(c.q1_star - q_star) <= 1e-10
+        assert abs(c.e_star - e) <= 1e-12
+    # a crossing the 32-sample scan cannot see lies next to a table end
+    (lo2, hi2), (lo3, hi3) = t2.i2_range, t3.i2_range
+    for c in found.values():
+        a = h * (c.n_plus / m - c.q1_star)
+        b = h * (c.n_minus / m + c.q1_star)
+        assert abs(invert(t2, a) - invert(t3, b)) <= 1e-10
+        assert 0.0 <= c.q1_star < 1.0 / m
+        exits = (c.n_plus / m - lo2 / h, c.n_plus / m - hi2 / h,
+                 lo3 / h - c.n_minus / m, hi3 / h - c.n_minus / m)
+        assert min(abs(c.q1_star - x) for x in exits) <= 1.0 / (32 * m)
+    # one crossing per integer k in [M S(g_lo) / h, M S(g_hi) / h]
+    ks = range(math.ceil(m * (lo2 + lo3) / h),
+               math.floor(m * (hi2 + hi3) / h) + 1)
+    assert len(crossings) == len(ks)
+    assert [c.n_plus + c.n_minus for c in crossings] == list(ks)
+    assert all(a.e_star < b.e_star for a, b in zip(crossings, crossings[1:]))
+
+
+def test_crossing_on_the_cell_edge_is_reported_at_q1_zero(monkeypatch):
+    # straight stand-in tables: the one crossing (k = 2 at g = 1/2) sits
+    # 1e-11 above M I2 / h = 1, which is q1 = 0 of n+ = 1, not q1 = 1/M
+    # of n+ = 2
+    class Line:
+        g_range = (0.0, 1.0)
+
+        def __init__(self, at_half):
+            self.at_half = at_half
+
+        def i2_of_energy(self, g):
+            return self.at_half + 0.1 * (g - 0.5)
+
+    h, flux = 0.3, FluxRatio(5, 2)
+    i2 = h / flux.M * (1.0 + 1e-11)
+    monkeypatch.setattr(bloch, "build_edge_tables",
+                        lambda *args, **kwargs: (Line(i2), Line(h - i2)))
+    out = dispersion_crossings(cosine_example(1.0, 2.0, 1.0), 0.01, h, flux,
+                               mu=0)
+    [c] = out["crossings"]
+    assert (c.n_plus, c.n_minus, c.q1_star) == (1, 1, 0.0)
+    assert abs(c.e_star - 0.5) <= 1e-14
 
 
 def test_crossings_degenerate_at_zero_eps(crossing_setup):

@@ -375,6 +375,18 @@ def test_harper_butterfly_exits_2_when_no_flux_closes(tmp_path, capsys):
     assert "does not close" in err["message"]
 
 
+def test_bloch_quasimomentum_outside_cell_exits_2(tmp_path, capsys):
+    # at flux 5/2 the quasimomentum cell is q1 in [0, 1/2), q2 in [0, 1)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({**BASE, "bloch": {"q": [0.6, 0.3]}}))
+    out = tmp_path / "out"
+    assert main(["bloch", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "q1" in err["message"]
+    assert not (out / "bloch.json").exists()
+
+
 def test_booleans_are_written_as_json_booleans(tmp_path):
     run("regimes", dict(BASE), str(tmp_path / "regimes"))
     run("bloch", dict(BASE), str(tmp_path / "bloch"))
