@@ -374,12 +374,89 @@ def action_upper(v: Potential1D, e: float) -> float:
 # Finite-difference Bloch oracle
 # ----------------------------------------------------------------------
 
+# Largest momentum block solved densely.  Up to here np.linalg.eigvalsh gives
+# the same bytes at 1 and 2 BLAS threads: with OpenBLAS 0.3.31 they were
+# equal for every dense Hermitian matrix up to 144 rows, and differed for
+# some real matrices from 145 rows on.
+_BLOCK_ROWS = 128
+
+
+def _momentum_block(v: Potential1D, h: float, q: float, n: int, count: int):
+    """The central-difference Bloch matrix on n points in the twisted
+    Fourier basis e^(2 pi i (k+q) j / n), cut to |k| <= K, or None when
+    that block would exceed min(_BLOCK_ROWS, n - 2 m_max) rows.
+
+    In that basis the matrix is diag(d(k+q)), d(p) = 4 h^2/dx^2
+    sin^2(pi p/n), plus the potential's coefficient c_m on the m-th
+    off-diagonal, exactly similar to the grid matrix; the cap keeps the
+    block's couplings from wrapping round the n modes.  K comes from an
+    a-priori bound on the tail of the lowest `count` eigenvectors.  Their
+    eigenvalues are at most e_top = d_(count) + S, with d_(count) the
+    count-th smallest diagonal entry and S = sum_(m != 0) |c_m|, so the row
+    p of an eigenvector, (d(p) + c_0 - E) psi_p = -sum_m c_m psi_(p-m),
+    bounds M(r) = sup_(|p| >= r) |psi_p| <= 1 by the recursion
+    M(r) <= sum_(m != 0) |c_m| M(r - |m|) / (d(r) - e_top) wherever
+    d(r) > e_top.  The rows outside |k| <= K have |p| >= K + 1/2, and the
+    cut moves each of the `count` eigenvalues by about
+    2 m_max count S M(K + 1/2 - m_max) M(K + 1/2) (edge rows times tail
+    rows through the couplings); K is the least width at which that is
+    below eps S, far below the rounding eps ||A|| of the grid matrix.
+    """
+    modes = {m: c for m, c in v.coeffs.items() if m != 0}
+    m_max = max(map(abs, modes), default=0)
+    rows_cap = min(_BLOCK_ROWS, n - 2 * m_max)
+    if count > rows_cap:
+        return None
+    q0 = q - round(q)
+    scale = 4.0 * h * h / (TWO_PI / n) ** 2
+
+    def kinetic(p):
+        return scale * np.sin(math.pi * p / n) ** 2
+
+    weights = [(d, abs(modes.get(d, 0.0)) + abs(modes.get(-d, 0.0)))
+               for d in range(1, m_max + 1)]
+    ks = np.arange(-count, count + 1)
+    e_top = (kinetic(np.sort(np.abs(ks + q0))[count - 1])
+             + sum(w for _, w in weights))
+    gaps = (kinetic(np.arange((rows_cap + 1) // 2) + 0.5) - e_top).tolist()
+    tail = []                       # tail[j] bounds M(j + 1/2)
+    for width, gap in enumerate(gaps):
+        if gap <= 0.0:
+            tail.append(1.0)
+            continue
+        bound = sum(w * (tail[width - d] if width >= d else 1.0)
+                    for d, w in weights) / gap
+        edge = tail[width - m_max] if width >= m_max > 0 else 1.0
+        if 2 * m_max * count * edge * bound <= _EPS:
+            break
+        tail.append(min(bound, 1.0))
+    else:
+        return None
+    p = np.arange(-width, width + 1) + q0
+    complex_modes = any(c.imag for c in modes.values())
+    block = np.diag(kinetic(p) + v.coeffs.get(0, 0.0).real).astype(
+        complex if complex_modes else float)
+    rows = np.arange(p.size)
+    for m, c in modes.items():
+        if 0 < m < p.size:           # eigvalsh reads the lower triangle
+            block[rows[m:], rows[:-m]] = c if complex_modes else c.real
+    return block
+
+
 def _fd_eigenvalues(v: Potential1D, h: float, q: float, n: int, count=None):
     """Lowest `count` (default all) eigenvalues of the central-difference
-    Bloch operator on n points.  The ring's matrix is tridiagonal plus two
-    corners; in the zig-zag order 0, n-1, 1, n-2, ... every neighbour is at
-    most two places away, so it is solved as a pentadiagonal band matrix
-    (LAPACK ?sbevx/?hbevx: band reduction plus bisection)."""
+    Bloch operator on n points.
+
+    A `count` whose momentum block (see _momentum_block) fits is solved
+    densely by np.linalg.eigvalsh.  The whole spectrum and wider blocks use
+    the grid matrix: tridiagonal plus two corners, and in the zig-zag order
+    0, n-1, 1, n-2, ... every neighbour is at most two places away, so it
+    is solved as a pentadiagonal band matrix (LAPACK ?sbevx/?hbevx: band
+    reduction plus bisection)."""
+    if count is not None:
+        block = _momentum_block(v, h, q, n, count)
+        if block is not None:
+            return np.linalg.eigvalsh(block)[:count]
     dx = TWO_PI / n
     diag = 2.0 * h * h / dx ** 2 + v.value(np.arange(n) * dx)
     hop = -h * h / dx ** 2

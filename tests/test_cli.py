@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -440,6 +441,31 @@ def test_sturm_flat_potential(tmp_path):
         assert (tmp_path / name).exists()
     rows = (tmp_path / "sturm_bands.csv").read_text().splitlines()
     assert rows == ["nu,E_low,E_high,bohr_sommerfeld,width_formula"]
+
+
+def test_sturm_leaves_scipy_linalg_unloaded(tmp_path):
+    # the FD oracle solves these counts as momentum blocks with numpy alone
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    code = textwrap.dedent(f"""
+        import sys
+        from driftband import cli
+        two_mode = [{{"k": 1, "re": 0.5, "im": 0.0}},
+                    {{"k": -1, "re": 0.5, "im": 0.0}},
+                    {{"k": 2, "re": 0.08, "im": 0.03}},
+                    {{"k": -2, "re": 0.08, "im": -0.03}}]
+        common = {{"h": 0.45, "q_points": 2, "oracle_grid": 128, "e_cap": 1.8}}
+        cli.run("sturm", {{"sturm": dict(common, cosine_amplitude=1.1)}},
+                {str(tmp_path / "cosine")!r})
+        cli.run("sturm", {{"sturm": dict(common, coefficients=two_mode)}},
+                {str(tmp_path / "two_mode")!r})
+        sys.exit("scipy.linalg" in sys.modules)
+        """)
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+    for case in ("cosine", "two_mode"):
+        rows = (tmp_path / case / "sturm_dispersion.csv").read_text()
+        assert len(rows.splitlines()) == 3
 
 
 def test_sturm_widths_use_the_listed_levels():

@@ -88,16 +88,40 @@ def _dense_oracle_matrix(v, h, q, n):
 
 @pytest.mark.parametrize("n", [64, 65, 128, 512])
 def test_banded_oracle_matches_dense_eigh(vcos, vtwo, n):
+    # counts are solved as momentum blocks or, when the block would be too
+    # wide (small h, count 150, coarse n), by the band solve
     from scipy.linalg import eigh
-    for v in (vcos, vtwo):
-        for q in (0.0, 0.5, 0.23, 0.77):
-            dense = eigh(_dense_oracle_matrix(v, 0.2, q, n), eigvals_only=True)
-            scale = np.max(np.abs(dense))   # the 2-norm of the matrix
-            full = _fd_eigenvalues(v, 0.2, q, n)
-            head = _fd_eigenvalues(v, 0.2, q, n, count=12)
-            assert len(full) == n and len(head) == 12
-            assert np.max(np.abs(full - dense)) <= 1e-12 * scale
-            assert np.max(np.abs(head - dense[:12])) <= 1e-12 * scale
+    vthree = Potential1D({1: 0.4, -1: 0.4, 2: 0.1 + 0.05j, -2: 0.1 - 0.05j,
+                          3: 0.06 - 0.07j, -3: 0.06 + 0.07j})
+    vconst = Potential1D({0: 0.3})
+    cases = [(0.2, 12), (0.45, 12), (0.05, 12), (0.02, 150)]
+    for v in (vcos, vtwo, vthree, vconst):
+        for h, count in cases:
+            for q in (0.0, 0.5, 0.23, 0.77):
+                dense = eigh(_dense_oracle_matrix(v, h, q, n),
+                             eigvals_only=True)
+                scale = np.max(np.abs(dense))   # the 2-norm of the matrix
+                full = _fd_eigenvalues(v, h, q, n)
+                head = _fd_eigenvalues(v, h, q, n, count=count)
+                assert len(full) == n and len(head) == min(count, n)
+                assert np.max(np.abs(full - dense)) <= 1e-12 * scale
+                assert np.max(np.abs(head - dense[:len(head)])) <= (
+                    1e-12 * scale)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_oracle_free_particle_is_exact(n):
+    v = Potential1D({})
+    h = 0.2
+    dx = 2.0 * math.pi / n
+    for q in (0.0, 0.5, 0.23, 0.77):
+        exact = np.sort(4.0 * h * h / dx ** 2
+                        * np.sin(math.pi * (np.arange(n) + q) / n) ** 2)
+        scale = exact[-1]
+        full = _fd_eigenvalues(v, h, q, n)
+        head = _fd_eigenvalues(v, h, q, n, count=12)
+        assert np.max(np.abs(full - exact)) <= 1e-14 * scale
+        assert np.max(np.abs(head - exact[:12])) <= 1e-14 * scale
 
 
 def test_oracle_bytes_do_not_depend_on_blas_threads():
@@ -105,7 +129,7 @@ def test_oracle_bytes_do_not_depend_on_blas_threads():
         from driftband.sturm1d import Potential1D, fd_bloch_oracle
         v = Potential1D({1: 0.5, -1: 0.5, 2: 0.08 + 0.03j, -2: 0.08 - 0.03j})
         for q in (0.0, 0.5, 0.23):
-            for count in (None, 28):
+            for count in (None, 28, 60):
                 print(fd_bloch_oracle(v, 0.1, q, 512, count).tobytes().hex())
         """)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -116,7 +140,7 @@ def test_oracle_bytes_do_not_depend_on_blas_threads():
         run = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         outputs.append(run.stdout)
-    assert len(outputs[0].split()) == 6
+    assert len(outputs[0].split()) == 9
     assert outputs[0] == outputs[1]
 
 
