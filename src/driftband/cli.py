@@ -371,27 +371,29 @@ def cmd_harper(cfg, p, out):
             h = p.lattice.a22 * float(frac)
             model = harper_from_landau(p, mu, h, params.epsilon)
             try:
-                table = band_table(model, frac,
-                                   grid=tuple(cfg["grids"]["harper_grid"]))
+                return band_table(model, frac,
+                                  grid=tuple(cfg["grids"]["harper_grid"]))
             except CommensurabilityError as exc:
                 return exc  # a mode does not close at this flux
-            return [(f"{frac.numerator}/{frac.denominator}", b,
-                     float(lo), float(hi))
-                    for b, (lo, hi) in enumerate(table.bands)]
 
-        chunks = parallel_map(one, fracs, threads)
-        skipped = [frac for frac, chunk in zip(fracs, chunks)
-                   if isinstance(chunk, CommensurabilityError)]
+        tables = parallel_map(one, fracs, threads)
+        skipped = [frac for frac, table in zip(fracs, tables)
+                   if isinstance(table, CommensurabilityError)]
         if len(skipped) == len(fracs):
             raise CommensurabilityError(
-                f"no flux with denominator at most {cap} closes: {chunks[0]}")
-        rows = [r for chunk in chunks if isinstance(chunk, list)
-                for r in chunk]
+                f"no flux with denominator at most {cap} closes: {tables[0]}")
+        solved = [(frac, table) for frac, table in zip(fracs, tables)
+                  if not isinstance(table, CommensurabilityError)]
+        rows = [(f"{frac.numerator}/{frac.denominator}", b,
+                 float(lo), float(hi))
+                for frac, table in solved
+                for b, (lo, hi) in enumerate(table.bands)]
         files["butterfly.csv"] = (("flux_m_over_n", "band", "lambda_low",
                                    "lambda_high"), rows)
         payload["flux_count"] = len(fracs)
         payload["skipped_flux"] = [[f.numerator, f.denominator]
                                    for f in skipped]
+        payload["bloch_solves"] = sum(t.bloch_solves for _, t in solved)
     else:
         flux = resolve_flux(cfg, p, params.h)
         if isinstance(flux, IrrationalFlux):
@@ -416,6 +418,7 @@ def cmd_harper(cfg, p, out):
             "mu": mu, "hop": model.hop, "pot": model.pot,
             "bands": len(table.bands), "touching": table.touching,
             "lambda_extent": table.lambda_extent,
+            "bloch_solves": table.bloch_solves,
         })
     return payload, files
 

@@ -6,8 +6,11 @@ coordinate pair into a one-dimensional shift operator of step h: a mode
 wave.  For the cosine example this is the classical Harper equation
 A' (w(y+h) + w(y-h))/2 + B' cos(beta y) w(y) = lambda w(y) with the damped
 amplitudes A', B'.  At commensurate flux (beta h / 2 pi = M/N) the operator
-reduces by Floquet substitution to N x N Hermitian Bloch matrices whose
-sweep yields the band/gap table.
+reduces by Floquet substitution to N x N Hermitian Bloch matrices H(theta,
+phi).  For Harper's equation Chambers' relation (Phys. Rev. 140, A135,
+1965; Hofstadter, Phys. Rev. B 14, 2239, 1976) gives every band edge from
+four of them; any other symbol's band table comes from a sweep over
+(theta, phi).
 """
 
 from __future__ import annotations
@@ -184,6 +187,7 @@ class BandTable:
     bands: list                  # ascending (lam_lo, lam_hi)
     e_bands: list                # same intervals mapped to energies
     touching: list = field(default_factory=list)
+    bloch_solves: int = 0        # Bloch matrices diagonalised
 
     @property
     def count(self):
@@ -200,18 +204,65 @@ class BandTable:
         return self.bands[-1][1] - self.bands[0][0]
 
 
+# the modes of Harper's equation: the mean, the hops and the cosine wave
+_HARPER_MODES = frozenset({(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)})
+
+
+def _is_harper(model: HarperModel) -> bool:
+    """True for real modes among _HARPER_MODES whose hops carry no wave."""
+    coeffs = model.symbol.coeffs
+    return (coeffs.keys() <= _HARPER_MODES
+            and all(c.imag == 0.0 for c in coeffs.values())
+            and all(model.symbol.lattice.dual_vector(*k)[1] == 0.0
+                    for k in coeffs if k[1] == 0))
+
+
 def band_table(model: HarperModel, flux, grid=(64, 64),
                gap_floor: float = 1e-9, refine: int = 4) -> BandTable:
-    """Sweep the Bloch parameters and collect per-index eigenvalue ranges."""
+    """Per-index eigenvalue ranges of the Bloch matrices over (theta, phi).
+
+    For Harper's equation (real modes (0, 0), (+-1, 0) and (0, +-1), the
+    hops without an on-site wave) Chambers' relation gives
+    det(E - H(theta, phi)) = P(E) - 2a cos N theta - 2b cos N phi, and
+    each eigenvalue is monotone in the right-hand side.  Band b then runs
+    between the extremes of the b-th eigenvalue over the four corners
+    (theta, phi) in {0, pi/N}^2: four corners, because the damped a and b
+    can have either sign.  Every other symbol is swept over a grid of
+    (theta, phi) with local refinement around each extremum; ``grid`` and
+    ``refine`` serve only that sweep.
+    """
     m_over_n = _checked_fraction(model, flux)
     n = m_over_n.denominator
+    if _is_harper(model):
+        corner = math.pi / n
+        lam = hermitian_eigenvalues(_bloch_stack(
+            model, m_over_n, [0.0, 0.0, corner, corner],
+            [0.0, corner, 0.0, corner]))
+        mins, maxs = lam.min(axis=0), lam.max(axis=0)
+        solves = len(lam)
+    else:
+        mins, maxs, solves = _sweep_edges(model, m_over_n, grid, refine)
+    bands = [(float(mins[b]), float(maxs[b])) for b in range(n)]
+    touching = [idx for idx in range(n - 1)
+                if bands[idx + 1][0] - bands[idx][1] < gap_floor]
+    e_bands = [(float(model.lambda_to_energy(lo)),
+                float(model.lambda_to_energy(hi))) for lo, hi in bands]
+    return BandTable(bands=bands, e_bands=e_bands, touching=touching,
+                     bloch_solves=solves)
+
+
+def _sweep_edges(model: HarperModel, frac: Fraction, grid, refine: int):
+    """Band minima and maxima (N each) of a (theta, phi) sweep, and the
+    number of Bloch matrices it solved."""
+    n = frac.denominator
     g1, g2 = grid
     thetas = np.linspace(0.0, TWO_PI / n, g1, endpoint=False)
     phis = np.linspace(0.0, TWO_PI, g2, endpoint=False)
     # theta outer, phi inner: argmin/argmax keep the first extremum in
     # this order as the refinement anchor
     th, ph = (x.ravel() for x in np.meshgrid(thetas, phis, indexing="ij"))
-    lam = _sweep_eigenvalues(model, m_over_n, th, ph)
+    lam = _sweep_eigenvalues(model, frac, th, ph)
+    solves = len(lam)
     cols = np.arange(n)
     lo, hi = lam.argmin(axis=0), lam.argmax(axis=0)
     mins, maxs = lam[lo, cols], lam[hi, cols]
@@ -226,14 +277,9 @@ def band_table(model: HarperModel, flux, grid=(64, 64),
         pph = np.linspace(ph[anchors] - dph, ph[anchors] + dph, k, axis=-1)
         pth = np.broadcast_to(pth[:, :, None], (2 * n, k, k)).ravel()
         pph = np.broadcast_to(pph[:, None, :], (2 * n, k, k)).ravel()
-        patch = _sweep_eigenvalues(model, m_over_n, pth, pph)
+        patch = _sweep_eigenvalues(model, frac, pth, pph)
+        solves += len(patch)
         patch = patch.reshape(2, n, k * k, n)[:, cols, :, cols]  # (n, 2, k*k)
         mins = np.minimum(mins, patch[:, 0].min(axis=-1))
         maxs = np.maximum(maxs, patch[:, 1].max(axis=-1))
-    bands = [(float(mins[b]), float(maxs[b])) for b in range(n)]
-    touching = [idx for idx in range(n - 1)
-                if bands[idx + 1][0] - bands[idx][1] < gap_floor]
-    e_bands = [(float(model.lambda_to_energy(lo)),
-                float(model.lambda_to_energy(hi))) for lo, hi in bands]
-    return BandTable(bands=bands, e_bands=e_bands, touching=touching)
-
+    return mins, maxs, solves

@@ -194,23 +194,124 @@ def _pointwise_band_table(model, frac, grid, refine):
     return np.stack([mins, maxs], axis=1)
 
 
+def _sweep_bands(model, frac, grid, refine):
+    # the sweep band_table runs outside Harper's equation, here on any symbol
+    lo, hi, _ = harper._sweep_edges(model, frac, grid, refine)
+    return np.stack([lo, hi], axis=1)
+
+
 @pytest.mark.parametrize("refine", [0, 2])
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (1, 3), (2, 5), (3, 7)])
 def test_band_table_matches_pointwise_eigvalsh(m, n, refine):
     model = make_model(hop=0.9, pot=1.2, m=m, n=n)
     grid = (6, 7)
+    swept = _sweep_bands(model, Fraction(m, n), grid, refine)
+    expect = _pointwise_band_table(model, Fraction(m, n), grid, refine)
+    assert np.max(np.abs(swept - expect)) < 1e-12
+
+
+def test_band_table_independent_of_stack_chunking(monkeypatch):
+    # stacks split into many small chunks give the same edges bit for bit
+    model = make_model(hop=0.9, pot=1.2, m=2, n=5)
+    whole = _sweep_bands(model, Fraction(2, 5), (8, 8), 2)
+    monkeypatch.setattr(harper, "_STACK_ENTRIES", 7 * 25)
+    split = _sweep_bands(model, Fraction(2, 5), (8, 8), 2)
+    assert split.tobytes() == whole.tobytes()
+
+
+# ------------------------------------------- exact edges (Chambers' relation)
+
+def _harper_case(kind, n):
+    """A cosine-family model of one kind at the least flux M/N whose damped
+    amplitudes (hop, pot) pass the kind's test."""
+    with_mean = FourierPotential(Lattice(0.0, 2 * math.pi), {
+        (0, 0): 0.4, (1, 0): 0.65, (-1, 0): 0.65, (0, 1): 0.35, (0, -1): 0.35})
+    # beta = 2: the (0, 1) mode is damped by J0(2r), the hop by J0(r)
+    p, mu, accept = {
+        "mean": (with_mean, 0, lambda a, b: True),
+        "opposite": (cosine_example(1.3, 0.7, 2.0), 1,
+                     lambda a, b: a * b < 0 and min(abs(a), abs(b)) > 0.05),
+        "negative": (cosine_example(1.3, 0.7, 1.0), 2,
+                     lambda a, b: max(a, b) < -0.05),
+        "pot0": (cosine_example(1.1, 0.0, 1.0), 1, lambda a, b: True),
+        "hop0": (cosine_example(0.0, 0.9, 1.0), 2, lambda a, b: True),
+    }[kind]
+    for m in range(1, 4 * n + 1):
+        if math.gcd(m, n) == 1:
+            model = harper_from_landau(p, mu, p.lattice.a22 * m / n, 0.01)
+            if accept(model.hop, model.pot):
+                return model, Fraction(m, n)
+    raise AssertionError(f"no flux M/{n} gives a {kind} model")
+
+
+KINDS = ("mean", "opposite", "negative", "pot0", "hop0")
+# every kind up to N = 16; the 64^2 reference sweep costs about 1 s at
+# N = 31 and 8 s at N = 63, so those take fewer kinds
+EXACT_CASES = ([(kind, n) for n in (1, 2, 3, 4, 5, 7, 8, 16) for kind in KINDS]
+               + [("opposite", 31), ("hop0", 31), ("negative", 63)])
+
+
+@pytest.mark.parametrize("kind,n", EXACT_CASES)
+def test_exact_edges_match_refined_sweep(kind, n):
+    model, frac = _harper_case(kind, n)
+    table = band_table(model, frac)
+    assert table.bloch_solves == 4
+    bands = np.array(table.bands)
+    swept = _sweep_bands(model, frac, (64, 64), 4)
+    tol = 1e-13 * max(1.0, np.abs(swept).max())
+    assert np.max(np.abs(bands - swept)) <= tol
+    # off the sweep grid, every eigenvalue lies in its band
+    rng = np.random.default_rng(n)
+    for th, ph in rng.uniform(0.0, 2 * math.pi, (12, 2)):
+        lam = np.linalg.eigvalsh(bloch_matrix(model, frac, th, ph).entries)
+        assert np.all(bands[:, 0] - tol <= lam)
+        assert np.all(lam <= bands[:, 1] + tol)
+
+
+# just outside the family: a complex (0, 1) amplitude, an added (1, 1)
+# mode, hops that carry a wave (a21 = pi at even M), the oblique symbol
+OUTSIDE = {
+    "complex": {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3 + 0.2j,
+                (0, -1): 0.3 - 0.2j},
+    "mode_1_1": {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3, (0, -1): 0.3,
+                 (1, 1): 0.1, (-1, -1): 0.1},
+    "a21_pi": {(1, 0): 0.5, (-1, 0): 0.5, (0, 1): 0.3, (0, -1): 0.3},
+}
+
+
+@pytest.mark.parametrize("name", ["complex", "mode_1_1", "a21_pi", "oblique"])
+def test_symbols_outside_the_family_keep_the_sweep(name):
+    coeffs = OBLIQUE if name == "oblique" else OUTSIDE[name]
+    a21 = math.pi if name == "a21_pi" else 0.0
+    p = FourierPotential(Lattice(a21, 2 * math.pi), coeffs)
+    m, n, grid = 2, 5, (8, 6)
+    refine = 0 if name == "oblique" else 2
+    model = harper_from_landau(p, 1, 2 * math.pi * m / n, 0.01)
     table = band_table(model, Fraction(m, n), grid=grid, refine=refine)
+    lo, hi, solves = harper._sweep_edges(model, Fraction(m, n), grid, refine)
+    assert table.bands == [(float(a), float(b)) for a, b in zip(lo, hi)]
+    patches = 2 * n * (2 * refine + 1) ** 2 if refine else 0
+    assert table.bloch_solves == solves == 8 * 6 + patches
     expect = _pointwise_band_table(model, Fraction(m, n), grid, refine)
     assert np.max(np.abs(np.array(table.bands) - expect)) < 1e-12
 
 
-def test_band_table_independent_of_stack_chunking(monkeypatch):
-    # stacks split into many small chunks give the same table bit for bit
-    model = make_model(hop=0.9, pot=1.2, m=2, n=5)
-    whole = band_table(model, Fraction(2, 5), grid=(8, 8), refine=2)
-    monkeypatch.setattr(harper, "_STACK_ENTRIES", 7 * 25)
-    split = band_table(model, Fraction(2, 5), grid=(8, 8), refine=2)
-    assert split.bands == whole.bands
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("hop,pot,mean", [(1.1, 0.0, 0.0), (0.0, 0.9, 0.0),
+                                          (0.0, 0.0, 0.3)])
+def test_degenerate_harper_symbols_take_the_exact_path(n, hop, pot, mean):
+    # one vanishing amplitude: the N bands close into one interval of width
+    # 2 |amplitude|; all vanishing (the flat symbol): N bands at the mean
+    coeffs = {(0, 0): mean, (1, 0): hop / 2, (-1, 0): hop / 2,
+              (0, 1): pot / 2, (0, -1): pot / 2}
+    p = FourierPotential(Lattice(0.0, 2 * math.pi), coeffs)
+    model = HarperModel(p, 2 * math.pi / n, math.pi / n, 0.01)
+    table = band_table(model, Fraction(1, n))
+    assert table.bloch_solves == 4
+    assert table.count == n
+    assert table.touching == list(range(n - 1))
+    assert abs(table.bands[0][0] - (mean - hop - pot)) < 1e-14
+    assert abs(table.bands[-1][1] - (mean + hop + pot)) < 1e-14
 
 
 def test_flux_half_closed_form():
@@ -331,6 +432,7 @@ def _oblique_config(a21, grid=(8, 8)):
 
 
 def _run_harper(tmp_path, cfg):
+    tmp_path.mkdir(exist_ok=True)
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -374,6 +476,29 @@ def test_harper_oblique_bands_hold_reference_eigenvalues(tmp_path):
             p, 0, 2 * math.pi * 2 / 5, Fraction(2, 5), (th, ph)))
         for (lo, hi), x in zip(bands, lam):
             assert lo - 1e-12 <= x <= hi + 1e-12
+
+
+def test_harper_payload_counts_bloch_solves(tmp_path):
+    # 4 Bloch matrices per cosine table; g1 g2 + 2 N (2 refine + 1)^2 per
+    # swept table at the default refine = 4; summed over a butterfly
+    cosine = {"potential": {"cosine": {"A": 1.0, "B": 0.6, "beta": 1.0}},
+              "params": {"h": 2 * math.pi * 2 / 5, "epsilon": 0.01},
+              "flux": {"N": 5, "M": 2},
+              "grids": {"harper_grid": [8, 6]}}
+
+    def butterfly(cfg):
+        return {**{k: v for k, v in cfg.items() if k != "flux"},
+                "harper_farey_max": 4}
+
+    # five fluxes up to 3/4; at a21 = pi only 2/3 closes
+    for k, (cfg, solves) in enumerate([
+            (cosine, 4), (_oblique_config(0.0, (8, 6)), 48 + 2 * 5 * 81),
+            (butterfly(cosine), 4 * 5),
+            (butterfly(_oblique_config(math.pi)), 64 + 2 * 3 * 81)]):
+        code, out = _run_harper(tmp_path / str(k), cfg)
+        assert code == 0
+        payload = json.loads((out / "harper.json").read_text())["payload"]
+        assert payload["bloch_solves"] == solves
 
 
 def test_harper_unclosed_mode_exits_2(tmp_path, capsys):
