@@ -19,13 +19,14 @@ import numpy as np
 from .classical import (DriftModel, OrbitResult, ReebGraph,
                         SeparatrixProximityError, build_reeb_graph,
                         orbit_lanes)
-from .numerics import (DEFAULT_TOL, ConvergenceError, DomainError, Tolerance,
+from .numerics import (ConvergenceError, DomainError, Tolerance,
                        adaptive_quad, bessel_j0, find_root)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
 
 _ORBIT_TOL = Tolerance(1e-11, 1e-11, 400)
+_ARC_OFFSET = 1e-6  # distance of a separatrix arc's seed from its saddle
 
 
 # ----------------------------------------------------------------------
@@ -239,8 +240,7 @@ def _log_fit_limit(deltas, values):
 
 
 def separatrix_limits(p: FourierPotential, eps: float, i1: float,
-                      graph: ReebGraph | None = None, rel_delta: float = 2e-3,
-                      levels: int = 5, ratio: float = 4.0) -> ActionLimits:
+                      graph: ReebGraph | None = None) -> ActionLimits:
     """All six separatrix action limits at fixed cyclotron action."""
     comp = ActionComputer(p, eps, i1, graph)
     g = comp.graph
@@ -258,13 +258,13 @@ def separatrix_limits(p: FourierPotential, eps: float, i1: float,
     ends = (("i1", g_lo, -1.0, span1), ("i4", g_hi, +1.0, span4),
             ("i2", g_lo, +1.0, span24), ("i2", g_hi, -1.0, span24),
             ("i3", g_lo, +1.0, span24), ("i3", g_hi, -1.0, span24))
-    deltas = [[rel_delta * span / ratio ** k for k in range(levels)]
+    deltas = [[2e-3 * span / 4.0 ** k for k in range(5)]
               for _, _, _, span in ends]
     vals = comp.actions([(edge_id, target + side * d)
                          for (edge_id, target, side, _), ds in zip(ends, deltas)
                          for d in ds])
     i2_1p, i2_4m, i2_2m, i2_2p, i2_3m, i2_3p = (
-        _log_fit_limit(ds, vals[k * levels:(k + 1) * levels])
+        _log_fit_limit(ds, vals[k * 5:(k + 1) * 5])
         for k, ds in enumerate(deltas))
     return ActionLimits(i1=i1, i2_1p=i2_1p, i2_2m=i2_2m, i2_2p=i2_2p,
                         i2_3m=i2_3m, i2_3p=i2_3p, i2_4m=i2_4m,
@@ -275,23 +275,21 @@ def separatrix_limits(p: FourierPotential, eps: float, i1: float,
 # Direct separatrix-arc oracle
 # ----------------------------------------------------------------------
 
-def _arc_trapezium(model: DriftModel, saddle_y, direction, offset=1e-6,
-                   tol: Tolerance = None):
+def _arc_trapezium(model: DriftModel, saddle_y, direction):
     """Integrate one separatrix arc from a saddle to its lattice translate.
 
-    Unit-speed flow along the level set, seeded `offset` away from the
+    Unit-speed flow along the level set, seeded _ARC_OFFSET away from the
     saddle along a cone direction of the level set; returns the raw area
     integral, the winding, and the endpoints including the closing
     straight-segment corrections at both saddle ends.
     """
-    tol = tol or Tolerance(1e-11, 1e-11, 400)
     lat = model.lattice
     y_s = np.asarray(saddle_y, dtype=float)
     u = np.asarray(direction, dtype=float)
     u = u / np.linalg.norm(u)
     lev = model.vbar(y_s[0], y_s[1])
 
-    start = y_s + offset * u
+    start = y_s + _ARC_OFFSET * u
     # project the seed back onto the level
     for _ in range(60):
         d1, d2 = model.grad(start[0], start[1])
@@ -324,15 +322,15 @@ def _arc_trapezium(model: DriftModel, saddle_y, direction, offset=1e-6,
         yb = np.array(sb[:2])
         z = lat.to_lattice(yb - y_s)
         w = z - np.round(z)
-        if ta > 4.0 * offset and float(np.max(np.abs(
-                lat.to_cartesian(w)))) < 8.0 * offset:
+        if ta > 4.0 * _ARC_OFFSET and float(np.max(np.abs(
+                lat.to_cartesian(w)))) < 8.0 * _ARC_OFFSET:
             hit["state"] = sb
             return tb
         return None
 
     from .numerics import integrate_ode
-    integrate_ode(field, (*start, 0.0), 40.0 * cell_diam, tol,
-                  step_observer=observer, first_step=offset)
+    integrate_ode(field, (*start, 0.0), 40.0 * cell_diam, _ORBIT_TOL,
+                  step_observer=observer, first_step=_ARC_OFFSET)
     if "state" not in hit:
         raise SeparatrixProximityError("separatrix arc did not reconnect")
     end_state = hit["state"]
@@ -354,8 +352,7 @@ def _arc_trapezium(model: DriftModel, saddle_y, direction, offset=1e-6,
 
 
 def separatrix_web_actions(p: FourierPotential, eps: float, i1: float,
-                           graph: ReebGraph | None = None,
-                           offset: float = 1e-6):
+                           graph: ReebGraph | None = None):
     """Independent oracle: arc integrals over both saddle webs.
 
     Each saddle emits two flow-outgoing separatrix arcs with windings +-d.
@@ -386,7 +383,7 @@ def separatrix_web_actions(p: FourierPotential, eps: float, i1: float,
         seen = {}
         for cone in (cone1, -cone1, cone2, -cone2):
             try:
-                arc = _arc_trapezium(comp.model, sad.y, cone, offset)
+                arc = _arc_trapezium(comp.model, sad.y, cone)
             except (SeparatrixProximityError, DomainError):
                 continue
             if arc is not None:
@@ -414,7 +411,7 @@ def separatrix_web_actions(p: FourierPotential, eps: float, i1: float,
 # Closed form for the cosine example
 # ----------------------------------------------------------------------
 
-def _log_ratio_integral(upper: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def _log_ratio_integral(upper: float) -> float:
     """int_0^upper log((1+x)/(1-x))/x dx with the removable point at 0."""
     if upper <= 0.0:
         return 0.0
@@ -427,7 +424,7 @@ def _log_ratio_integral(upper: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return np.where(small, 2.0 + 2.0 * x * x / 3.0,
                         np.log((1.0 + safe) / (1.0 - safe)) / safe)
 
-    return adaptive_quad(f, 0.0, upper, tol)
+    return adaptive_quad(f, 0.0, upper)
 
 
 def closed_form_outer_action(A: float, B: float, beta: float,
@@ -592,8 +589,7 @@ def _fit_table(edge, i1, eps, lo, hi, template, gs, vals, probes,
 
 def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
                       graph: ReebGraph | None = None, nodes: int = 48,
-                      pad_rel: float = 1e-4, target: float = 1e-8,
-                      max_nodes: int = 192) -> list:
+                      target: float = 1e-8, max_nodes: int = 192) -> list:
     """Sampled monotone energy <-> action maps along several edges.
 
     The declared interpolation error is measured against direct action
@@ -608,7 +604,7 @@ def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
     windows = []
     for edge in edges:
         g_lo, g_hi = comp.graph.edge(edge).energy_range
-        pad = pad_rel * (g_hi - g_lo)
+        pad = 1e-4 * (g_hi - g_lo)
         windows.append((g_lo + pad, g_hi - pad))
     probes = [np.linspace(lo + 0.03 * (hi - lo), hi - 0.03 * (hi - lo), 7)
               for lo, hi in windows]
@@ -652,11 +648,11 @@ def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
 
 def build_edge_table(p: FourierPotential, eps: float, i1: float, edge: str,
                      graph: ReebGraph | None = None, nodes: int = 48,
-                     pad_rel: float = 1e-4, target: float = 1e-8,
+                     target: float = 1e-8,
                      max_nodes: int = 192) -> EdgeActionTable:
     """One edge's table: build_edge_tables on a single edge."""
-    return build_edge_tables(p, eps, i1, [edge], graph, nodes, pad_rel,
-                             target, max_nodes)[0]
+    return build_edge_tables(p, eps, i1, [edge], graph, nodes, target,
+                             max_nodes)[0]
 
 
 def energy_from_actions(table: EdgeActionTable, i1: float, i2: float) -> float:

@@ -174,12 +174,12 @@ def verify_boundary_conditions(flux: FluxRatio, q: QuasiMomentum, s: int,
                                 support_ok=support_ok, unit_modulus=unit)
 
 
-def seed_gram_matrix(flux: FluxRatio, q: QuasiMomentum, window: int = 4):
+def seed_gram_matrix(flux: FluxRatio, q: QuasiMomentum):
     """Gram matrix of the M seed rows: the identity for delta seeding."""
     M = flux.M
     rows = []
     for s in range(M):
-        fam = boundary_family(flux, q, s, window)
+        fam = boundary_family(flux, q, s, 4)
         vec = np.array([fam.get((j, 0, 0), 0.0) for j in range(M)])
         rows.append(vec)
     rows = np.array(rows)

@@ -23,6 +23,8 @@ from .numerics import (DomainError, NumericsError, Tolerance, _dp_dense,
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
+_SERIES_GRID = 200  # I1 intervals sampled by a critical-action scan
+_INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 class UnsupportedTopologyError(NumericsError):
@@ -160,20 +162,20 @@ class DriftModel:
         return (np.concatenate([u.real, u.imag]).T
                 @ np.concatenate([w.real, -w.imag]))
 
-    def is_flat(self, rel_tol=1e-12):
+    def is_flat(self):
         """True when the averaged potential is constant to working precision
         (for the cosine example with beta = 1 this happens at every J0 zero,
         where both damping factors vanish together)."""
-        return self.l1 <= rel_tol * max(self.potential.coeff_l1, 1e-300)
+        return self.l1 <= 1e-12 * max(self.potential.coeff_l1, 1e-300)
 
-    def one_dimensional_direction(self, rel_tol=1e-9):
+    def one_dimensional_direction(self):
         """Primitive winding direction if vbar depends on one coordinate only.
 
         Returns the lattice-integer direction of the level lines, or None.
         Happens for the cosine example whenever a J0 factor vanishes.
         """
         ks = [k for k, c in self.averaged.coeffs.items()
-              if k != (0, 0) and abs(c) > rel_tol * max(self.l1, 1e-300)]
+              if k != (0, 0) and abs(c) > 1e-9 * max(self.l1, 1e-300)]
         if not ks:
             return None  # constant: fully degenerate
         k0 = ks[0]
@@ -224,15 +226,14 @@ class CriticalPointSet:
         return [c for c in self.points if c.kind == kind]
 
 
-def find_critical_points(p: FourierPotential, eps: float, i1: float,
-                         seeds: int = 32) -> CriticalPointSet:
+def find_critical_points(p: FourierPotential, eps: float,
+                         i1: float) -> CriticalPointSet:
     """All critical points of the averaged Hamiltonian in one cell.
 
-    Newton iteration on grad(vbar) from a seeds x seeds lattice grid,
+    Newton iteration on grad(vbar) from a 32 x 32 lattice grid,
     deduplicated modulo the lattice and classified by the Hessian.
     """
-    model = DriftModel(p, eps, i1)
-    return _critical_points_of_model(model, seeds)
+    return _critical_points_of_model(DriftModel(p, eps, i1))
 
 
 def _critical_points_of_model(model: DriftModel, seeds: int = 32):
@@ -345,7 +346,7 @@ _MS_EDGES = np.array([(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0)])
 
 
 def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
-                    grid: int = 256, guard: float | None = None):
+                    grid: int = 256):
     """Connected components of {averaged energy = g} on the torus.
 
     Each component is a polyline oriented along the drift J grad(vbar),
@@ -358,8 +359,7 @@ def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
     levels = [c.level for c in cps]
     if levels:
         spread = max(levels) - min(levels)
-        if guard is None:
-            guard = max(1e-12, 1e-9 * max(spread, 1e-12))
+        guard = max(1e-12, 1e-9 * max(spread, 1e-12))
         if lev <= min(levels) or lev >= max(levels):
             raise DomainError("level outside the classical range")
         if any(abs(lev - lv) < guard for lv in levels):
@@ -455,9 +455,9 @@ def _trace_components(model: DriftModel, v: np.ndarray, lev: float):
     return components
 
 
-def _refine_polyline(model, ys, lev, iterations=4):
+def _refine_polyline(model, ys, lev):
     out = ys.copy()
-    for _ in range(iterations):
+    for _ in range(4):
         vb, (d1, d2) = model.value_grad(out[:, 0], out[:, 1])
         n2 = d1 * d1 + d2 * d2
         k = n2 >= 1e-30  # points on a flat patch stay where they are
@@ -653,10 +653,9 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     return out
 
 
-def _orbit_once(model: DriftModel, y0, tol: Tolerance = None,
-                t_cap: float | None = None) -> OrbitResult:
+def _orbit_once(model: DriftModel, y0, tol: Tolerance = None) -> OrbitResult:
     """One orbit through orbit_lanes, as a batch of one lane."""
-    return orbit_lanes(model, [y0], tol, t_cap)[0]
+    return orbit_lanes(model, [y0], tol)[0]
 
 
 @dataclass
@@ -666,17 +665,14 @@ class TrajectoryClass:
     period: float | None = None
 
 
-def classify_trajectory(p: FourierPotential, eps: float, i1: float, y0,
-                        tol: Tolerance = None,
-                        t_cap: float | None = None) -> TrajectoryClass:
+def classify_trajectory(p: FourierPotential, eps: float, i1: float,
+                        y0) -> TrajectoryClass:
     """Integrate the drift system from y0 and classify the motion."""
-    tol = tol or Tolerance(1e-10, 1e-10, 400)
     model = DriftModel(p, eps, i1)
     d1, d2 = model.grad(float(y0[0]), float(y0[1]))
-    if eps == 0.0 or math.hypot(d1, d2) * eps <= tol.abs_tol:
+    if eps == 0.0 or math.hypot(d1, d2) * eps <= 1e-10:
         return TrajectoryClass(kind="fixed_point")
-    orbit = _orbit_once(model, y0, Tolerance(1e-12, 1e-12, 400),
-                        t_cap=None if t_cap is None else t_cap * eps)
+    orbit = _orbit_once(model, y0, Tolerance(1e-12, 1e-12, 400))
     if not orbit.closed:
         return TrajectoryClass(kind="near_separatrix")
     return TrajectoryClass(kind="closed", winding=orbit.winding,
@@ -759,21 +755,21 @@ class ReebGraph:
         return tuple(vals)
 
 
-def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
-                     seeds: int = 32, grid: int = 192) -> ReebGraph:
+def build_reeb_graph(p: FourierPotential, eps: float,
+                     i1: float) -> ReebGraph:
     """Level-set topology of the averaged Hamiltonian at fixed I1."""
     model = DriftModel(p, eps, i1)
     graph = _degenerate_graph(model)
     if graph is not None:
         return graph
-    cps = _critical_points_of_model(model, seeds)
+    cps = _critical_points_of_model(model)
     mins = cps.by_kind("minimum")
     maxs = cps.by_kind("maximum")
     sads = cps.by_kind("saddle")
     if not cps.complete:
         raise UnsupportedTopologyError(
-            f"Newton converged from fewer than half of the {seeds}x{seeds} "
-            f"seeds; the {len(mins)} minima, {len(sads)} saddles and "
+            "Newton converged from fewer than half of the 32x32 seeds; "
+            f"the {len(mins)} minima, {len(sads)} saddles and "
             f"{len(maxs)} maxima found may be incomplete", points=list(cps))
     if len(cps) != 4 or len(mins) != 1 or len(maxs) != 1 or len(sads) != 2:
         raise UnsupportedTopologyError(
@@ -798,7 +794,7 @@ def build_reeb_graph(p: FourierPotential, eps: float, i1: float,
         "i4": g_hi + 0.5 * (g_max - g_hi),
         "mid": 0.5 * (g_lo + g_hi),
     }
-    v = model.grid_vbar(grid)
+    v = model.grid_vbar(192)
     comps_mid = _trace_components(model, v, model.level_of(probe["mid"]))
     open_comps = [c for c in comps_mid if not c.contractible]
     if len(open_comps) != 2:
@@ -876,18 +872,18 @@ def _is_cosine_like(p: FourierPotential):
     return None
 
 
-def critical_i1_series(p: FourierPotential, eps: float, i1_max: float,
-                       grid: int = 200) -> CriticalSeries:
+def critical_i1_series(p: FourierPotential, eps: float,
+                       i1_max: float) -> CriticalSeries:
     """Cyclotron actions where the drift topology degenerates."""
     if i1_max <= 0.0:
         raise DomainError("i1_max must be positive")
     cos_like = _is_cosine_like(p)
     if cos_like is not None:
-        return _cosine_series(*cos_like, i1_max, grid)
-    return _generic_series(p, eps, i1_max, grid)
+        return _cosine_series(*cos_like, i1_max)
+    return _generic_series(p, eps, i1_max)
 
 
-def _cosine_series(A, B, beta, i1_max, grid):
+def _cosine_series(A, B, beta, i1_max):
     separable = []
     k = 1
     while True:
@@ -909,7 +905,7 @@ def _cosine_series(A, B, beta, i1_max, grid):
         r = math.sqrt(2.0 * i1)
         return A * abs(bessel_j0(r)) - B * abs(bessel_j0(beta * r))
 
-    xs = np.linspace(0.0, i1_max, grid + 1)
+    xs = np.linspace(0.0, i1_max, _SERIES_GRID + 1)
     vals = [diff(float(x)) for x in xs]
     if max(abs(v) for v in vals) < 1e-12 * (A + B):
         return CriticalSeries([], separable, [], continuum=True)
@@ -932,32 +928,65 @@ def _cosine_series(A, B, beta, i1_max, grid):
                           merged=merged)
 
 
-def _generic_series(p, eps, i1_max, grid):
-    xs = np.linspace(0.0, i1_max, grid + 1)
-    gaps = []
-    degenerate = 0
-    for x in xs:
-        model = DriftModel(p, eps, float(x))
-        if _degenerate_graph(model) is not None:
-            gaps.append(0.0)
-            degenerate += 1
-            continue
-        cps = _critical_points_of_model(model, seeds=16)
-        sads = sorted(c.level for c in cps.by_kind("saddle"))
-        gaps.append(sads[-1] - sads[0] if len(sads) >= 2 else math.nan)
-    if degenerate == len(xs):
+def _slice(p, eps, i1):
+    """One I1 slice of a scan: (its graph, None) if flat or one-dimensional,
+    else (None, its critical points from 16 x 16 seeds)."""
+    model = DriftModel(p, eps, float(i1))
+    graph = _degenerate_graph(model)
+    if graph is not None:
+        return graph, None
+    return None, _critical_points_of_model(model, seeds=16)
+
+
+def _saddle_gap(p, eps, i1):
+    """(spread of the saddle levels, degenerate) at one I1 slice: the spread
+    is 0 on a degenerate slice and nan with fewer than two saddles."""
+    graph, cps = _slice(p, eps, i1)
+    if graph is not None:
+        return 0.0, True
+    sads = sorted(c.level for c in cps.by_kind("saddle"))
+    return (sads[-1] - sads[0] if len(sads) >= 2 else math.nan), False
+
+
+def _generic_series(p, eps, i1_max):
+    xs = np.linspace(0.0, i1_max, _SERIES_GRID + 1)
+    scan = [_saddle_gap(p, eps, x) for x in xs]
+    if all(degenerate for _, degenerate in scan):
         # one-dimensional (or flat) at every I1: no isolated collision
         return CriticalSeries([], [], [], continuum=True)
+    gaps = [gap for gap, _ in scan]
     collisions = []
     tol = 1e-9 * max(p.coeff_l1, 1e-300)
-    for idx in range(1, grid):
+    for idx in range(1, _SERIES_GRID):
         g0, g1, g2 = gaps[idx - 1], gaps[idx], gaps[idx + 1]
-        if math.isnan(g1):
-            continue
-        if g1 <= tol or (g1 < g0 and g1 < g2 and g1 < 1e-4 * p.coeff_l1):
+        if g1 <= tol:
             collisions.append(float(xs[idx]))
+        elif g1 < g0 and g1 < g2:
+            # a transversal collision leaves a gap of up to slope * spacing
+            # / 2 at its nearest node: the saddles meet at the refined minimum
+            x, gap = _golden_min(lambda i1: _saddle_gap(p, eps, i1)[0],
+                                 float(xs[idx - 1]), float(xs[idx + 1]))
+            if gap <= tol:
+                collisions.append(x)
     return CriticalSeries(saddle_collision=sorted(collisions), separable=[],
                           merged=[])
+
+
+def _golden_min(f, a, b):
+    """60 golden-section steps on [a, b] for a unimodal f: the sampled
+    point with the least f, and that value."""
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
 
 
 @dataclass
@@ -993,12 +1022,10 @@ def build_regimes(p: FourierPotential, eps: float, i1_max: float,
     series = critical_i1_series(p, eps, i1_max)
     rows = []                    # the four curves' values at each I1
     for x in i1s:
-        model = DriftModel(p, eps, float(x))
-        graph = _degenerate_graph(model)
+        graph, cps = _slice(p, eps, x)
         if graph is not None:
             rows.append((graph.g_min, graph.g_min, graph.g_max, graph.g_max))
             continue
-        cps = _critical_points_of_model(model, seeds=16)
         mins = cps.by_kind("minimum")
         maxs = cps.by_kind("maximum")
         if not mins or not maxs:
@@ -1037,19 +1064,17 @@ def build_regimes(p: FourierPotential, eps: float, i1_max: float,
 # ----------------------------------------------------------------------
 
 def lifted_hamiltonian_range(p: FourierPotential, eps: float, i1: float,
-                             y_samples, phi1_samples=None):
+                             y_samples):
     """Oscillation of the original Hamiltonian along a lifted drift orbit.
 
     Lifting a guiding-center path back to phase space turns the original
     Hamiltonian into I1 + eps * v at the ring point, for any fast phase; a
     correct first-order average keeps the swing below 2 eps sum|v_k|.
     """
-    if phi1_samples is None:
-        phi1_samples = np.linspace(0.0, TWO_PI, 8, endpoint=False)
     r = math.sqrt(2.0 * i1)
     ys = np.asarray(y_samples, dtype=float)
     vals = []
-    for phi in phi1_samples:
+    for phi in np.linspace(0.0, TWO_PI, 8, endpoint=False):
         x = np.stack([r * math.sin(phi) + ys[:, 0],
                       r * math.cos(phi) + ys[:, 1]], axis=-1)
         vals.append(i1 + eps * p.value(x))

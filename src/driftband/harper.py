@@ -56,10 +56,10 @@ class HarperModel:
         """Cosine coefficient B': 2 Re of the damped (0, 1) mode."""
         return 2.0 * self.symbol.coeffs.get((0, 1), 0j).real
 
-    def flux_fraction(self, denominator_cap: int = FLUX_DENOMINATOR_CAP):
+    def flux_fraction(self):
         """beta h / (2 pi) as M/N in lowest terms, or None."""
         x = self.beta * self.h_step / TWO_PI
-        frac = Fraction(x).limit_denominator(denominator_cap)
+        frac = Fraction(x).limit_denominator(FLUX_DENOMINATOR_CAP)
         if abs(x - float(frac)) <= 1e-12 * max(1.0, abs(x)):
             return frac
         return None
@@ -218,7 +218,7 @@ def _is_harper(model: HarperModel) -> bool:
 
 
 def band_table(model: HarperModel, flux, grid=(64, 64),
-               gap_floor: float = 1e-9, refine: int = 4) -> BandTable:
+               refine: int = 4) -> BandTable:
     """Per-index eigenvalue ranges of the Bloch matrices over (theta, phi).
 
     For Harper's equation (real modes (0, 0), (+-1, 0) and (0, +-1), the
@@ -244,7 +244,7 @@ def band_table(model: HarperModel, flux, grid=(64, 64),
         mins, maxs, solves = _sweep_edges(model, m_over_n, grid, refine)
     bands = [(float(mins[b]), float(maxs[b])) for b in range(n)]
     touching = [idx for idx in range(n - 1)
-                if bands[idx + 1][0] - bands[idx][1] < gap_floor]
+                if bands[idx + 1][0] - bands[idx][1] < 1e-9]
     e_bands = [(float(model.lambda_to_energy(lo)),
                 float(model.lambda_to_energy(hi))) for lo, hi in bands]
     return BandTable(bands=bands, e_bands=e_bands, touching=touching,

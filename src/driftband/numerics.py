@@ -443,9 +443,9 @@ def _dp_dense(y, y5, h, stages):
 
 
 def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
-                  t0: float = 0.0, step_observer=None,
+                  step_observer=None,
                   first_step: float | None = None) -> Trajectory:
-    """Adaptive integration of dy/dt = field(t, y) from t0 to t_end.
+    """Adaptive integration of dy/dt = field(t, y) from 0 to t_end.
 
     `field` maps (t, tuple) -> tuple and is called 1 + 6 * (attempted
     steps) times.  Samples every accepted step.  `step_observer(t0, y0, t1,
@@ -454,7 +454,7 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
     a truncated final time to stop early (used for event location).
     """
     y = tuple(float(c) for c in np.atleast_1d(y0))
-    t = float(t0)
+    t = 0.0
     span = t_end - t
     if span == 0.0:
         return Trajectory(np.array([t]), np.array([y]))

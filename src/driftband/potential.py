@@ -254,19 +254,17 @@ class IrrationalFlux:
         return f"IrrationalFlux({self.eta!r})"
 
 
-def flux_ratio(lattice: Lattice, h: float,
-               denominator_cap: int = FLUX_DENOMINATOR_CAP,
-               tol: float = 1e-12):
+def flux_ratio(lattice: Lattice, h: float):
     """Flux quanta per cell, a22 / h, snapped to N/M when close to rational.
 
-    Both N and M must be at most `denominator_cap`: N is the Bloch matrix
+    Both N and M must be at most FLUX_DENOMINATOR_CAP: N is the Bloch matrix
     size of the Harper reduction, whose flux h / a22 = M/N is capped alike.
     """
     if not h > 0.0:
         raise DomainError("h must be positive")
     eta = lattice.a22 / h
-    frac = Fraction(eta).limit_denominator(denominator_cap)
-    if (frac.numerator <= denominator_cap
-            and abs(eta - float(frac)) <= tol * max(1.0, abs(eta))):
+    frac = Fraction(eta).limit_denominator(FLUX_DENOMINATOR_CAP)
+    if (frac.numerator <= FLUX_DENOMINATOR_CAP
+            and abs(eta - float(frac)) <= 1e-12 * max(1.0, abs(eta))):
         return FluxRatio(N=frac.numerator, M=frac.denominator)
     return IrrationalFlux(eta)

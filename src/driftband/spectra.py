@@ -23,6 +23,7 @@ from .numerics import DomainError, NumericsError, Tolerance, adaptive_quad
 from .potential import FourierPotential, FluxRatio, averaged_potential
 
 TWO_PI = 2.0 * math.pi
+_GENERATING_TOL = Tolerance(1e-11, 1e-11, 600)
 
 
 class KirchhoffViolation(NumericsError):
@@ -155,8 +156,7 @@ def quantize_boundary(table: EdgeActionTable, h: float, delta: float,
 
 
 def quantize_interior(table: EdgeActionTable, h: float, delta: float,
-                      regime_id: str | None = None,
-                      mu: int | None = None) -> QuantizedState | None:
+                      regime_id: str | None = None) -> QuantizedState | None:
     """Energy interval swept by the drift action on an open edge."""
     if table.edge not in ("i2", "i3"):
         raise DomainError("quantize_interior needs an open edge")
@@ -164,8 +164,7 @@ def quantize_interior(table: EdgeActionTable, h: float, delta: float,
     lo, hi = i2_lo + delta, i2_hi - delta
     if lo >= hi:
         return None
-    if mu is None:
-        mu = int(round(table.i1 / h - 0.5))
+    mu = int(round(table.i1 / h - 0.5))
     e_lo = table.energy_of_i2(lo)
     e_hi = table.energy_of_i2(hi)
     e_pair = (min(e_lo, e_hi), max(e_lo, e_hi))
@@ -207,8 +206,7 @@ def landau_bands(p: FourierPotential, eps: float, h: float, delta: float,
 def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
                            delta: float | None = None,
                            i1_max: float | None = None,
-                           table_nodes: int = 32,
-                           table_target: float = 1e-6) -> Spectrum:
+                           table_nodes: int = 32) -> Spectrum:
     """Union of all regimes' quantized series, grouped into Landau bands.
 
     delta defaults to 3h (in action units; the same value excludes Landau
@@ -232,7 +230,7 @@ def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
         edges = ("i1", "i4", "i2", "i3") if graph.kind == "simple" else (
             "i1", "i4")
         tables = build_edge_tables(p, eps, band.i1, edges, graph,
-                                   nodes=table_nodes, target=table_target)
+                                   nodes=table_nodes, target=1e-6)
         table_err_max = max([table_err_max]
                             + [t.interp_error for t in tables])
         first = len(series_out)
@@ -382,40 +380,38 @@ def _ring_difference(p: FourierPotential, i1: float, y, phi: float) -> float:
     return averaged_potential(p, i1, y) - _ring_potential(p, i1, y, phi)
 
 
-def generating_function(p: FourierPotential, i1: float, y, psi: float,
-                        tol: Tolerance = None) -> float:
+def generating_function(p: FourierPotential, i1: float, y,
+                        psi: float) -> float:
     """First-order generating correction, symmetrized in the ring phase.
 
     Averaging the two antiderivatives started at phases 0 and pi keeps the
     result smooth down to vanishing cyclotron action.
     """
-    tol = tol or Tolerance(1e-11, 1e-11, 600)
     averaged = averaged_potential(p, i1, y)
 
     def integrand(phi):
         return averaged - _ring_potential(p, i1, y, phi)
 
     if psi >= 0:
-        part0 = adaptive_quad(integrand, 0.0, psi, tol)
+        part0 = adaptive_quad(integrand, 0.0, psi, _GENERATING_TOL)
     else:
-        part0 = -adaptive_quad(integrand, psi, 0.0, tol)
+        part0 = -adaptive_quad(integrand, psi, 0.0, _GENERATING_TOL)
     if psi >= math.pi:
-        part1 = adaptive_quad(integrand, math.pi, psi, tol)
+        part1 = adaptive_quad(integrand, math.pi, psi, _GENERATING_TOL)
     else:
-        part1 = -adaptive_quad(integrand, psi, math.pi, tol)
+        part1 = -adaptive_quad(integrand, psi, math.pi, _GENERATING_TOL)
     return 0.5 * (part0 + part1)
 
 
 def first_order_generating_residual(p: FourierPotential, i1_grid,
-                                    sample_count: int = 8,
-                                    step: float = 1e-5,
-                                    seed: int = 0) -> float:
+                                    sample_count: int = 8) -> float:
     """Max |d(s)/d(psi) - ring difference| over random samples.
 
     A correct first averaging step satisfies this identity exactly; the
     finite-difference check flags implementation drift.
     """
-    rng = np.random.default_rng(seed)
+    step = 1e-5
+    rng = np.random.default_rng(0)
     worst = 0.0
     for i1 in i1_grid:
         for _ in range(sample_count):

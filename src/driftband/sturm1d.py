@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BracketError, ConvergenceError, DomainError, Tolerance,
-                       adaptive_quad, find_root)
+from .numerics import ConvergenceError, DomainError, Tolerance, adaptive_quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -693,15 +692,14 @@ class Reeb1D:
             span = self.v.v_max - self.v.v_min
             lo = self.v.v_min + 1e-12 * span
             hi = self.v.v_max - 1e-12 * span
+            levels = _well_levels
         else:
             lo, hi = self.v.v_max, self.e_cap
-        try:
-            return find_root(lambda e: self.action(edge, e) - i, lo, hi,
-                             _QTOL)
-        except BracketError:
+            levels = _upper_levels
+        if not self.action(edge, lo) <= i <= self.action(edge, hi):
             raise DomainError(
-                f"action {i} is outside the energy interval of edge {edge}"
-            ) from None
+                f"action {i} is outside the energy interval of edge {edge}")
+        return float(levels(self.v, [i], lo, hi)[0])
 
     def kirchhoff_residual(self) -> float:
         return self.outer_limit - 2.0 * self.upper_limit
@@ -737,10 +735,9 @@ class WeylCount:
     upper_value: float | None = None
 
 
-def weyl_count_1d(v: Potential1D, e: float, h: float,
-                  delta: float | None = None) -> WeylCount:
+def weyl_count_1d(v: Potential1D, e: float, h: float) -> WeylCount:
     """Number of bands below energy e: phase-space area over 2 pi h."""
-    delta = _window(v, delta)
+    delta = _window(v, None)
     if e <= v.v_min:
         return WeylCount(value=0.0)
     if v.v_max == v.v_min:

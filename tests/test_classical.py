@@ -317,6 +317,26 @@ def test_drift_flips_across_collision():
     assert {d_lo, d_hi} == {(1, 0), (0, 1)}
 
 
+def test_generic_series_matches_cosine_series_on_translated_cosines():
+    # shifting the cosine modes' phases translates the potential: the
+    # topology is the cosine's, but the generic scan has to find the
+    # transversal saddle collisions between its sample nodes
+    phase = {(1, 0): 0.7, (-1, 0): -0.7, (0, 1): -1.1, (0, -1): 1.1}
+    for args, i1_max in [((1.0, 1.0, 2.0), 4.0), ((2.0, 1.0, 1.0), 16.0),
+                         ((1.0, 1.5, 1.3), 3.0), ((3.0, 1.0, 1.0), 1.0)]:
+        p = cosine_example(*args)
+        shifted = FourierPotential(p.lattice, {
+            k: c * complex(math.cos(phase[k]), math.sin(phase[k]))
+            for k, c in p.coeffs.items()})
+        closed = [v for v in critical_i1_series(p, EPS, i1_max).saddle_collision
+                  if 0.0 < v < i1_max]
+        generic = critical_i1_series(shifted, EPS, i1_max).saddle_collision
+        assert len(generic) == len(closed), (args, generic, closed)
+        for a, b in zip(generic, closed):
+            assert abs(a - b) < 1e-8, (args, a, b)
+    assert closed == []  # cosine(3, 1, 1) below I1 = 1
+
+
 # ----------------------------------------------------------------- regimes
 
 def test_boundary_curves_match_analytic():
