@@ -25,7 +25,11 @@ from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
 
-_ORBIT_TOL = Tolerance(1e-11, 1e-11, 400)
+# orbit_lanes (DOP853) against a 1e-14 reference on the test orbits: 1.9e-10
+# at 1e-11, 1.6e-11 at 1e-12, 3.3e-12 at 3e-13 (Dormand-Prince 5(4) lanes at
+# 1e-11: 8.4e-11)
+_ORBIT_TOL = Tolerance(3e-13, 3e-13, 400)
+_ARC_TOL = Tolerance(1e-11, 1e-11, 400)  # the scalar separatrix-arc oracle
 _ARC_OFFSET = 1e-6  # distance of a separatrix arc's seed from its saddle
 
 
@@ -329,7 +333,7 @@ def _arc_trapezium(model: DriftModel, saddle_y, direction):
         return None
 
     from .numerics import integrate_ode
-    integrate_ode(field, (*start, 0.0), 40.0 * cell_diam, _ORBIT_TOL,
+    integrate_ode(field, (*start, 0.0), 40.0 * cell_diam, _ARC_TOL,
                   step_observer=observer, first_step=_ARC_OFFSET)
     if "state" not in hit:
         raise SeparatrixProximityError("separatrix arc did not reconnect")

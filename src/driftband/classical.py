@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import (DomainError, NumericsError, Tolerance, _dp_dense,
-                       _dp_lane_norm, _dp_lane_step, _dp_step_factor,
-                       bessel_j0, bessel_j0_zero, find_root)
+from .numerics import (D8_STAGES, DomainError, NumericsError, Tolerance,
+                       bessel_j0, bessel_j0_zero, dop853_dense,
+                       dop853_dense_coeffs, dop853_lane_step,
+                       dop853_step_factor, find_root)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
 _SERIES_GRID = 200  # I1 intervals sampled by a critical-action scan
+_SLICE_SEEDS = 16   # Newton seeds per side on the slices of a scan
 _INV_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
@@ -93,46 +95,18 @@ class DriftModel:
 
     # -- array path ----------------------------------------------------------
 
-    def _mode_terms(self, y1, y2):
-        """Per mode at arrays of points: (g1, g2, re cos - im sin,
-        -2 (re sin + im cos)) of the phase g1 y1 + g2 y2."""
-        for g1, g2, re, im in self.modes:
-            ph = g1 * y1 + g2 * y2
-            c, s = np.cos(ph), np.sin(ph)
-            yield g1, g2, re * c - im * s, -2.0 * (re * s + im * c)
-
     def value_grad(self, y1, y2):
-        """vbar and gradient at arrays of points, summed mode by mode as in
-        `arrays`, so each element has the same bits as there."""
+        """vbar and gradient at arrays of points, summed mode by mode in the
+        order of the scalar methods."""
         y1 = np.asarray(y1, dtype=float)
         y2 = np.asarray(y2, dtype=float)
         v = np.full(y1.shape, self.mean)
         d1, d2 = np.zeros((2,) + y1.shape)
-        for g1, g2, part, w in self._mode_terms(y1, y2):
+        for g1, g2, part, w in _mode_terms(self.modes, y1, y2):
             v += 2.0 * part
             d1 += g1 * w
             d2 += g2 * w
         return v, (d1, d2)
-
-    def arrays(self, y1, y2):
-        """vbar, gradient and Hessian at arrays of points.
-
-        Accumulates mode by mode in the order of the scalar methods, so each
-        element rounds as the scalar value at that point does.
-        """
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        v = np.full(y1.shape, self.mean)
-        d1, d2, h11, h12, h22 = np.zeros((5,) + y1.shape)
-        for g1, g2, part, w in self._mode_terms(y1, y2):
-            v += 2.0 * part
-            d1 += g1 * w
-            d2 += g2 * w
-            w = -2.0 * part
-            h11 += g1 * g1 * w
-            h12 += g1 * g2 * w
-            h22 += g2 * g2 * w
-        return v, (d1, d2), (h11, h12, h22)
 
     def energy(self, y):
         """Averaged Hamiltonian I1 + eps*vbar at a point."""
@@ -190,6 +164,16 @@ class DriftModel:
         return d
 
 
+def _mode_terms(modes, y1, y2):
+    """Per mode (g1, g2, re, im) at arrays of points: (g1, g2,
+    re cos - im sin, -2 (re sin + im cos)) of the phase g1 y1 + g2 y2;
+    re and im are numbers or arrays over the points."""
+    for g1, g2, re, im in modes:
+        ph = g1 * y1 + g2 * y2
+        c, s = np.cos(ph), np.sin(ph)
+        yield g1, g2, re * c - im * s, -2.0 * (re * s + im * c)
+
+
 def drift_field(p: FourierPotential, eps: float, i1: float, y):
     """Slow drift velocity J grad_y of the averaged Hamiltonian."""
     model = DriftModel(p, eps, i1)
@@ -233,23 +217,68 @@ def find_critical_points(p: FourierPotential, eps: float,
     Newton iteration on grad(vbar) from a 32 x 32 lattice grid,
     deduplicated modulo the lattice and classified by the Hessian.
     """
-    return _critical_points_of_model(DriftModel(p, eps, i1))
+    return _critical_points_of_model([DriftModel(p, eps, i1)])[0]
 
 
-def _critical_points_of_model(model: DriftModel, seeds: int = 32):
-    lat = model.lattice
-    gscale = max(model.grad_scale, 1e-300)
-    hscale = max(model.hess_scale, 1e-300)
+_NEWTON_LANES = 4096  # Newton lanes of one pass: 16 slices of 16 x 16 seeds
+
+
+def _critical_points_of_model(models, seeds: int = 32):
+    """The critical points of each model of a list, from seeds x seeds
+    Newton lanes per model in row-major seed order.
+
+    Every critical-point search of the package, of one model or of a scan's
+    slices, is one call of this function (perfbench times it as
+    classical.find_critical_points).  Models with the same lattice and wave
+    vectors (the I1 slices of one potential) run as one elementwise pass
+    over up to _NEWTON_LANES lanes, with per-lane mode amplitudes and
+    scales.  A lane stops when hypot(grad) <= 1e-12 grad_scale or when its
+    Hessian is singular, after at most 40 steps of at most 0.35 cell
+    widths.  Every operation is the single-model one, elementwise, so each
+    set is what its model gives alone.
+    """
+    out = [None] * len(models)
+    groups = {}
+    for m, model in enumerate(models):
+        key = (model.lattice, tuple((g1, g2) for g1, g2, _, _ in model.modes))
+        groups.setdefault(key, []).append(m)
+    per_pass = max(1, _NEWTON_LANES // (seeds * seeds))
+    for members in groups.values():
+        for first in range(0, len(members), per_pass):
+            chunk = members[first:first + per_pass]
+            _newton_pass([models[m] for m in chunk], seeds, out, chunk)
+    return out
+
+
+def _newton_pass(models, seeds, out, slots):
+    lat = models[0].lattice
     cap = 0.35 * min(TWO_PI, lat.a22)
-    # one Newton lane per seed, seeds in row-major (i, j) order
+    g12 = [(g1, g2) for g1, g2, _, _ in models[0].modes]
+    n = seeds * seeds
+    # lanes ordered by model, then seed; amplitudes re, im (modes, lanes)
+    amps = np.array([[m[2:] for m in model.modes] for model in models])
+    re, im = np.repeat(amps.reshape(len(models), len(g12), 2), n,
+                       axis=0).transpose(2, 1, 0)
+    gscale = np.repeat([max(model.grad_scale, 1e-300) for model in models], n)
+    hscale = np.repeat([max(model.hess_scale, 1e-300) for model in models], n)
     s = (np.arange(seeds) + 0.5) / seeds
     st = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
-    y = lat.to_cartesian(st)
+    y = np.tile(lat.to_cartesian(st), (len(models), 1))
     y1, y2 = y[:, 0].copy(), y[:, 1].copy()
     ok = np.zeros(len(y1), dtype=bool)
     live = np.arange(len(y1))
     for _ in range(40):
-        _, (d1, d2), (h11, h12, h22) = model.arrays(y1[live], y2[live])
+        y1l, y2l = y1[live], y2[live]
+        d1, d2, h11, h12, h22 = np.zeros((5, len(live)))
+        # summed mode by mode in the order of the scalar methods
+        modes = [(g1, g2, rej, imj) for (g1, g2), rej, imj in zip(g12, re, im)]
+        for g1, g2, part, w in _mode_terms(modes, y1l, y2l):
+            d1 += g1 * w
+            d2 += g2 * w
+            w = -2.0 * part
+            h11 += g1 * g1 * w
+            h12 += g1 * g2 * w
+            h22 += g2 * g2 * w
         done = np.hypot(d1, d2) <= 1e-12 * gscale
         ok[live[done]] = True
         det = h11 * h22 - h12 * h12
@@ -257,6 +286,7 @@ def _critical_points_of_model(model: DriftModel, seeds: int = 32):
         go = ~done & (np.abs(det) >= 1e-13 * hscale * hscale)
         live, d1, d2, det = live[go], d1[go], d2[go], det[go]
         h11, h12, h22 = h11[go], h12[go], h22[go]
+        re, im, gscale, hscale = re[:, go], im[:, go], gscale[go], hscale[go]
         if not live.size:
             break
         dy1 = (h22 * d1 - h12 * d2) / det
@@ -271,6 +301,18 @@ def _critical_points_of_model(model: DriftModel, seeds: int = 32):
             dy2[big] *= cap / step
         y1[live] -= dy1
         y2[live] -= dy2
+    for j, (model, slot) in enumerate(zip(models, slots)):
+        lanes = slice(j * n, (j + 1) * n)
+        out[slot] = _deduplicated(model, y1[lanes], y2[lanes], ok[lanes],
+                                  seeds)
+
+
+def _deduplicated(model, y1, y2, ok, seeds):
+    """The critical point set of one model from its Newton lanes: the
+    converged ends modulo the lattice, near-duplicates collapsed, each
+    classified by its Hessian."""
+    lat = model.lattice
+    hscale = max(model.hess_scale, 1e-300)
     conv = np.nonzero(ok)[0]
     st = lat.to_lattice(np.stack([y1[conv], y2[conv]], axis=-1)) % 1.0
     keys = (np.rint(st * 1e7) % 1e7).astype(np.int64)
@@ -355,7 +397,7 @@ def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
     """
     model = DriftModel(p, eps, i1)
     lev = model.level_of(g)
-    cps = _critical_points_of_model(model)
+    cps = _critical_points_of_model([model])[0]
     levels = [c.level for c in cps]
     if levels:
         spread = max(levels) - min(levels)
@@ -489,44 +531,43 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
                 t_cap: float | None = None) -> list:
     """Integrate the reduced drift field through one closure from each seed.
 
-    The orbits ("lanes") advance together, one Dormand-Prince 4(5) attempt
-    per iteration on arrays of shape (3, lanes) holding (y1, y2, swept
-    area); each lane keeps its own step size (at most 0.1 cell diameters at
-    its initial speed), FSAL stage, section value and time cap (default 400
-    cell diameters at that speed), and leaves the batch when it closes or
-    fails.  Candidate closures (section crossings near a wrapped copy of
-    the seed) are located by Brent's method on the crossing step's dense
-    output and accepted only when the torus distance really vanishes, so
-    near-misses of other lattice copies do not truncate the orbit; after a
-    false alarm the lane restarts from the end of that step.  Every array
-    operation is elementwise over lanes, so a lane's result does not depend
-    on the rest of the batch.  Returns one OrbitResult per seed,
-    ``closed=False`` for a fixed point, a step underflow, the time cap or a
-    failed closure search.
+    The orbits ("lanes") advance together, one DOP853 attempt (Dormand and
+    Prince's 8(5,3) pair, numerics.dop853_lane_step) per iteration on
+    arrays of shape (3, lanes) holding (y1, y2, swept area); each lane
+    keeps its own step size (at most 0.1 cell diameters at its initial
+    speed), FSAL stage, section value and time cap (default 400 cell
+    diameters at that speed), and leaves the batch when it closes or fails.
+    Candidate closures (section crossings near a wrapped copy of the seed)
+    are located by Brent's method on the crossing step's 7th-order dense
+    output, whose three extra stages are evaluated for all crossing lanes
+    of a step at once, and accepted only when the torus distance really
+    vanishes, so near-misses of other lattice copies do not truncate the
+    orbit; after a false alarm the lane restarts from the end of that step.
+    Every array operation is elementwise over lanes, so a lane's result
+    does not depend on the rest of the batch.  Returns one OrbitResult per
+    seed, ``closed=False`` for a fixed point, a step underflow, the time
+    cap or a failed closure search.
     """
-    tol = tol or Tolerance(1e-12, 1e-12, 400)
+    tol = tol or Tolerance(3e-14, 3e-14, 400)
     seeds = [(float(y[0]), float(y[1])) for y in y0s]
     out = [OrbitResult(closed=False) for _ in seeds]
     a21, a22 = model.lattice.a21, model.lattice.a22
     cell_diam = math.hypot(TWO_PI + abs(a21), a22)
-    # mode columns for (modes, lanes) arrays; -2 re and -2 im round as
-    # DriftModel.grad's -2 (re sin + im cos), scaling by 2 being exact
+    # mode columns for (modes, lanes) arrays: phase weights -2 re and -2 im,
+    # and J G = (-g2, g1) per mode
     g1, g2, re2, im2 = (np.array([[m[j] * (1.0 if j < 2 else -2.0)]
                                   for m in model.modes]) for j in range(4))
-    g12 = np.stack((g1, g2), axis=1)  # (modes, 2, 1)
+    jg = np.stack((-g2, g1), axis=1)  # (modes, 2, 1)
 
-    def field(y):
-        ph = g1 * y[0] + g2 * y[1]
+    def field(y, out):
+        y1, y2, _ = y
+        ph = g1 * y1 + g2 * y2
         w = re2 * np.sin(ph) + im2 * np.cos(ph)
-        gw = g12 * w[:, None, :]
-        d = gw[0]
-        for j in range(1, len(gw)):  # modes summed in DriftModel.grad order
-            d = d + gw[j]
-        out = np.empty_like(y)
-        np.negative(d[1], out=out[0])
-        out[1] = d[0]
-        np.multiply(y[0], d[0], out=out[2])  # dA = y1 * dy2/dt
-        return out
+        v = jg * w[:, None, :]
+        out[:2] = v[0]
+        for vj in v[1:]:  # modes summed in order
+            np.add(out[:2], vj, out=out[:2])
+        np.multiply(y1, out[1], out=out[2])  # dA = y1 * dy2/dt
 
     # per lane: the seed in lattice coordinates, the unit section normal
     # (initial velocity in lattice coordinates), time cap, first step
@@ -547,7 +588,8 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     cols = [np.array(c) for c in zip(*rows)]
     idx, s0, t0, n1, n2, cap, h0 = (cols[0], *cols[3:])
     y = np.stack((cols[1], cols[2], np.zeros(len(idx))))
-    k1 = field(y)
+    k1 = np.empty_like(y)
+    field(y, k1)
     t = np.zeros(len(idx))
     t_base = np.zeros(len(idx))
     t_end = cap.copy()
@@ -565,7 +607,7 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
 
     last_sg, last_w = section(y[0], y[1], s0, t0, n1, n2)
 
-    def closure(i, hi, ya, yb, stages, sg_b):
+    def closure(i, ya, yb, coeffs, sg_b):
         """(theta, state, torus distance) of the section crossing on lane
         i's step, found on its dense output; None if the search fails."""
         s0i, t0i, n1i, n2i = (float(a[i]) for a in (s0, t0, n1, n2))
@@ -578,7 +620,7 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
             wt -= round(wt)
             return n1i * ws + n2i * wt, max(abs(ws), abs(wt))
 
-        dense = _dp_dense(ya, yb, hi, stages)
+        dense = dop853_dense(ya, coeffs)
         try:
             theta = find_root(
                 lambda th: sg_b if th >= 1.0 else sigma(dense(th))[0],
@@ -593,31 +635,36 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
             break
         rem = t_end - t
         h = np.where(h > rem, rem, h)
-        y5, err, stages = _dp_lane_step(field, y, h, k1)
-        enorm = _dp_lane_norm(err, y, y5, tol)
+        k = np.empty((D8_STAGES,) + y.shape)
+        k[0] = k1
+        y8, enorm = dop853_lane_step(field, y, h, k, tol)
         ok = enorm <= 1.0
         tb = t + h
-        sg1, w1 = section(y5[0], y5[1], s0, t0, n1, n2)
+        sg1, w1 = section(y8[0], y8[1], s0, t0, n1, n2)
         hit = (ok & (t_base + t > 0.0) & (last_sg < 0.0) & (sg1 >= 0.0)
                & (np.minimum(last_w, w1) < 0.2))
-        y_prev, t_prev, h_step = y, t, h
-        y = np.where(ok, y5, y)
-        k1 = np.where(ok, stages[6], k1)
+        hits = np.flatnonzero(hit)
+        if hits.size:
+            # dense output of every crossing step at once, then one scalar
+            # closure search per lane
+            coeffs = dop853_dense_coeffs(field, y[:, hits], y8[:, hits],
+                                         h[hits], k[:, :, hits])
+            coeffs = coeffs.transpose(2, 0, 1).tolist()
+            starts, ends = y[:, hits].T.tolist(), y8[:, hits].T.tolist()
+        t_prev = t
+        y = np.where(ok, y8, y)
+        k1 = np.where(ok, k[12], k1)
         t = np.where(ok, tb, t)
         last_sg = np.where(ok, sg1, last_sg)
         last_w = np.where(ok, w1, last_w)
         # capped at 10 first steps: on straight drift lines the error
         # estimate is 0, and an unbounded step would jump over the closure
-        h = np.minimum(h * _dp_step_factor(enorm), 10.0 * h0)
+        h = np.minimum(h * dop853_step_factor(enorm), 10.0 * h0)
         # a lane at its time cap or below its smallest step has failed
         drop = ((t >= t_end) | (h < min_step)) & ~hit
-        for i in np.flatnonzero(hit).tolist():
+        for j, i in enumerate(hits.tolist()):
             ta, tb_i = float(t_prev[i]), float(tb[i])
-            found = closure(
-                i, float(h_step[i]), tuple(y_prev[:, i].tolist()),
-                tuple(y5[:, i].tolist()),
-                tuple(tuple(k[:, i].tolist()) for k in stages),
-                float(sg1[i]))
+            found = closure(i, starts[j], ends[j], coeffs[j], float(sg1[i]))
             if found is None:
                 drop[i] = True
                 continue
@@ -672,7 +719,7 @@ def classify_trajectory(p: FourierPotential, eps: float, i1: float,
     d1, d2 = model.grad(float(y0[0]), float(y0[1]))
     if eps == 0.0 or math.hypot(d1, d2) * eps <= 1e-10:
         return TrajectoryClass(kind="fixed_point")
-    orbit = _orbit_once(model, y0, Tolerance(1e-12, 1e-12, 400))
+    orbit = _orbit_once(model, y0, Tolerance(3e-14, 3e-14, 400))
     if not orbit.closed:
         return TrajectoryClass(kind="near_separatrix")
     return TrajectoryClass(kind="closed", winding=orbit.winding,
@@ -762,7 +809,7 @@ def build_reeb_graph(p: FourierPotential, eps: float,
     graph = _degenerate_graph(model)
     if graph is not None:
         return graph
-    cps = _critical_points_of_model(model)
+    cps = _critical_points_of_model([model])[0]
     mins = cps.by_kind("minimum")
     maxs = cps.by_kind("maximum")
     sads = cps.by_kind("saddle")
@@ -928,20 +975,23 @@ def _cosine_series(A, B, beta, i1_max):
                           merged=merged)
 
 
-def _slice(p, eps, i1):
-    """One I1 slice of a scan: (its graph, None) if flat or one-dimensional,
-    else (None, its critical points from 16 x 16 seeds)."""
-    model = DriftModel(p, eps, float(i1))
-    graph = _degenerate_graph(model)
-    if graph is not None:
-        return graph, None
-    return None, _critical_points_of_model(model, seeds=16)
+def _slices(p, eps, i1s):
+    """The I1 slices of a scan: per I1, (its graph, None) if flat or
+    one-dimensional, else (None, its critical points from 16 x 16 seeds);
+    the seed searches of all slices run as batched Newton passes."""
+    models = [DriftModel(p, eps, float(i1)) for i1 in i1s]
+    out = [(_degenerate_graph(model), None) for model in models]
+    todo = [j for j, (graph, _) in enumerate(out) if graph is None]
+    sets = _critical_points_of_model([models[j] for j in todo],
+                                     _SLICE_SEEDS)
+    for j, cps in zip(todo, sets):
+        out[j] = None, cps
+    return out
 
 
-def _saddle_gap(p, eps, i1):
-    """(spread of the saddle levels, degenerate) at one I1 slice: the spread
+def _saddle_gap(graph, cps):
+    """(spread of the saddle levels, degenerate) of one slice: the spread
     is 0 on a degenerate slice and nan with fewer than two saddles."""
-    graph, cps = _slice(p, eps, i1)
     if graph is not None:
         return 0.0, True
     sads = sorted(c.level for c in cps.by_kind("saddle"))
@@ -949,14 +999,18 @@ def _saddle_gap(p, eps, i1):
 
 
 def _generic_series(p, eps, i1_max):
+    def gap_at(i1):
+        return _saddle_gap(*_slices(p, eps, [i1])[0])[0]
+
     xs = np.linspace(0.0, i1_max, _SERIES_GRID + 1)
-    scan = [_saddle_gap(p, eps, x) for x in xs]
-    if all(degenerate for _, degenerate in scan):
-        # one-dimensional (or flat) at every I1: no isolated collision
+    scan = [_saddle_gap(*sl) for sl in _slices(p, eps, xs)]
+    tol = 1e-9 * max(p.coeff_l1, 1e-300)
+    if all(degenerate or gap <= tol for gap, degenerate in scan):
+        # the saddles are level (or the slice degenerate) at every I1: no
+        # isolated collision
         return CriticalSeries([], [], [], continuum=True)
     gaps = [gap for gap, _ in scan]
     collisions = []
-    tol = 1e-9 * max(p.coeff_l1, 1e-300)
     for idx in range(1, _SERIES_GRID):
         g0, g1, g2 = gaps[idx - 1], gaps[idx], gaps[idx + 1]
         if g1 <= tol:
@@ -964,8 +1018,8 @@ def _generic_series(p, eps, i1_max):
         elif g1 < g0 and g1 < g2:
             # a transversal collision leaves a gap of up to slope * spacing
             # / 2 at its nearest node: the saddles meet at the refined minimum
-            x, gap = _golden_min(lambda i1: _saddle_gap(p, eps, i1)[0],
-                                 float(xs[idx - 1]), float(xs[idx + 1]))
+            x, gap = _golden_min(gap_at, float(xs[idx - 1]),
+                                 float(xs[idx + 1]))
             if gap <= tol:
                 collisions.append(x)
     return CriticalSeries(saddle_collision=sorted(collisions), separable=[],
@@ -1021,8 +1075,7 @@ def build_regimes(p: FourierPotential, eps: float, i1_max: float,
         return RegimeChart([], i1s, curves, None, delta, collapsed=True)
     series = critical_i1_series(p, eps, i1_max)
     rows = []                    # the four curves' values at each I1
-    for x in i1s:
-        graph, cps = _slice(p, eps, x)
+    for x, (graph, cps) in zip(i1s, _slices(p, eps, i1s)):
         if graph is not None:
             rows.append((graph.g_min, graph.g_min, graph.g_max, graph.g_max))
             continue

@@ -246,8 +246,14 @@ def _pair_loop_crossings(p, eps, h, flux, mu):
                     continue
                 q_star = qa if fa == 0.0 else find_root(
                     diff, qa, qb, Tolerance(1e-12, 1e-12, 200))
-                found.append((q_star, n_p, n_m,
-                              t2.energy_of_i2(h * (n_p / m - q_star))))
+                e_star = t2.energy_of_i2(h * (n_p / m - q_star))
+                if abs(q_star - 1.0 / m) <= 1e-10:
+                    # on the cell edge: the same crossing as q1 = 0 of
+                    # (n_p - 1, n_m + 1), where dispersion_crossings puts it
+                    q_star, n_p_q, n_m_q = q_star - 1.0 / m, n_p - 1, n_m + 1
+                else:
+                    n_p_q, n_m_q = n_p, n_m
+                found.append((q_star, n_p_q, n_m_q, e_star))
     return sorted(found, key=lambda c: (c[0], c[3]))
 
 

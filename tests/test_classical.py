@@ -14,6 +14,7 @@ from driftband.classical import (CriticalPointSet, DriftData, DriftModel,
                                  find_critical_points, lexicographic_positive,
                                  lifted_hamiltonian_range, orbit_lanes,
                                  trace_level_set, _orbit_once)
+from driftband.actions import _ORBIT_TOL
 from driftband.cli import main
 from driftband.numerics import Tolerance, bessel_j0, bessel_j0_zero
 from driftband.potential import FourierPotential, Lattice, cosine_example
@@ -258,7 +259,7 @@ def test_energy_conservation_along_orbit():
     graph = build_reeb_graph(p, EPS, i1)
     comp = trace_level_set(p, EPS, i1, graph_mid_level(graph, "i2"))[0]
     y0 = comp.points[5]
-    orbit = _orbit_once(model, y0, Tolerance(1e-12, 1e-12, 400))
+    orbit = _orbit_once(model, y0, Tolerance(3e-14, 3e-14, 400))
     assert orbit.closed
     e0 = model.energy(y0)
     e1 = model.energy(orbit.end_point)
@@ -317,17 +318,23 @@ def test_drift_flips_across_collision():
     assert {d_lo, d_hi} == {(1, 0), (0, 1)}
 
 
+def _translated(p):
+    """p with its (1, 0) and (0, 1) amplitudes times e^(0.7i) and e^(-1.1i):
+    a translate of p, which the cosine closed form does not accept."""
+    phase = {(1, 0): 0.7, (-1, 0): -0.7, (0, 1): -1.1, (0, -1): 1.1}
+    return FourierPotential(p.lattice, {
+        k: c * complex(math.cos(phase[k]), math.sin(phase[k]))
+        for k, c in p.coeffs.items()})
+
+
 def test_generic_series_matches_cosine_series_on_translated_cosines():
     # shifting the cosine modes' phases translates the potential: the
     # topology is the cosine's, but the generic scan has to find the
     # transversal saddle collisions between its sample nodes
-    phase = {(1, 0): 0.7, (-1, 0): -0.7, (0, 1): -1.1, (0, -1): 1.1}
     for args, i1_max in [((1.0, 1.0, 2.0), 4.0), ((2.0, 1.0, 1.0), 16.0),
                          ((1.0, 1.5, 1.3), 3.0), ((3.0, 1.0, 1.0), 1.0)]:
         p = cosine_example(*args)
-        shifted = FourierPotential(p.lattice, {
-            k: c * complex(math.cos(phase[k]), math.sin(phase[k]))
-            for k, c in p.coeffs.items()})
+        shifted = _translated(p)
         closed = [v for v in critical_i1_series(p, EPS, i1_max).saddle_collision
                   if 0.0 < v < i1_max]
         generic = critical_i1_series(shifted, EPS, i1_max).saddle_collision
@@ -335,6 +342,16 @@ def test_generic_series_matches_cosine_series_on_translated_cosines():
         for a, b in zip(generic, closed):
             assert abs(a - b) < 1e-8, (args, a, b)
     assert closed == []  # cosine(3, 1, 1) below I1 = 1
+
+
+def test_generic_series_reports_a_continuum_on_translated_cosine():
+    # cosine(1, 1, 1) has level saddles at every I1: the closed form
+    # reports a continuum, and so must the scan of its translate
+    p = cosine_example(1.0, 1.0, 1.0)
+    closed = critical_i1_series(p, 0.01, 4.0)
+    generic = critical_i1_series(_translated(p), 0.01, 4.0)
+    assert closed.continuum and closed.saddle_collision == []
+    assert generic.continuum and generic.saddle_collision == []
 
 
 # ----------------------------------------------------------------- regimes
@@ -468,8 +485,9 @@ def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
     comp = [c for c in trace_level_set(p, EPS, i1, graph_mid_level(graph, edge))
             if c.winding == winding][0]
     y0 = tuple(comp.points[3])
-    tol = Tolerance(1e-12, 1e-12, 400)
-    period, ref_winding, area = _bisection_orbit(model, y0, tol)
+    tol = Tolerance(3e-14, 3e-14, 400)
+    period, ref_winding, area = _bisection_orbit(
+        model, y0, Tolerance(1e-14, 1e-14, 400))
     calls = []
     lanes = classical.orbit_lanes
 
@@ -505,7 +523,7 @@ def _mixed_seeds():
 def test_lane_bits_do_not_depend_on_the_batch():
     model, seeds = _mixed_seeds()
     assert len(seeds) == 40
-    tol = Tolerance(1e-11, 1e-11, 400)
+    tol = _ORBIT_TOL
     batch = orbit_lanes(model, seeds, tol)
     assert all(o.closed for o in batch)
     assert {o.winding for o in batch} == {(0, 0), (0, 1), (0, -1)}
@@ -519,7 +537,7 @@ def test_fixed_point_lane_fails_alone():
     model, seeds = _mixed_seeds()
     assert model.grad(0.0, 0.0) == (0.0, 0.0)  # the maximum of the cosine
     picked = [seeds[3], (0.0, 0.0), seeds[20]]
-    tol = Tolerance(1e-11, 1e-11, 400)
+    tol = _ORBIT_TOL
     out = orbit_lanes(model, picked, tol)
     assert out[1] == classical.OrbitResult(closed=False)
     assert out[0] == orbit_lanes(model, [seeds[3]], tol)[0]
@@ -528,6 +546,24 @@ def test_fixed_point_lane_fails_alone():
     # a time cap too short to close fails every lane, and only that way
     capped = orbit_lanes(model, picked, tol, t_cap=1e-3)
     assert capped == [classical.OrbitResult(closed=False)] * 3
+
+
+def test_mixed_lanes_take_few_lockstep_steps(monkeypatch):
+    # at the action lanes' tolerance; Dormand-Prince 5(4) lanes took 389
+    # lockstep steps on this batch at 1e-11, the tolerance they ran at
+    model, seeds = _mixed_seeds()
+    steps = []
+    step = classical.dop853_lane_step
+
+    def counted(field, y, h, k, tol):
+        steps.append(y.shape[1])
+        return step(field, y, h, k, tol)
+
+    monkeypatch.setattr(classical, "dop853_lane_step", counted)
+    out = orbit_lanes(model, seeds, _ORBIT_TOL)
+    assert all(o.closed for o in out)
+    assert steps[0] == len(seeds)
+    assert len(steps) <= 200
 
 
 # ------------------------------------- array topology vs scalar cell loops
@@ -720,7 +756,7 @@ def _assert_along_the_drift(model, comps):
     marching-squares table alone."""
     for comp in comps:
         pts = comp.points
-        _, (d1, d2), _ = model.arrays(pts[1:-1, 0], pts[1:-1, 1])
+        _, (d1, d2) = model.value_grad(pts[1:-1, 0], pts[1:-1, 1])
         chord = pts[2:] - pts[:-2]
         assert np.all(-d2 * chord[:, 0] + d1 * chord[:, 1] > 0.0)
 
@@ -859,7 +895,7 @@ def test_critical_points_match_scalar_newton(seeds):
     completes = []
     for p, i1 in cases:
         model = DriftModel(p, EPS, i1)
-        cps = classical._critical_points_of_model(model, seeds)
+        cps = classical._critical_points_of_model([model], seeds)[0]
         ref, complete = _scalar_critical_points(model, seeds)
         assert cps.complete == complete
         completes.append(complete)
@@ -869,6 +905,21 @@ def test_critical_points_match_scalar_newton(seeds):
             assert max(abs(c.y[0] - y[0]), abs(c.y[1] - y[1])) <= 1e-12
             assert abs(c.level - level) <= 1e-12
     assert completes == [True, True, True, False, False]
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 201])
+def test_batched_slices_match_single_slice_search(count):
+    # 16 slices of 16 x 16 seeds fill one Newton pass: 15, 16 and 17 end
+    # on either side of a pass, 201 (a critical-action scan) spans 13
+    for p in (_sheared_few_mode(), cosine_example(2.0, 1.0, 1.0)):
+        models = [DriftModel(p, EPS, float(i1))
+                  for i1 in np.linspace(0.05, 3.0, count)]
+        batch = classical._critical_points_of_model(models, 16)
+        assert len(batch) == count
+        for model, cps in zip(models, batch):
+            alone = classical._critical_points_of_model([model], 16)[0]
+            assert cps.complete == alone.complete
+            assert cps.points == alone.points
 
 
 # ------------------------------------------------- sheared few-mode drift
@@ -894,12 +945,13 @@ def test_sheared_open_components_wind_oppositely():
 # ------------------------------------------ incomplete critical-point sets
 
 def _patched_points(monkeypatch, keep=None, complete=True):
+    # every seed search, one slice or a batch, goes through this function
     real = classical._critical_points_of_model
 
-    def fake(model, seeds=32):
-        cps = real(model, seeds)
-        points = [c for c in cps if keep is None or c.kind in keep]
-        return CriticalPointSet(points=points, complete=complete)
+    def fake(models, seeds=32):
+        return [CriticalPointSet(
+            points=[c for c in cps if keep is None or c.kind in keep],
+            complete=complete) for cps in real(models, seeds)]
 
     monkeypatch.setattr(classical, "_critical_points_of_model", fake)
 

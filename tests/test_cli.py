@@ -443,6 +443,37 @@ def test_sturm_flat_potential(tmp_path):
     assert rows == ["nu,E_low,E_high,bohr_sommerfeld,width_formula"]
 
 
+def test_orbit_commands_leave_scipy_unloaded(tmp_path):
+    # the orbit lanes carry their own DOP853 tableau: scipy.integrate (and
+    # every other scipy module) costs start-up time the commands never pay
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    few_mode = {
+        "potential": {
+            "lattice": {"a21": 0.2, "a22": 5.5},
+            "coefficients": [
+                {"k1": 1, "k2": 0, "re": 0.5, "im": 0.05},
+                {"k1": -1, "k2": 0, "re": 0.5, "im": -0.05},
+                {"k1": 0, "k2": 1, "re": 0.32, "im": -0.04},
+                {"k1": 0, "k2": -1, "re": 0.32, "im": 0.04},
+                {"k1": 1, "k2": 1, "re": 0.04, "im": 0.01},
+                {"k1": -1, "k2": -1, "re": 0.04, "im": -0.01}]},
+        "params": {"h": 0.1, "epsilon": 0.01}, "i1_max": 1.0,
+        "grids": {"i1_grid": 5}}
+    jobs = [("actions", BASE), ("spectrum", BASE), ("regimes", few_mode)]
+    code = textwrap.dedent(f"""
+        import sys
+        from driftband import cli
+        for command, cfg in {jobs!r}:
+            cli.run(command, cfg, {str(tmp_path)!r} + "/" + command)
+        sys.exit(any(m.split(".")[0] == "scipy" for m in sys.modules))
+        """)
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+    for command in ("actions", "spectrum", "regimes"):
+        assert (tmp_path / command / f"{command}.json").exists()
+
+
 def test_sturm_leaves_scipy_linalg_unloaded(tmp_path):
     # the FD oracle solves these counts as momentum blocks with numpy alone
     src = os.path.join(os.path.dirname(__file__), "..", "src")

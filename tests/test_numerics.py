@@ -1,14 +1,19 @@
+import importlib.util
 import math
+import os
+import runpy
 
 import mpmath
 import numpy as np
 import pytest
 
+from driftband import numerics
 from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
-                                NonHermitianError, Tolerance,
+                                NonHermitianError, Tolerance, D8_STAGES,
                                 adaptive_quad, bessel_j0, bessel_j0_zero,
-                                find_root, hermitian_eigenvalues,
-                                integrate_ode, _dp_lane_step, _dp_step,
+                                dop853_dense, dop853_dense_coeffs,
+                                dop853_lane_step, find_root,
+                                hermitian_eigenvalues, integrate_ode,
                                 _gk15, _GAUSS_WEIGHTS, _KRONROD_NODES,
                                 _KRONROD_WEIGHTS)
 
@@ -329,22 +334,82 @@ def test_ode_dense_output():
             assert abs(y[1] + math.sin(t)) < 1e-9
 
 
-def test_lane_step_rounds_as_scalar_step():
-    # a Duffing oscillator, polynomial so both paths use the same arithmetic
-    def scalar_field(t, y):
-        return (y[1], -y[0] - 0.1 * (y[0] * y[0] * y[0]))
+def test_dop853_tableau_matches_reference():
+    # the coefficients of the installed scipy's DOP853, read as a file: the
+    # package never imports scipy.integrate
+    spec = importlib.util.find_spec("scipy")
+    ref = runpy.run_path(os.path.join(spec.submodule_search_locations[0],
+                                      "integrate", "_ivp",
+                                      "dop853_coefficients.py"))
+    assert ref["N_STAGES_EXTENDED"] == D8_STAGES
+    for s, row in enumerate(numerics._D8_A):
+        # the nodes are the row sums (no lane field depends on time)
+        assert abs(ref["C"][s] - math.fsum(row)) <= 1e-15 * max(
+            [1.0] + [abs(a) for a in row])
+        assert tuple(ref["A"][s, :s]) == row
+        assert not ref["A"][s, s:].any()
+    assert tuple(ref["B"]) == numerics._D8_B
+    assert tuple(ref["E3"]) == numerics._D8_E3 + (0.0,)
+    assert tuple(ref["E5"]) == numerics._D8_E5 + (0.0,)
+    assert [tuple(r) for r in ref["D"]] == list(numerics._D8_D)
 
-    def lane_field(y):
-        return np.stack((y[1], -y[0] - 0.1 * (y[0] * y[0] * y[0])))
 
-    ys = [(0.3, 0.1), (1.2, -0.4), (2.9, 0.0), (-5.0, 3.0)]
-    hs = [0.1, 0.37, 1e-3, 2.0]
-    y = np.array(ys).T
-    y5, err, stages = _dp_lane_step(lane_field, y, np.array(hs),
-                                    lane_field(y))
-    for j, (yj, hj) in enumerate(zip(ys, hs)):
-        s5, serr, sstages = _dp_step(scalar_field, 0.0, yj, hj,
-                                     scalar_field(0.0, yj))
-        assert tuple(y5[:, j]) == s5
-        assert tuple(err[:, j]) == tuple(serr)
-        assert [tuple(k[:, j]) for k in stages] == list(sstages)
+def _oscillator(y, out):
+    out[0] = y[1]
+    np.negative(y[0], out=out[1])
+
+
+def test_dop853_converges_at_eighth_order():
+    # y'' = -y from (1, 0) through one period in n fixed steps: the end
+    # point and the dense output in between err 2^7 times less per halving
+    errors = []
+    for n in (8, 16, 32):
+        h = np.array([2.0 * math.pi / n])
+        y = np.array([[1.0], [0.0]])
+        k1 = np.empty_like(y)
+        _oscillator(y, k1)
+        dense_err = 0.0
+        for i in range(n):
+            k = np.empty((D8_STAGES,) + y.shape)
+            k[0] = k1
+            y8, _ = dop853_lane_step(_oscillator, y, h, k, TOL)
+            coeffs = dop853_dense_coeffs(_oscillator, y, y8, h, k)
+            dense = dop853_dense(y[:, 0].tolist(), coeffs[:, :, 0].tolist())
+            assert dense(0.0) == tuple(y[:, 0])
+            for theta in (0.3, 0.7):
+                t = (i + theta) * h[0]
+                yt = dense(theta)
+                dense_err = max(dense_err, abs(yt[0] - math.cos(t)),
+                                abs(yt[1] + math.sin(t)))
+            y, k1 = y8, k[12].copy()
+        errors.append((math.hypot(y[0, 0] - 1.0, y[1, 0]), dense_err))
+    for (end0, dense0), (end1, dense1) in zip(errors, errors[1:]):
+        assert end0 >= 2.0 ** 7 * end1
+        assert dense0 >= 2.0 ** 7 * dense1
+
+
+def test_dop853_lane_bits_do_not_depend_on_the_batch():
+    # a Duffing oscillator in 1 to 9 lanes: each lane's step, error
+    # estimate and dense output are those of the lane alone
+    def duffing(y, out):
+        out[0] = y[1]
+        out[1] = -y[0] - 0.1 * (y[0] * y[0] * y[0])
+
+    rng = np.random.default_rng(7)
+    for lanes in (1, 2, 5, 9):
+        y = rng.normal(size=(2, lanes)) * 3.0
+        h = rng.uniform(1e-3, 2.0, lanes)
+        k = np.empty((D8_STAGES, 2, lanes))
+        duffing(y, k[0])
+        y8, enorm = dop853_lane_step(duffing, y, h, k, TOL)
+        coeffs = dop853_dense_coeffs(duffing, y, y8, h, k)
+        for j in range(lanes):
+            kj = np.empty((D8_STAGES, 2, 1))
+            duffing(y[:, j:j + 1], kj[0])
+            yj, ej = dop853_lane_step(duffing, y[:, j:j + 1], h[j:j + 1], kj,
+                                      TOL)
+            cj = dop853_dense_coeffs(duffing, y[:, j:j + 1], yj, h[j:j + 1],
+                                     kj)
+            assert np.array_equal(yj[:, 0], y8[:, j])
+            assert ej[0] == enorm[j]
+            assert np.array_equal(cj[:, :, 0], coeffs[:, :, j])
