@@ -1,7 +1,8 @@
 """Action variables along the Reeb-graph edges of the averaged drift.
 
 For contractible drift orbits the action is the enclosed area over 2 pi
-(positive around minima, negative around maxima); for open orbits it is the
+(positive around minima, negative around maxima), integrated as two arcs
+between two points of the orbit; for open orbits it is the
 curved-trapezium area against the drift line, computed over one period of a
 fixed lift.  Separatrix limits are obtained by extrapolating in the distance
 to the critical energy with the log-aware basis {1, d, d log d, d^2,
@@ -20,7 +21,8 @@ from .classical import (DriftModel, OrbitResult, ReebGraph,
                         SeparatrixProximityError, build_reeb_graph,
                         orbit_lanes)
 from .numerics import (ConvergenceError, DomainError, Tolerance,
-                       adaptive_quad, bessel_j0, find_root)
+                       adaptive_quad, bessel_j0, bracketed_newton,
+                       find_root)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
@@ -31,6 +33,10 @@ TWO_PI = 2.0 * math.pi
 _ORBIT_TOL = Tolerance(3e-13, 3e-13, 400)
 _ARC_TOL = Tolerance(1e-11, 1e-11, 400)  # the scalar separatrix-arc oracle
 _ARC_OFFSET = 1e-6  # distance of a separatrix arc's seed from its saddle
+_LINE_SAMPLES = 400  # intervals of a seed line sampled for its first crossing
+# seed lines of each edge (see ActionComputer._seed_line_samples)
+_SEED_LINES = {"i1": (0, 1), "i4": (2, 3), "i2": (4, 5), "i3": (4, 5)}
+_EPS = np.finfo(float).eps
 
 
 # ----------------------------------------------------------------------
@@ -60,45 +66,13 @@ class ActionComputer:
         self._saddles = {"lower": lower, "upper": upper}
         self._extrema = {"minimum": cps.by_kind("minimum")[0],
                          "maximum": cps.by_kind("maximum")[0]}
+        self._seed_lines = None  # sampled at the first seed search
 
     @property
     def cell_over_2pi(self) -> float:
         return self.p.lattice.cell_area / TWO_PI
 
     # -- seed construction ------------------------------------------------
-
-    def _segment_seed(self, a, b, lev):
-        """Point with vbar = lev on the segment a -> b."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-
-        def f(t):
-            y = a + t * (b - a)
-            return self.model.vbar(y[0], y[1]) - lev
-
-        t = find_root(f, 1e-12, 1.0 - 1e-12, Tolerance(1e-14, 1e-14, 200))
-        return a + t * (b - a)
-
-    def _saddle_ray_seed(self, saddle, direction, lev):
-        y0 = np.asarray(saddle.y, dtype=float)
-        u = np.asarray(direction, dtype=float)
-        u = u / np.linalg.norm(u)
-
-        def f(s):
-            y = y0 + s * u
-            return self.model.vbar(y[0], y[1]) - lev
-
-        # first of 400 ray samples above the level, all evaluated at once
-        span = 2.0 * math.hypot(TWO_PI, self.p.lattice.a22)
-        ss = np.linspace(1e-6, span, 400)
-        vals, _ = self.model.value_grad(y0[0] + ss * u[0],
-                                        y0[1] + ss * u[1])
-        above = np.flatnonzero(vals - lev > 0.0)
-        if not len(above):
-            raise DomainError("no crossing along the saddle ray")
-        s = find_root(f, 1e-9, float(ss[above[0]]),
-                      Tolerance(1e-14, 1e-14, 200))
-        return y0 + s * u
 
     def _saddle_plus_direction(self, which):
         """Unit eigenvector of the positive Hessian eigenvalue at a saddle."""
@@ -116,25 +90,91 @@ class ActionComputer:
             v = np.array([0.0, 1.0])
         return v / np.linalg.norm(v)
 
+    def _seed_line_samples(self):
+        """Origins, direction vectors, signs and 401 vbar samples of the
+        six seed lines.  Lines 0 and 1 run from the minimum to the lower
+        saddle and to that saddle's lift opposite it (the two arc ends of
+        an i1 orbit), lines 2 and 3 likewise from the maximum for i4, and
+        lines 4 and 5 from the lower saddle along + and - its rising
+        Hessian direction (one seed per open component); each sign makes
+        sign * vbar rise away from the line's origin."""
+        lat = self.p.lattice
+        ends = []
+        for extremum, which, side in (("minimum", "lower", 1.0),
+                                      ("maximum", "upper", -1.0)):
+            e = np.asarray(self._extrema[extremum].y, dtype=float)
+            s = np.asarray(self._saddles[which].y, dtype=float)
+            # the lift s + v of the saddle nearest its mirror image 2e - s
+            mirror = 2.0 * (e - s)
+            z = np.rint(lat.to_lattice(mirror))
+            shifts = [(z[0] + n1) * lat.a1 + (z[1] + n2) * lat.a2
+                      for n1 in (-1, 0, 1) for n2 in (-1, 0, 1)
+                      if (z[0] + n1, z[1] + n2) != (0.0, 0.0)]
+            lift = s + min(shifts,
+                           key=lambda v: float(np.hypot(*(v - mirror))))
+            ends += [(e, s - e, side), (e, lift - e, side)]
+        sad = np.asarray(self._saddles["lower"].y, dtype=float)
+        ray = (2.0 * math.hypot(TWO_PI, lat.a22)
+               * self._saddle_plus_direction("lower"))
+        ends += [(sad, ray, 1.0), (sad, -ray, 1.0)]
+        origin, direction, side = (np.array(c) for c in zip(*ends))
+        ts = np.linspace(0.0, 1.0, _LINE_SAMPLES + 1)
+        vals, _ = self.model.value_grad(
+            origin[:, :1] + ts * direction[:, :1],
+            origin[:, 1:] + ts * direction[:, 1:])
+        return origin, direction, side, vals
+
+    def _seed_pairs(self, requests):
+        """Two points on the level of each (edge_id, g): the arc ends A, B
+        of a contractible edge or the two saddle-ray seeds of an open one.
+
+        Each point is the first crossing of its seed line between two
+        samples, refined by one bracketed Newton pass over every point of
+        the batch; a point stops when its residual is at vbar's rounding
+        level (near a saddle, where vbar is flat) or its Newton step at
+        the rounding level of t."""
+        if self._seed_lines is None:
+            self._seed_lines = self._seed_line_samples()
+        origin, direction, sign, samples = self._seed_lines
+        try:
+            line = np.array([_SEED_LINES[e] for e, _ in requests],
+                            dtype=int).ravel()
+        except KeyError as exc:
+            raise DomainError(f"unknown edge {exc.args[0]}") from None
+        levs = np.repeat([self.model.level_of(g) for _, g in requests], 2)
+        side = sign[line]
+        r = side[:, None] * (samples[line] - levs[:, None])
+        k = np.argmax(r > 0.0, axis=1)
+        rows = np.arange(len(k))
+        if not np.all((k > 0) & (r[rows, k] > 0.0)):
+            raise DomainError("no level crossing along a seed line")
+        lo = (k - 1) / _LINE_SAMPLES
+        hi = k / _LINE_SAMPLES
+        r_lo, r_hi = r[rows, k - 1], r[rows, k]
+        o1, o2 = origin[line].T
+        d1, d2 = direction[line].T
+
+        def fun(t, lanes):
+            v, (g1, g2) = self.model.value_grad(o1[lanes] + t * d1[lanes],
+                                                o2[lanes] + t * d2[lanes])
+            s = side[lanes]
+            return (s * (v - levs[lanes]),
+                    s * (g1 * d1[lanes] + g2 * d2[lanes]))
+
+        t = bracketed_newton(
+            fun, lo, hi, lo - r_lo * (hi - lo) / (r_hi - r_lo),
+            lambda t: 8.0 * _EPS * (1.0 + np.abs(t)),
+            floor=4.0 * _EPS * (np.abs(levs) + self.model.l1))
+        points = list(zip((o1 + t * d1).tolist(), (o2 + t * d2).tolist()))
+        return list(zip(points[::2], points[1::2]))
+
     def seeds_for_edge(self, edge_id, g):
         """One or two points on the level {averaged energy = g} lying on the
-        component(s) of the requested edge; open-edge lifts pass through the
-        cell of the lower saddle."""
-        lev = self.model.level_of(g)
-        if edge_id == "i1":
-            lo = self._extrema["minimum"]
-            hi = self._saddles["lower"]
-            return [self._segment_seed(lo.y, hi.y, lev)]
-        if edge_id == "i4":
-            lo = self._extrema["maximum"]
-            hi = self._saddles["upper"]
-            return [self._segment_seed(lo.y, hi.y, lev)]
-        if edge_id in ("i2", "i3"):
-            sad = self._saddles["lower"]
-            u = self._saddle_plus_direction("lower")
-            return [self._saddle_ray_seed(sad, u, lev),
-                    self._saddle_ray_seed(sad, -u, lev)]
-        raise DomainError(f"unknown edge {edge_id}")
+        component(s) of the requested edge: the start A of a contractible
+        orbit, or one seed per open component, whose lifts pass through
+        the cell of the lower saddle."""
+        a, b = self._seed_pairs([(edge_id, g)])[0]
+        return [a] if edge_id in ("i1", "i4") else [a, b]
 
     # -- actions ----------------------------------------------------------
 
@@ -157,30 +197,47 @@ class ActionComputer:
 
     def actions(self, requests) -> list:
         """Actions at [(edge_id, g), ...], every orbit in one orbit_lanes
-        batch; raises as action() would for the first failing request."""
+        batch; raises as action() would for the first failing request.
+
+        A contractible orbit runs as two arcs, A -> B and B -> A, so each
+        lane passes its edge's saddle once rather than twice; an open edge
+        runs one closed lane per saddle-ray seed.  Identical lanes run once,
+        so i2 and i3 at one energy share their two orbits."""
         plans = []
-        seeds = []
         for edge_id, g in requests:
             edge = self.graph.edge(edge_id)
             g_lo, g_hi = edge.energy_range
             if not (g_lo < g < g_hi):
                 raise DomainError(f"g={g} outside edge {edge_id} range")
-            ys = self.seeds_for_edge(edge_id, g)
-            plans.append((edge_id, edge, len(seeds), len(ys)))
-            seeds.extend(tuple(y0) for y0 in ys)
-        orbits = orbit_lanes(self.model, seeds, _ORBIT_TOL)
+            plans.append((edge_id, edge))
+        lanes = {}  # (seed, target) -> lane
+        slots = []
+        for (edge_id, _), (a, b) in zip(plans, self._seed_pairs(requests)):
+            pairs = (((a, b), (b, a)) if edge_id in ("i1", "i4")
+                     else ((a, a), (b, b)))
+            slots.append([(pair, lanes.setdefault(pair, len(lanes)))
+                          for pair in pairs])
+        orbits = orbit_lanes(self.model, [y0 for y0, _ in lanes],
+                             _ORBIT_TOL, targets=[y for _, y in lanes])
+        lat = self.p.lattice
         out = []
-        for edge_id, edge, start, count in plans:
-            results = list(zip(seeds[start:start + count],
-                               orbits[start:start + count]))
+        for (edge_id, edge), slot in zip(plans, slots):
+            results = [(pair[0], orbits[lane]) for pair, lane in slot]
             if not all(orbit.closed for _, orbit in results):
                 raise SeparatrixProximityError(
                     "orbit failed to close (separatrix proximity?)")
             if edge_id in ("i1", "i4"):
-                y0, orbit = results[0]
-                if orbit.winding != (0, 0):
+                (a, first), (b, second) = results
+                w1, w2 = first.winding, second.winding
+                if (w1[0] + w2[0], w1[1] + w2[1]) != (0, 0):
                     raise DomainError("expected a contractible orbit")
-                out.append(self.action_from_orbit(y0, orbit))
+                # the second arc, moved by the first arc's shift s1, runs
+                # from B + s1 to A = A + s1 + s2: its area gains
+                # s1_x (A_y + s2_y - B_y), with s2 = -s1
+                s1 = w1[0] * lat.a1 + w1[1] * lat.a2
+                area = first.area + second.area + float(s1[0]) * (
+                    a[1] - float(s1[1]) - b[1])
+                out.append(area / TWO_PI)
                 continue
             want = edge.drift.d
             for y0, orbit in results:

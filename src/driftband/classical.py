@@ -517,8 +517,8 @@ def _refine_polyline(model, ys, lev):
 class OrbitResult:
     closed: bool
     period: float = math.nan      # in reduced time (field J grad vbar)
-    winding: tuple = (0, 0)
-    area: float = math.nan        # int y1 dy2 over one period
+    winding: tuple = (0, 0)       # lattice shift, target -> end point
+    area: float = math.nan        # int y1 dy2, seed -> end point
     end_point: tuple | None = None
 
 
@@ -528,8 +528,10 @@ _RESUMES = 64             # closure candidates per orbit
 
 
 def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
-                t_cap: float | None = None) -> list:
-    """Integrate the reduced drift field through one closure from each seed.
+                t_cap: float | None = None, targets=None) -> list:
+    """Integrate the reduced drift field from each seed until it reaches
+    its target on the torus: the seed itself (one closure, the default) or
+    another point of the same level set (an arc).
 
     The orbits ("lanes") advance together, one DOP853 attempt (Dormand and
     Prince's 8(5,3) pair, numerics.dop853_lane_step) per iteration on
@@ -537,19 +539,24 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     keeps its own step size (at most 0.1 cell diameters at its initial
     speed), FSAL stage, section value and time cap (default 400 cell
     diameters at that speed), and leaves the batch when it closes or fails.
-    Candidate closures (section crossings near a wrapped copy of the seed)
-    are located by Brent's method on the crossing step's 7th-order dense
-    output, whose three extra stages are evaluated for all crossing lanes
-    of a step at once, and accepted only when the torus distance really
-    vanishes, so near-misses of other lattice copies do not truncate the
-    orbit; after a false alarm the lane restarts from the end of that step.
-    Every array operation is elementwise over lanes, so a lane's result
-    does not depend on the rest of the batch.  Returns one OrbitResult per
-    seed, ``closed=False`` for a fixed point, a step underflow, the time
-    cap or a failed closure search.
+    Each lane's section is the line through its target normal to the drift
+    there.  Candidate closures (section crossings near a wrapped copy of
+    the target) are located by Brent's method on the crossing step's
+    7th-order dense output, whose three extra stages are evaluated for all
+    crossing lanes of a step at once, and accepted only when the torus
+    distance to the target really vanishes, so near-misses of other
+    lattice copies do not truncate the orbit; after a false alarm the lane
+    restarts from the end of that step.  Every array operation is
+    elementwise over lanes, so a lane's result does not depend on the rest
+    of the batch.  Returns one OrbitResult per seed, whose winding is the
+    lattice shift from the target to the end point and whose area is swept
+    from the seed; ``closed=False`` for a fixed point (at the seed or the
+    target), a step underflow, the time cap or a failed closure search.
     """
     tol = tol or Tolerance(3e-14, 3e-14, 400)
     seeds = [(float(y[0]), float(y[1])) for y in y0s]
+    ends = seeds if targets is None else [(float(y[0]), float(y[1]))
+                                          for y in targets]
     out = [OrbitResult(closed=False) for _ in seeds]
     a21, a22 = model.lattice.a21, model.lattice.a22
     cell_diam = math.hypot(TWO_PI + abs(a21), a22)
@@ -569,18 +576,20 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
             np.add(out[:2], vj, out=out[:2])
         np.multiply(y1, out[1], out=out[2])  # dA = y1 * dy2/dt
 
-    # per lane: the seed in lattice coordinates, the unit section normal
-    # (initial velocity in lattice coordinates), time cap, first step
+    # per lane: the target in lattice coordinates, the unit section normal
+    # (velocity at the target in lattice coordinates), time cap, first step
     rows = []
-    for lane, (y1, y2) in enumerate(seeds):
+    for lane, ((y1, y2), (x1, x2)) in enumerate(zip(seeds, ends)):
         d1, d2 = model.grad(y1, y2)
         speed = math.hypot(d2, d1)
-        if speed == 0.0 or (t_cap is not None and not t_cap > 0.0):
+        d1, d2 = model.grad(x1, x2)  # the drift at the target
+        if (speed == 0.0 or (d1 == 0.0 and d2 == 0.0)
+                or (t_cap is not None and not t_cap > 0.0)):
             continue
         n1, n2 = (-d2 - a21 * d1 / a22) / TWO_PI, d1 / a22
         norm = math.hypot(n1, n2)
-        t0 = y2 / a22
-        rows.append((lane, y1, y2, (y1 - a21 * t0) / TWO_PI, t0, n1 / norm,
+        t0 = x2 / a22
+        rows.append((lane, y1, y2, (x1 - a21 * t0) / TWO_PI, t0, n1 / norm,
                      n2 / norm, 400.0 * cell_diam / speed
                      if t_cap is None else t_cap, 0.01 * cell_diam / speed))
     if not rows:

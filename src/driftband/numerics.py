@@ -1,15 +1,16 @@
 """Self-contained numerical kernels shared by the whole toolkit.
 
 Bessel J0, adaptive Gauss-Kronrod quadrature (the integrand is an array
-function, called once per 15-node panel), Brent root bracketing,
-Hermitian eigenvalues of single matrices or stacks (checked input, solved
-by LAPACK) and two explicit Runge-Kutta pairs.  The adaptive Dormand–Prince
-4(5) with FSAL and dense output, integrate_ode, is scalar and serves the
-separatrix-arc oracle.  Dormand and Prince's 8(5,3) pair (DOP853) steps
-arrays of independent autonomous systems ("lanes", elementwise, so a lane
-rounds as it would alone) and is the engine of classical.orbit_lanes; its
-tableau is written out here, so scipy.integrate is never imported.
-All routines are pure functions of immutable inputs.
+function, called once per 15-node panel), Brent root bracketing and a
+bracketed Newton pass over arrays of roots, Hermitian eigenvalues of single
+matrices or stacks (checked input, solved by LAPACK) and two explicit
+Runge-Kutta pairs.  The adaptive Dormand–Prince 4(5) with FSAL and dense
+output, integrate_ode, is scalar and serves the separatrix-arc oracle.
+Dormand and Prince's 8(5,3) pair (DOP853) steps arrays of independent
+autonomous systems ("lanes", elementwise, so a lane rounds as it would
+alone) and is the engine of classical.orbit_lanes; its tableau is written
+out here, so scipy.integrate is never imported.  All routines are pure
+functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _pack(f, lo, hi):
 
 
 # ----------------------------------------------------------------------
-# Bracketed root finding (Brent)
+# Bracketed root finding: Brent, and Newton passes over arrays of lanes
 # ----------------------------------------------------------------------
 
 def find_root(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -251,6 +252,44 @@ def find_root(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
         b += d if abs(d) > eps else math.copysign(eps, half)
         fb = f(b)
     raise ConvergenceError("root iteration limit exceeded", best=b, error=abs(fb))
+
+
+_ROOT_ITER = 100  # iterations of a bracketed Newton pass
+
+
+def bracketed_newton(fun, lo, hi, x, step_tol, floor=0.0):
+    """Roots in [lo, hi] of lane functions that rise across their brackets.
+
+    fun(x, lanes) returns (residual, slope) at the points x of the listed
+    lanes; each residual is < 0 at its lane's lo and > 0 at its hi.  Every
+    iteration narrows each bracket by the sign at the iterate and takes a
+    Newton step, or bisects when the step leaves the bracket or the slope
+    is not positive.  A lane stops when a Newton step is within
+    step_tol(x), when its residual is within floor, or when its bracket is
+    down to adjacent floats.  Every operation is elementwise, so a lane's
+    result does not depend on the rest of the batch.
+    """
+    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), x.shape)
+    live = np.arange(x.size)
+    for _ in range(_ROOT_ITER):
+        if live.size == 0:
+            return x
+        xi = x[live]
+        r, slope = fun(xi, live)
+        below = r < 0.0
+        lo[live] = a = np.where(below, xi, lo[live])
+        hi[live] = b = np.where(below, hi[live], xi)
+        new = xi - np.divide(r, slope, out=np.full(xi.shape, np.nan),
+                             where=slope > 0.0)
+        newton = (a <= new) & (new <= b)
+        new = np.where(newton, new, 0.5 * (a + b))
+        settled = np.abs(r) <= floor[live]
+        x[live] = np.where(settled, xi, new)
+        stop = settled | (new == xi) | (newton & (np.abs(new - xi)
+                                                   <= step_tol(xi)))
+        live = live[~stop]
+    raise ConvergenceError("array root iteration limit exceeded")
 
 
 # ----------------------------------------------------------------------

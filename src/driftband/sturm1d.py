@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ConvergenceError, DomainError, Tolerance, adaptive_quad
+from .numerics import (DomainError, Tolerance, adaptive_quad,
+                       bracketed_newton, find_root)
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,43 +119,7 @@ class Potential1D:
 # energy
 # ----------------------------------------------------------------------
 
-_ROOT_ITER = 100
 _EPS = np.finfo(float).eps
-
-
-def _bracketed_newton(fun, lo, hi, x, step_tol, floor=0.0):
-    """Roots in [lo, hi] of lane functions that rise across their brackets.
-
-    fun(x, lanes) returns (residual, slope) at the points x of the listed
-    lanes; each residual is < 0 at its lane's lo and > 0 at its hi.  Every
-    iteration narrows each bracket by the sign at the iterate and takes a
-    Newton step, or bisects when the step leaves the bracket or the slope
-    is not positive.  A lane stops when a Newton step is within
-    step_tol(x), when its residual is within floor, or when its bracket is
-    down to adjacent floats.  Every operation is elementwise, so a lane's
-    result does not depend on the rest of the batch.
-    """
-    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
-    floor = np.broadcast_to(np.asarray(floor, dtype=float), x.shape)
-    live = np.arange(x.size)
-    for _ in range(_ROOT_ITER):
-        if live.size == 0:
-            return x
-        xi = x[live]
-        r, slope = fun(xi, live)
-        below = r < 0.0
-        lo[live] = a = np.where(below, xi, lo[live])
-        hi[live] = b = np.where(below, hi[live], xi)
-        new = xi - np.divide(r, slope, out=np.full(xi.shape, np.nan),
-                             where=slope > 0.0)
-        newton = (a <= new) & (new <= b)
-        new = np.where(newton, new, 0.5 * (a + b))
-        settled = np.abs(r) <= floor[live]
-        x[live] = np.where(settled, xi, new)
-        stop = settled | (new == xi) | (newton & (np.abs(new - xi)
-                                                   <= step_tol(xi)))
-        live = live[~stop]
-    raise ConvergenceError("array root iteration limit exceeded")
 
 
 def _turning_points(v: Potential1D, e):
@@ -183,9 +148,9 @@ def _turning_points(v: Potential1D, e):
         s = side[lanes]
         return s * (v.value(x) - ee[lanes]), s * v.deriv(x)
 
-    x = _bracketed_newton(fun, lo, hi, guess,
-                          lambda x: 8.0 * _EPS * (1.0 + np.abs(x)),
-                          floor=4.0 * _EPS * scale)
+    x = bracketed_newton(fun, lo, hi, guess,
+                         lambda x: 8.0 * _EPS * (1.0 + np.abs(x)),
+                         floor=4.0 * _EPS * scale)
     return x[:n], x[n:]
 
 
@@ -298,9 +263,9 @@ def _energies_of(actions, targets, lo: float, hi: float, guess):
         action, slope = actions(es)
         return action - targets[lanes], slope
 
-    return _bracketed_newton(fun, np.full(targets.shape, lo),
-                             np.full(targets.shape, hi),
-                             np.clip(guess, lo, hi), _level_tol)
+    return bracketed_newton(fun, np.full(targets.shape, lo),
+                            np.full(targets.shape, hi),
+                            np.clip(guess, lo, hi), _level_tol)
 
 
 def _well_levels(v: Potential1D, targets, lo: float, hi: float):
@@ -692,14 +657,23 @@ class Reeb1D:
             span = self.v.v_max - self.v.v_min
             lo = self.v.v_min + 1e-12 * span
             hi = self.v.v_max - 1e-12 * span
-            levels = _well_levels
         else:
             lo, hi = self.v.v_max, self.e_cap
-            levels = _upper_levels
         if not self.action(edge, lo) <= i <= self.action(edge, hi):
             raise DomainError(
                 f"action {i} is outside the energy interval of edge {edge}")
-        return float(levels(self.v, [i], lo, hi)[0])
+        if edge == "i1":
+            return float(_well_levels(self.v, [i], lo, hi)[0])
+        # Brent, stopped once the action residual is at its rounding
+        # level: right above the barrier top the 128-point trapezoid slope
+        # is too poor for Newton steps to converge fast or to stop on
+        floor = 4.0 * _EPS * abs(i)
+
+        def residual(e):
+            r = float(_upper_actions(self.v, np.array([e]))[0][0]) - i
+            return 0.0 if abs(r) <= floor else r
+
+        return find_root(residual, lo, hi, Tolerance(1e-16, 1e-16, 200))
 
     def kirchhoff_residual(self) -> float:
         return self.outer_limit - 2.0 * self.upper_limit

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from driftband import actions
+from driftband import actions, classical
 from driftband.actions import (ActionComputer, EdgeActionTable,
                                build_edge_table, build_edge_tables,
                                closed_form_outer_action,
@@ -310,12 +310,28 @@ def _scalar_action(comp, edge_id, g):
     raise AssertionError("no orbit with the edge's drift")
 
 
+def _few_mode_potential():
+    """Complex (1, 0) and (0, 1) amplitudes, a weak oblique (1, 1) mode and
+    a sheared lattice: the saddle lift nearest a saddle's mirror image
+    through its extremum misses that image by 0.05-0.12 at I1 0.3 and
+    0.9, so an arc's end B is not a mirror point."""
+    modes = {(1, 0): 0.5 + 0.07j, (0, 1): 0.32 - 0.06j, (1, 1): 0.04 + 0.015j}
+    coeffs = {}
+    for (k1, k2), c in modes.items():
+        coeffs[(k1, k2)] = c
+        coeffs[(-k1, -k2)] = c.conjugate()
+    return FourierPotential(Lattice(0.3, 5.6), coeffs)
+
+
 def test_batched_actions_match_scalar_orbits():
-    """Three potentials x I1 0.3/0.9 x every edge x g at 1/30/70/99 % of
-    the edge: 96 actions from one batch per graph (ODE tolerance 1e-11)."""
+    """Three cosines and a few-mode potential x I1 0.3/0.9 x every edge x
+    g at 1/30/70/99 % of the edge: 128 actions from one batch per graph,
+    against full scalar orbits (ODE tolerance 1e-11)."""
+    cosines = [cosine_example(*abc) for abc in ((2.0, 1.0, 1.0),
+                                                (1.0, 0.7, 1.0),
+                                                (1.5, 1.0, 2.0))]
     errors = []
-    for abc in ((2.0, 1.0, 1.0), (1.0, 0.7, 1.0), (1.5, 1.0, 2.0)):
-        p = cosine_example(*abc)
+    for p in cosines + [_few_mode_potential()]:
         for i1 in (0.3, 0.9):
             comp = ActionComputer(p, EPS, i1)
             requests = []
@@ -326,9 +342,36 @@ def test_batched_actions_match_scalar_orbits():
             batch = comp.actions(requests)
             for (edge_id, g), value in zip(requests, batch):
                 errors.append(abs(value - _scalar_action(comp, edge_id, g)))
-    assert len(errors) == 96
+    assert len(errors) == 128
     assert max(errors) < 1e-10
     assert max(errors) < 1e-11
+
+
+def test_arcs_cut_steps_and_open_edges_share_lanes(monkeypatch):
+    steps, lanes = [], []
+    step, run = classical.dop853_lane_step, actions.orbit_lanes
+
+    def counted_step(field, y, h, k, tol):
+        steps.append(y.shape[1])
+        return step(field, y, h, k, tol)
+
+    def counted_lanes(model, y0s, *args, **kwargs):
+        lanes.append(len(y0s))
+        return run(model, y0s, *args, **kwargs)
+
+    monkeypatch.setattr(classical, "dop853_lane_step", counted_step)
+    monkeypatch.setattr(actions, "orbit_lanes", counted_lanes)
+    # the equal-saddles table batch of the benchmark's spectrum job: as
+    # full orbits, which pass the saddles twice, it took 192 lockstep steps
+    build_edge_tables(cosine_example(1.0, 1.0, 1.0), 0.01, 0.14,
+                      ("i1", "i4"), nodes=12, target=1e-6)
+    assert lanes == [2 * 2 * (7 + 12)]  # two arcs per action
+    assert len(steps) <= 0.6 * 192
+    # i2 and i3 at one energy share their two saddle-ray orbits
+    lanes.clear()
+    build_edge_tables(cosine_example(2.0, 1.0, 1.0), EPS, 0.3, ("i2", "i3"),
+                      nodes=16, target=1e-6)
+    assert lanes == [2 * (7 + 16)]
 
 
 def test_lanes_resume_after_false_alarms_as_scalar_orbits(monkeypatch):

@@ -531,6 +531,28 @@ def test_lane_bits_do_not_depend_on_the_batch():
         assert orbit_lanes(model, [seeds[k]], tol)[0] == batch[k]
     # reversed order: every lane still gives the same bits
     assert orbit_lanes(model, seeds[::-1], tol)[::-1] == batch
+    # arc lanes, each to the other traced point of its component
+    targets = [seeds[k ^ 1] for k in range(len(seeds))]
+    arcs = orbit_lanes(model, seeds, tol, targets=targets)
+    assert all(o.closed for o in arcs)
+    for k in (0, 17, len(seeds) - 1):
+        assert orbit_lanes(model, [seeds[k]], tol,
+                           targets=[targets[k]])[0] == arcs[k]
+    assert orbit_lanes(model, seeds[::-1], tol,
+                       targets=targets[::-1])[::-1] == arcs
+    # the two arcs of a closed contractible orbit add up to it
+    lat = model.lattice
+    for k in range(0, len(seeds), 2):
+        if batch[k].winding != (0, 0):
+            continue
+        w1, w2 = arcs[k].winding, arcs[k + 1].winding
+        assert (w1[0] + w2[0], w1[1] + w2[1]) == (0, 0)
+        s1 = w1[0] * lat.a1 + w1[1] * lat.a2
+        area = arcs[k].area + arcs[k + 1].area + s1[0] * (
+            seeds[k][1] - s1[1] - seeds[k + 1][1])
+        assert abs(area - batch[k].area) < 1e-10
+        assert abs(arcs[k].period + arcs[k + 1].period
+                   - batch[k].period) < 1e-9
 
 
 def test_fixed_point_lane_fails_alone():

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from driftband import sturm1d
-from driftband.numerics import DomainError, Tolerance, adaptive_quad, find_root
+from driftband.numerics import (DomainError, Tolerance, adaptive_quad,
+                                bracketed_newton, find_root)
 from driftband.sturm1d import (Potential1D, QuasimodeCheck, action_lower,
                                action_upper, agmon_distance, band_width_lower,
                                bs_levels_lower, dispersion_branch_action,
@@ -339,7 +340,7 @@ def test_no_warning_from_a_newton_step_at_an_extremum(vcos):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # r = x^3 - 1/8 starts at its stationary point x = 0, slope 0
-        root = sturm1d._bracketed_newton(
+        root = bracketed_newton(
             lambda x, lanes: (x ** 3 - 0.125, 3.0 * x * x), [0.0], [1.0],
             [0.0], lambda x: 1e-15)
         assert abs(root[0] - 0.5) <= 1e-15
@@ -655,6 +656,20 @@ def test_reeb_inverse_maps_two_mode(vtwo):
     for e in (vtwo.v_max + 0.01, vtwo.v_max + 1.0, graph.e_cap):
         i = graph.action("i3", e)
         assert abs(graph.energy("i3", i) - e) < 1e-9
+
+
+def test_reeb_open_energy_right_above_the_barrier_top(vcos):
+    # the array Newton pass stopped on a 1e-10 (1 + |E|) step: 1.6e-10 off
+    # at v_max + 1e-6 on the first potential; on the cosine its clipped
+    # first guess sat at v_max, where it stopped for every E below ~1.14
+    skewed = Potential1D({1: 0.5, -1: 0.5, 2: 0.2 - 0.1j, -2: 0.2 + 0.1j})
+    for v in (skewed, vcos):
+        graph = reeb_1d(v)
+        for d in (0.1, 1e-2, 1e-6, 1e-8, 0.0):
+            e = v.v_max + d
+            for edge in ("i2", "i3"):
+                got = graph.energy(edge, graph.action(edge, e))
+                assert abs(got - e) <= 1e-12
 
 
 def test_reeb_energy_outside_edge_raises(vtwo):
