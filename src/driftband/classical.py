@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import (D8_STAGES, DomainError, NumericsError, Tolerance,
-                       bessel_j0, bessel_j0_zero, dop853_dense,
-                       dop853_dense_coeffs, dop853_lane_step,
+                       bessel_j0, bessel_j0_array, bessel_j0_zero,
+                       dop853_dense, dop853_dense_coeffs, dop853_lane_step,
                        dop853_step_factor, find_root)
 from .potential import FourierPotential
 
@@ -49,14 +49,17 @@ class DriftModel:
     """Averaged Hamiltonian at fixed cyclotron action, with fast scalar
     evaluation of value/gradient/Hessian used by the integrators."""
 
-    def __init__(self, p: FourierPotential, eps: float, i1: float):
+    def __init__(self, p: FourierPotential, eps: float, i1: float,
+                 averaged: FourierPotential | None = None):
+        """averaged is p.damped(i1) when the caller has it already (a scan
+        damps all its slices in one pass)."""
         if eps < 0.0:
             raise DomainError("eps must be non-negative")
         self.potential = p
         self.eps = float(eps)
         self.i1 = float(i1)
         self.lattice = p.lattice
-        self.averaged = p.damped(i1)
+        self.averaged = p.damped(i1) if averaged is None else averaged
         self.mean = self.averaged.mean
         self.modes = self.averaged._half  # (g1, g2, re, im) per conjugate pair
         self.l1 = self.averaged.coeff_l1
@@ -102,8 +105,11 @@ class DriftModel:
         y2 = np.asarray(y2, dtype=float)
         v = np.full(y1.shape, self.mean)
         d1, d2 = np.zeros((2,) + y1.shape)
-        for g1, g2, part, w in _mode_terms(self.modes, y1, y2):
-            v += 2.0 * part
+        for g1, g2, re, im in self.modes:
+            ph = g1 * y1 + g2 * y2
+            c, s = np.cos(ph), np.sin(ph)
+            v += 2.0 * (re * c - im * s)
+            w = -2.0 * (re * s + im * c)
             d1 += g1 * w
             d2 += g2 * w
         return v, (d1, d2)
@@ -162,16 +168,6 @@ class DriftModel:
         if d[0] < 0 or (d[0] == 0 and d[1] < 0):
             d = (-d[0], -d[1])
         return d
-
-
-def _mode_terms(modes, y1, y2):
-    """Per mode (g1, g2, re, im) at arrays of points: (g1, g2,
-    re cos - im sin, -2 (re sin + im cos)) of the phase g1 y1 + g2 y2;
-    re and im are numbers or arrays over the points."""
-    for g1, g2, re, im in modes:
-        ph = g1 * y1 + g2 * y2
-        c, s = np.cos(ph), np.sin(ph)
-        yield g1, g2, re * c - im * s, -2.0 * (re * s + im * c)
 
 
 def drift_field(p: FourierPotential, eps: float, i1: float, y):
@@ -253,98 +249,108 @@ def _critical_points_of_model(models, seeds: int = 32):
 def _newton_pass(models, seeds, out, slots):
     lat = models[0].lattice
     cap = 0.35 * min(TWO_PI, lat.a22)
-    g12 = [(g1, g2) for g1, g2, _, _ in models[0].modes]
+    # per-mode weights as (rows, modes, 1) columns against (modes, lanes)
+    # terms: (g1, g2) for the gradient, (g1 g1, g1 g2, g2 g2) for the
+    # Hessian; every sum over modes runs along the modes axis, in mode order
+    g1, g2 = (np.array([m[j] for m in models[0].modes]).reshape(-1, 1)
+              for j in (0, 1))
+    gd = np.stack([g1, g2])
+    gh = np.stack([g1 * g1, g1 * g2, g2 * g2])
     n = seeds * seeds
-    # lanes ordered by model, then seed; amplitudes re, im (modes, lanes)
-    amps = np.array([[m[2:] for m in model.modes] for model in models])
-    re, im = np.repeat(amps.reshape(len(models), len(g12), 2), n,
-                       axis=0).transpose(2, 1, 0)
-    gscale = np.repeat([max(model.grad_scale, 1e-300) for model in models], n)
-    hscale = np.repeat([max(model.hess_scale, 1e-300) for model in models], n)
+    # per lane (ordered by model, then seed): -2 times the amplitudes
+    # (re, im) of every mode, shape (2, modes, lanes) (a power of two
+    # scales exactly), and the convergence and singularity thresholds
+    amps = -2.0 * np.array([[m[2:] for m in model.modes] for model in models])
+    amp = np.ascontiguousarray(np.repeat(
+        amps.reshape(len(models), len(g1), 2), n, axis=0).transpose(2, 1, 0))
+    tol = np.repeat([[1e-12 * max(model.grad_scale, 1e-300)
+                      for model in models],
+                     [1e-13 * max(model.hess_scale, 1e-300)
+                      * max(model.hess_scale, 1e-300) for model in models]],
+                    n, axis=1)
     s = (np.arange(seeds) + 0.5) / seeds
     st = np.stack(np.meshgrid(s, s, indexing="ij"), axis=-1).reshape(-1, 2)
-    y = np.tile(lat.to_cartesian(st), (len(models), 1))
-    y1, y2 = y[:, 0].copy(), y[:, 1].copy()
-    ok = np.zeros(len(y1), dtype=bool)
-    live = np.arange(len(y1))
+    y = np.tile(lat.to_cartesian(st), (len(models), 1)).T.copy()
+    ok = np.zeros(y.shape[1], dtype=bool)
+    live = np.arange(y.shape[1])
+    yl = y.copy()  # the live lanes; y keeps each converged lane's end
     for _ in range(40):
-        y1l, y2l = y1[live], y2[live]
-        d1, d2, h11, h12, h22 = np.zeros((5, len(live)))
-        # summed mode by mode in the order of the scalar methods
-        modes = [(g1, g2, rej, imj) for (g1, g2), rej, imj in zip(g12, re, im)]
-        for g1, g2, part, w in _mode_terms(modes, y1l, y2l):
-            d1 += g1 * w
-            d2 += g2 * w
-            w = -2.0 * part
-            h11 += g1 * g1 * w
-            h12 += g1 * g2 * w
-            h22 += g2 * g2 * w
-        done = np.hypot(d1, d2) <= 1e-12 * gscale
-        ok[live[done]] = True
-        det = h11 * h22 - h12 * h12
+        ph = g1 * yl[0] + g2 * yl[1]
+        c, s = np.cos(ph), np.sin(ph)
+        re2, im2 = amp
+        d = (gd * (re2 * s + im2 * c)).sum(axis=1)
+        h = (gh * (re2 * c - im2 * s)).sum(axis=1)
+        done = np.hypot(d[0], d[1]) <= tol[0]
+        det = h[0] * h[2] - h[1] * h[1]
         # a lane stops when it converges or its Hessian is singular
-        go = ~done & (np.abs(det) >= 1e-13 * hscale * hscale)
-        live, d1, d2, det = live[go], d1[go], d2[go], det[go]
-        h11, h12, h22 = h11[go], h12[go], h22[go]
-        re, im, gscale, hscale = re[:, go], im[:, go], gscale[go], hscale[go]
-        if not live.size:
-            break
-        dy1 = (h22 * d1 - h12 * d2) / det
-        dy2 = (h11 * d2 - h12 * d1) / det
-        big = np.hypot(dy1, dy2) > cap
+        go = ~done & (np.abs(det) >= tol[1])
+        if done.any():
+            ok[live[done]] = True
+            y[:, live[done]] = yl[:, done]
+        if not go.all():
+            live, yl, amp, tol = live[go], yl[:, go], amp[:, :, go], tol[:, go]
+            d, h, det = d[:, go], h[:, go], det[go]
+            if not live.size:
+                break
+        dy1 = (h[2] * d[0] - h[1] * d[1]) / det
+        dy2 = (h[0] * d[1] - h[1] * d[0]) / det
+        step = np.hypot(dy1, dy2)
+        big = step > cap
         if big.any():
-            # the step length from math.hypot, as in the scalar search:
-            # np.hypot can round the last bit differently
-            step = np.array([math.hypot(a, b) for a, b in
-                             zip(dy1[big].tolist(), dy2[big].tolist())])
-            dy1[big] *= cap / step
-            dy2[big] *= cap / step
-        y1[live] -= dy1
-        y2[live] -= dy2
-    for j, (model, slot) in enumerate(zip(models, slots)):
-        lanes = slice(j * n, (j + 1) * n)
-        out[slot] = _deduplicated(model, y1[lanes], y2[lanes], ok[lanes],
-                                  seeds)
+            dy1[big] *= cap / step[big]
+            dy2[big] *= cap / step[big]
+        yl[0] -= dy1
+        yl[1] -= dy2
+    for slot, cps in zip(slots, _deduplicated(models, y[0], y[1], ok, seeds)):
+        out[slot] = cps
 
 
-def _deduplicated(model, y1, y2, ok, seeds):
-    """The critical point set of one model from its Newton lanes: the
-    converged ends modulo the lattice, near-duplicates collapsed, each
-    classified by its Hessian."""
-    lat = model.lattice
-    hscale = max(model.hess_scale, 1e-300)
-    conv = np.nonzero(ok)[0]
+def _deduplicated(models, y1, y2, ok, seeds):
+    """The critical point sets of a Newton pass's models from their lanes
+    (seeds x seeds per model, in model order), in one pass over all of
+    them: per model, the converged ends modulo the lattice, near-duplicates
+    collapsed, each classified by its Hessian."""
+    n = seeds * seeds
+    lat = models[0].lattice
+    conv = np.flatnonzero(ok)
+    owner = conv // n
     st = lat.to_lattice(np.stack([y1[conv], y2[conv]], axis=-1)) % 1.0
     keys = (np.rint(st * 1e7) % 1e7).astype(np.int64)
-    _, first = np.unique(keys[:, 0] * 10**7 + keys[:, 1], return_index=True)
-    found = {}
-    for k in np.sort(first).tolist():
-        key = (int(keys[k, 0]), int(keys[k, 1]))
-        # collapse near-duplicates that straddle the rounding boundary
-        dup = False
-        for k2 in found:
-            ds = min(abs(key[0] - k2[0]), 1e7 - abs(key[0] - k2[0]))
-            dt = min(abs(key[1] - k2[1]), 1e7 - abs(key[1] - k2[1]))
-            if ds < 1e3 and dt < 1e3:
-                dup = True
-                break
-        if dup:
-            continue
-        yy = lat.to_cartesian(st[k])
-        h11, h12, h22 = model.hessian(yy[0], yy[1])
+    # the first lane of every (model, key), in lane order
+    _, first = np.unique((owner * 10**7 + keys[:, 0]) * 10**7 + keys[:, 1],
+                         return_index=True)
+    first = np.sort(first)
+    # collapse near-duplicates that straddle the rounding boundary: a key
+    # within 1e3 (modulo 1e7) of an earlier kept key of its model goes
+    m = owner[first]
+    near = np.tril(m[:, None] == m[None, :], -1)
+    for key in keys[first].T:
+        gap = np.abs(key[:, None] - key[None, :])
+        near &= np.minimum(gap, 10**7 - gap) < 10**3
+    kept = ~near.any(axis=1)
+    for i in np.flatnonzero(~kept).tolist():
+        kept[i] = not (near[i] & kept).any()
+    pick = first[kept]
+    ys = lat.to_cartesian(st[pick]).tolist()
+    points = [[] for _ in models]
+    for j, (yy1, yy2) in zip(owner[pick].tolist(), ys):
+        model = models[j]
+        h11, h12, h22 = model.hessian(yy1, yy2)
         det = h11 * h22 - h12 * h12
         if det > 0.0:
             kind = "minimum" if h11 + h22 > 0.0 else "maximum"
         else:
             kind = "saddle"
-        lev = model.vbar(yy[0], yy[1])
-        found[key] = CriticalPoint(
-            y=(float(yy[0]), float(yy[1])), kind=kind,
-            value=model.i1 + model.eps * lev, level=lev,
-            hess_det=det, degenerate=abs(det) < 1e-8 * hscale * hscale)
-    points = sorted(found.values(), key=lambda c: (c.level, c.y))
-    return CriticalPointSet(points=points,
-                            complete=len(conv) > seeds * seeds // 2)
+        lev = model.vbar(yy1, yy2)
+        hscale = max(model.hess_scale, 1e-300)
+        points[j].append(CriticalPoint(
+            y=(yy1, yy2), kind=kind, value=model.i1 + model.eps * lev,
+            level=lev, hess_det=det,
+            degenerate=abs(det) < 1e-8 * hscale * hscale))
+    counts = np.bincount(owner, minlength=len(models)).tolist()
+    return [CriticalPointSet(points=sorted(pts, key=lambda c: (c.level, c.y)),
+                             complete=count > n // 2)
+            for pts, count in zip(points, counts)]
 
 
 # ----------------------------------------------------------------------
@@ -385,6 +391,11 @@ _MS_SIDES = np.array([(pairs + ((0, 0), (0, 0)))[:2]
 # side s of cell (i, j) is the grid edge from corner (i + di, j + dj) along
 # axis 0 (i) or 1 (j): rows (axis, di, dj) for bottom, right, top, left
 _MS_EDGES = np.array([(0, 0, 0), (1, 1, 0), (0, 0, 1), (1, 0, 0)])
+# the (axis, di, dj) rows of the entry and exit sides of segment `pair` of
+# a case, with the cell center above (0) or below (1) the level:
+# (case, pair, below, in/out, row)
+_MS_ROWS = np.array([[[_MS_EDGES[[_MS_SIDES[c, p, 0], _MS_SIDES[c, p ^ b, 1]]]
+                       for b in (0, 1)] for p in (0, 1)] for c in range(16)])
 
 
 def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
@@ -407,94 +418,173 @@ def trace_level_set(p: FourierPotential, eps: float, i1: float, g: float,
         if any(abs(lev - lv) < guard for lv in levels):
             raise SeparatrixProximityError(
                 f"level {lev} is within {guard} of a critical level")
-    return _trace_components(model, model.grid_vbar(grid), lev)
+    return _level_components(model, model.grid_vbar(grid), lev)
 
 
-def _level_segments(model: DriftModel, v: np.ndarray, lev: float):
-    """Marching-squares segments of {vbar = lev} on the periodic grid v
-    (model.grid_vbar(n), n = v.shape[0]).
+def _level_components(model: DriftModel, v: np.ndarray, lev: float):
+    """The components of {vbar = lev} traced on the grid v, each chain
+    refined onto the level set, sorted by winding and first point."""
+    cycles = _trace_components(model, v, [lev])
+    chains = cycles.chains()
+    if not chains:
+        return []
+    # refinement is pointwise: one call for every component
+    ys = _refine_polyline(
+        model, model.lattice.to_cartesian(np.concatenate(chains)), lev)
+    ends = np.cumsum([len(st) for st in chains])[:-1]
+    components = [LevelSetComponent(points=pts, winding=winding,
+                                    energy=model.i1 + model.eps * lev,
+                                    level=lev)
+                  for pts, winding in zip(np.split(ys, ends),
+                                          cycles.windings(0))]
+    components.sort(key=lambda c: (c.winding, float(c.points[0, 0])))
+    return components
 
-    Returns arrays (e_in, e_out, p_in, p_out), one row per segment: crossed
-    cells in row-major order, a saddle cell's two segments in table order.
-    vbar > lev lies on the right of every segment, so each runs along the
-    drift J grad(vbar) (the lattice map keeps the orientation, a22 > 0), and
-    every crossed edge is the exit of exactly one segment and the entry of
-    exactly one other.  Edge ids are wrapped: i*n + j for the bottom edge of
-    cell (i, j), n*n + i*n + j for its left edge.  Points are cell-local
+
+def _level_segments(model: DriftModel, v: np.ndarray, levels):
+    """Marching-squares segments of {vbar = lev} for each level of a list,
+    on the periodic grid v (model.grid_vbar(n), n = v.shape[0]), from one
+    pass over the sign and case arrays of all levels.
+
+    Returns arrays (e_in, e_out, p_in, p_out), one row per segment: by
+    level, then crossed cells in row-major order, a saddle cell's two
+    segments in table order.  vbar > lev lies on the right of every
+    segment, so each runs along the drift J grad(vbar) (the lattice map
+    keeps the orientation, a22 > 0), and every crossed edge is the exit of
+    exactly one segment and the entry of exactly one other.  Edge ids are
+    wrapped: k*2n*n + i*n + j for the bottom edge of cell (i, j) at level
+    k, k*2n*n + n*n + i*n + j for its left edge.  Points are cell-local
     (unwrapped) lattice coordinates.
     """
     lat = model.lattice
     n = v.shape[0]
-    v = v - lev
-    if np.any(v == 0.0):
-        v = v + 1e-13 * max(model.l1, 1.0)
-    # case bits from corners (i,j), (i+1,j), (i+1,j+1), (i,j+1) of each cell
-    pos = np.pad(v > 0.0, ((0, 1), (0, 1)), mode="wrap").astype(np.int8)
-    case = (pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2
-            | pos[:-1, 1:] << 3)
-    ci, cj = np.nonzero((case > 0) & (case < 15))
-    idx = case[ci, cj]
+    levels = [float(lev) for lev in levels]
+    m = n + 1
+    # v - lev on the grid with a wrapped extra row and column; flattened,
+    # the corners (i,j), (i+1,j), (i+1,j+1), (i,j+1) of cell (i, j) of
+    # level k sit at q, q + m, q + m + 1 and q + 1 from q = (k m + i) m + j
+    d = np.empty((len(levels), m, m))
+    for k, lev in enumerate(levels):
+        np.subtract(v, lev, out=d[k, :n, :n])
+        if (v == lev).any():  # v - lev == 0 exactly where v == lev
+            d[k, :n, :n] += 1e-13 * max(model.l1, 1.0)
+    d[:, :n, n] = d[:, :n, 0]
+    d[:, n] = d[:, 0]
+    pos = d.ravel() > 0.0
+    # a cell is crossed unless its four corners lie on one side (the last
+    # row and column of the padded frame hold no cell)
+    low = pos[:-m - 1]
+    crossed = (low ^ pos[1:-m]) | (low ^ pos[m:-1]) | (low ^ pos[m + 1:])
+    q = np.flatnonzero(crossed)
+    ck, rest = np.divmod(q, m * m)
+    ci, cj = np.divmod(rest, m)
+    inner = (ci < n) & (cj < n)
+    q, ck, ci, cj = q[inner], ck[inner], ci[inner], cj[inner]
+    # case bits from the corners
+    bit = pos.view(np.int8)
+    idx = bit[q] | bit[q + m] << 1 | bit[q + m + 1] << 2 | bit[q + 1] << 3
     # saddle cells split against the center sample
-    below = np.zeros(len(ci), dtype=bool)
-    for c in np.nonzero((idx == 5) | (idx == 10))[0].tolist():
+    below = np.zeros(len(ci), dtype=np.int64)
+    for c in np.flatnonzero((idx == 5) | (idx == 10)).tolist():
         center = lat.to_cartesian(np.array([(int(ci[c]) + 0.5) / n,
                                             (int(cj[c]) + 0.5) / n]))
-        below[c] = not model.vbar(center[0], center[1]) - lev > 0.0
+        below[c] = not (model.vbar(center[0], center[1])
+                        - levels[int(ck[c])] > 0.0)
     cell = np.repeat(np.arange(len(ci)), _MS_COUNT[idx])
     pair = np.zeros(len(cell), dtype=np.int64)
     pair[1:] = cell[1:] == cell[:-1]
-    sides = np.stack([_MS_SIDES[idx[cell], pair, 0],
-                      _MS_SIDES[idx[cell], pair ^ below[cell], 1]])
     # entry (row 0) and exit (row 1) edge of every segment, crossed at the
     # fraction f from its start corner (a1, a2)
-    axis, di, dj = np.moveaxis(_MS_EDGES[sides], -1, 0)
-    a1, a2 = ci[cell] + di, cj[cell] + dj
+    axis, di, dj = _MS_ROWS[idx[cell], pair, below[cell]].transpose(2, 1, 0)
+    k, a1, a2 = ck[cell], ci[cell] + di, cj[cell] + dj
     w1, w2 = a1 % n, a2 % n
-    va = v[w1, w2]
-    f = va / (va - v[(w1 + 1 - axis) % n, (w2 + axis) % n])
-    e = axis * n * n + w1 * n + w2
+    at = (k * m + w1) * m + w2
+    va = d.ravel()[at]
+    f = va / (va - d.ravel()[at + m - axis * n])
+    e = (2 * k + axis) * n * n + w1 * n + w2
     p = np.stack([a1 + f * (1 - axis), a2 + f * axis], axis=-1) / n
     return e[0], e[1], p[0], p[1]
 
 
-def _trace_components(model: DriftModel, v: np.ndarray, lev: float):
-    lat = model.lattice
-    e_in, e_out, p_in, p_out = _level_segments(model, v, lev)
+def _trace_components(model: DriftModel, v: np.ndarray, levels):
+    """The level sets {vbar = lev} of each level of a list on the periodic
+    grid v, traced in one pass: the segments of all levels, linked into
+    their closed cycles (see _Cycles)."""
+    e_in, e_out, p_in, p_out = _level_segments(model, v, levels)
     # succ[k]: the segment entered through the exit edge of segment k
     order = np.argsort(e_in)
-    succ = order[np.searchsorted(e_in, e_out, sorter=order)].tolist()
-    used = [False] * len(succ)
-    chains = []
-    for start in range(len(succ)):
-        if used[start]:
-            continue
-        cycle = [start]
-        used[start] = True
-        sid = succ[start]
-        while sid != start:
-            cycle.append(sid)
-            used[sid] = True
-            sid = succ[sid]
-        # unwrap onto the covering plane: consecutive segments meet on one
-        # edge, whose cell-local coordinates differ by an integer shift
-        pin, pout = p_in[cycle], p_out[cycle]
-        off = np.zeros_like(pin)
-        off[1:] = np.cumsum(np.round(pout[:-1] - pin[1:]), axis=0)
-        chains.append(np.concatenate([pin + off, pout[-1:] + off[-1]]))
-    if not chains:
-        return []
-    # refinement is pointwise: one call for every component
-    ys = _refine_polyline(model, lat.to_cartesian(np.concatenate(chains)),
-                          lev)
-    ends = np.cumsum([len(st) for st in chains])[:-1]
-    components = []
-    for st, pts in zip(chains, np.split(ys, ends)):
-        winding = np.round(st[-1] - st[0]).astype(int)
-        components.append(LevelSetComponent(
-            points=pts, winding=(int(winding[0]), int(winding[1])),
-            energy=model.i1 + model.eps * lev, level=lev))
-    components.sort(key=lambda c: (c.winding, float(c.points[0, 0])))
-    return components
+    succ = order[np.searchsorted(e_in, e_out, sorter=order)]
+    return _Cycles(succ, p_in, p_out, e_in // (2 * v.shape[0] ** 2))
+
+
+class _Cycles:
+    """Marching-squares segments linked into closed cycles by array passes.
+
+    A cycle is labelled by its least segment index, found by pointer
+    jumping: after round r a segment's label is the least index among the
+    2^r segments from it along succ, and a round that changes no label
+    ends the search.  A cycle's winding is the sum over its segments of
+    the integer shift between the exit point of one and the entry point of
+    the next (cell-local coordinates on one edge differ by an integer).
+    Cycles are numbered in order of their labels.
+    """
+
+    def __init__(self, succ, p_in, p_out, seg_level):
+        self.succ, self.p_in, self.p_out = succ, p_in, p_out
+        label = np.arange(len(succ))
+        jump = succ
+        while True:
+            nxt = np.minimum(label, label[jump])
+            if np.array_equal(nxt, label):
+                break
+            label, jump = nxt, jump[jump]
+        self.label = label
+        self.starts = np.flatnonzero(label == np.arange(len(succ)))
+        self.cycle = np.searchsorted(self.starts, label)
+        self.level = seg_level[self.starts]
+        shift = np.rint(p_out - p_in[succ])
+        self.winding = np.stack(
+            [np.bincount(self.cycle, weights=shift[:, ax],
+                         minlength=len(self.starts)) for ax in (0, 1)],
+            axis=-1).astype(np.int64)
+
+    def windings(self, k):
+        """The windings of level k's cycles, as integer tuples."""
+        return [tuple(w) for w in self.winding[self.level == k].tolist()]
+
+    def chains(self):
+        """Every cycle as a polyline unwrapped onto the covering plane,
+        from its least segment along succ back to that segment's entry
+        point, in lattice coordinates.
+
+        Positions come from list ranking by pointer jumping: a segment's
+        distance to the last one of its cycle (the one whose succ is the
+        cycle's start).
+        """
+        count = len(self.succ)
+        if not count:
+            return []
+        last = self.succ == self.label
+        nxt = np.where(last, np.arange(count), self.succ)
+        dist = (~last).astype(np.int64)
+        while True:
+            hop = dist[nxt]
+            if not hop.any():
+                break
+            dist, nxt = dist + hop, nxt[nxt]
+        order = np.lexsort((-dist, self.cycle))
+        pin, pout = self.p_in[order], self.p_out[order]
+        first = np.searchsorted(self.cycle[order], np.arange(len(self.starts)))
+        stop = np.append(first[1:], count)
+        # a running integer offset aligns each entry point with the
+        # previous exit of its chain
+        shift = np.zeros_like(pin)
+        shift[1:] = np.round(pout[:-1] - pin[1:])
+        shift[first] = 0.0
+        off = np.cumsum(shift, axis=0)
+        off -= np.repeat(off[first], stop - first, axis=0)
+        return [np.concatenate([pin[a:b] + off[a:b], pout[b - 1:b] + off[b - 1]])
+                for a, b in zip(first.tolist(), stop.tolist())]
 
 
 def _refine_polyline(model, ys, lev):
@@ -850,14 +940,16 @@ def build_reeb_graph(p: FourierPotential, eps: float,
         "i4": g_hi + 0.5 * (g_max - g_hi),
         "mid": 0.5 * (g_lo + g_hi),
     }
-    v = model.grid_vbar(192)
-    comps_mid = _trace_components(model, v, model.level_of(probe["mid"]))
-    open_comps = [c for c in comps_mid if not c.contractible]
-    if len(open_comps) != 2:
+    # the three probe levels, traced in one pass; only the windings of
+    # their components are read
+    cycles = _trace_components(model, model.grid_vbar(192), [
+        model.level_of(probe[eid]) for eid in ("mid", "i1", "i4")])
+    open_windings = [w for w in cycles.windings(0) if w != (0, 0)]
+    if len(open_windings) != 2:
         raise UnsupportedTopologyError(
             f"expected two open components between the saddles, "
-            f"got {len(open_comps)}")
-    d_plus = lexicographic_positive(open_comps[0].winding)
+            f"got {len(open_windings)}")
+    d_plus = lexicographic_positive(min(open_windings))
     drift = DriftData(d_plus)
     drift_neg = DriftData((-d_plus[0], -d_plus[1]),
                           (-drift.f[0], -drift.f[1]))
@@ -867,9 +959,8 @@ def build_reeb_graph(p: FourierPotential, eps: float,
         ReebEdge("i3", (g_lo, g_hi), False, drift_neg),
         ReebEdge("i4", (g_hi, g_max), True, DriftData((0, 0))),
     ]
-    for eid in ("i1", "i4"):
-        comps = _trace_components(model, v, model.level_of(probe[eid]))
-        if len(comps) != 1 or not comps[0].contractible:
+    for k, eid in ((1, "i1"), (2, "i4")):
+        if cycles.windings(k) != [(0, 0)]:
             raise UnsupportedTopologyError(
                 f"edge {eid} level has unexpected structure")
     return ReebGraph("simple", i1, eps, vertices, edges, cps)
@@ -961,16 +1052,20 @@ def _cosine_series(A, B, beta, i1_max):
         r = math.sqrt(2.0 * i1)
         return A * abs(bessel_j0(r)) - B * abs(bessel_j0(beta * r))
 
+    # diff at every node from one array J0 pass (the bits of the scalar)
     xs = np.linspace(0.0, i1_max, _SERIES_GRID + 1)
-    vals = [diff(float(x)) for x in xs]
-    if max(abs(v) for v in vals) < 1e-12 * (A + B):
+    r = np.sqrt(2.0 * xs)
+    vals = (A * np.abs(bessel_j0_array(r))
+            - B * np.abs(bessel_j0_array(beta * r)))
+    if np.max(np.abs(vals)) < 1e-12 * (A + B):
         return CriticalSeries([], separable, [], continuum=True)
+    fa, fb = vals[:-1], vals[1:]
     collisions = []
-    for a, b, fa, fb in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-        if fa == 0.0:
-            collisions.append(float(a))
-        elif fa * fb < 0.0:
-            collisions.append(find_root(diff, float(a), float(b),
+    for j in np.flatnonzero((fa == 0.0) | (fa * fb < 0.0)).tolist():
+        if fa[j] == 0.0:
+            collisions.append(float(xs[j]))
+        else:
+            collisions.append(find_root(diff, float(xs[j]), float(xs[j + 1]),
                                         Tolerance(1e-13, 1e-13, 200)))
     # touching zeros (no sign change) happen when both Bessel factors
     # vanish together, i.e. exactly at the separable series
@@ -987,8 +1082,11 @@ def _cosine_series(A, B, beta, i1_max):
 def _slices(p, eps, i1s):
     """The I1 slices of a scan: per I1, (its graph, None) if flat or
     one-dimensional, else (None, its critical points from 16 x 16 seeds);
-    the seed searches of all slices run as batched Newton passes."""
-    models = [DriftModel(p, eps, float(i1)) for i1 in i1s]
+    the slices are damped in one pass and their seed searches run as
+    batched Newton passes."""
+    i1s = np.asarray(i1s, dtype=float)
+    models = [DriftModel(p, eps, i1, averaged)
+              for i1, averaged in zip(i1s.tolist(), p.damped(i1s))]
     out = [(_degenerate_graph(model), None) for model in models]
     todo = [j for j, (graph, _) in enumerate(out) if graph is None]
     sets = _critical_points_of_model([models[j] for j in todo],
@@ -1008,9 +1106,6 @@ def _saddle_gap(graph, cps):
 
 
 def _generic_series(p, eps, i1_max):
-    def gap_at(i1):
-        return _saddle_gap(*_slices(p, eps, [i1])[0])[0]
-
     xs = np.linspace(0.0, i1_max, _SERIES_GRID + 1)
     scan = [_saddle_gap(*sl) for sl in _slices(p, eps, xs)]
     tol = 1e-9 * max(p.coeff_l1, 1e-300)
@@ -1018,38 +1113,45 @@ def _generic_series(p, eps, i1_max):
         # the saddles are level (or the slice degenerate) at every I1: no
         # isolated collision
         return CriticalSeries([], [], [], continuum=True)
-    gaps = [gap for gap, _ in scan]
-    collisions = []
-    for idx in range(1, _SERIES_GRID):
-        g0, g1, g2 = gaps[idx - 1], gaps[idx], gaps[idx + 1]
-        if g1 <= tol:
-            collisions.append(float(xs[idx]))
-        elif g1 < g0 and g1 < g2:
-            # a transversal collision leaves a gap of up to slope * spacing
-            # / 2 at its nearest node: the saddles meet at the refined minimum
-            x, gap = _golden_min(gap_at, float(xs[idx - 1]),
-                                 float(xs[idx + 1]))
-            if gap <= tol:
-                collisions.append(x)
+    gaps = np.array([gap for gap, _ in scan])
+    # a node with level saddles, the two ends of the scan included
+    collisions = xs[gaps <= tol].tolist()
+    # a transversal collision leaves a gap of up to slope * spacing / 2 at
+    # its nearest node: the saddles meet at the refined minimum
+    g0, g1, g2 = gaps[:-2], gaps[1:-1], gaps[2:]
+    minima = np.flatnonzero(~(g1 <= tol) & (g1 < g0) & (g1 < g2)) + 1
+    if minima.size:
+        x, gap = _golden_min(p, eps, xs[minima - 1], xs[minima + 1])
+        collisions += x[gap <= tol].tolist()
     return CriticalSeries(saddle_collision=sorted(collisions), separable=[],
                           merged=[])
 
 
-def _golden_min(f, a, b):
-    """60 golden-section steps on [a, b] for a unimodal f: the sampled
-    point with the least f, and that value."""
+def _golden_min(p, eps, a, b):
+    """60 golden-section steps of the saddle gap on the brackets [a, b]
+    (arrays), all brackets in lockstep: one _slices call per step.  Per
+    bracket the sampled point with the least gap, and that gap; each
+    bracket's arithmetic is its own, so each result is that of its search
+    alone."""
+    def gap_at(i1s):
+        return np.array([_saddle_gap(*sl)[0] for sl in _slices(p, eps, i1s)])
+
+    m = len(a)
     c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
+    f = gap_at(np.concatenate([c, d]))
+    fc, fd = f[:m], f[m:]
     for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
+        # fc < fd: the minimum lies in [a, d], whose golden points are a
+        # new c and the old c; else in [c, b], with the old d and a new d
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - _INV_GOLDEN * (b - a),
+                       a + _INV_GOLDEN * (b - a))
+        f = gap_at(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    left = fc < fd
+    return np.where(left, c, d), np.where(left, fc, fd)
 
 
 @dataclass

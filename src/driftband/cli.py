@@ -207,14 +207,14 @@ def cmd_average(cfg, p, out):
     tol = Tolerance(1e-11, 1e-11, 600)
     rows = []
     worst = 0.0
+    # the n x n cell grid in row-major (s, t) order, evaluated as one array
+    # per I1
     ss = np.linspace(0.0, 1.0, n, endpoint=False)
-    for i1 in i1s:
-        damped = p.damped(float(i1))
-        for s in ss:
-            for t in ss:
-                y = p.lattice.to_cartesian(np.array([s, t]))
-                series = float(damped.value(y))
-                rows.append((float(i1), float(y[0]), float(y[1]), series))
+    ys = p.lattice.to_cartesian(
+        np.stack(np.meshgrid(ss, ss, indexing="ij"), axis=-1).reshape(-1, 2))
+    y1s, y2s = ys[:, 0].tolist(), ys[:, 1].tolist()
+    for i1, damped in zip(i1s.tolist(), p.damped(i1s)):
+        rows += zip([i1] * len(y1s), y1s, y2s, damped.value(ys).tolist())
     # oracle spot checks on a shorter deterministic list
     for i1 in i1s[:: max(1, n // 3)]:
         y = p.lattice.to_cartesian(np.array([0.37, 0.61]))

@@ -115,6 +115,36 @@ def bessel_j0(x: float) -> float:
     return float(_j0_integral(ax))
 
 
+def bessel_j0_array(x) -> np.ndarray:
+    """J0 at every element of an array, bit for bit bessel_j0 of each.
+
+    The series lanes (|x| <= 8) take the scalar series' steps in lockstep:
+    each lane stops where its own series stops, so it rounds as it would
+    alone.  Larger arguments run the trapezoid rule of their own node count
+    one element at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise DomainError("bessel_j0 needs a finite argument")
+    ax = np.abs(x)
+    out = np.empty(x.shape)
+    small = ax <= _J0_SERIES_CUT
+    z = 0.25 * ax[small] * ax[small]
+    term = np.ones(z.shape)
+    total = np.ones(z.shape)
+    live = np.arange(z.size)
+    for m in range(1, 202):
+        live = live[np.abs(term[live]) > 1e-18 * (1.0 + np.abs(total[live]))]
+        if not live.size:
+            break
+        term[live] *= -z[live] / (m * m)
+        total[live] += term[live]
+    out[small] = total
+    for i in np.flatnonzero(~small.ravel()).tolist():
+        out.flat[i] = _j0_integral(float(ax.flat[i]))
+    return out
+
+
 def bessel_j0_zero(n: int) -> float:
     """n-th positive zero of J0 (n = 1, 2, ...)."""
     if n < 1:

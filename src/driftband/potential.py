@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (DEFAULT_TOL, DomainError, Tolerance, adaptive_quad,
-                       bessel_j0)
+                       bessel_j0, bessel_j0_array)
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,20 +114,28 @@ class FourierPotential:
             out = out + 2.0 * (re * np.cos(phase) - im * np.sin(phase))
         return out if out.ndim else float(out)
 
-    def damped(self, i1: float) -> "FourierPotential":
-        """Cyclotron-averaged potential at action i1 as a new series.
+    def damped(self, i1):
+        """Cyclotron-averaged potential at action i1 as a new series; for a
+        1-D array of actions, the list of their averaged potentials, whose
+        J0 factors come from one bessel_j0_array pass (the same bits).
 
         Each mode is multiplied by J0(sqrt(2 i1) |G_k|); the zero mode is
         untouched, so averaging preserves the mean exactly.
         """
-        if i1 < 0.0:
+        i1s = np.asarray(i1, dtype=float)
+        if np.any(i1s < 0.0):
             raise DomainError("cyclotron action must be non-negative")
-        r = math.sqrt(2.0 * i1)
-        damped = {}
-        for k, c in self.coeffs.items():
-            g1, g2 = self.lattice.dual_vector(*k)
-            damped[k] = c * bessel_j0(r * math.hypot(g1, g2))
-        return FourierPotential(self.lattice, damped)
+        norms = [math.hypot(*self.lattice.dual_vector(*k)) for k in self.coeffs]
+        if i1s.ndim:
+            rows = bessel_j0_array(np.sqrt(2.0 * i1s)[:, None]
+                                   * np.array(norms)).tolist()
+        else:
+            r = math.sqrt(2.0 * i1)
+            rows = [[bessel_j0(r * g) for g in norms]]
+        out = [FourierPotential(self.lattice, {
+            k: c * j for (k, c), j in zip(self.coeffs.items(), row)})
+            for row in rows]
+        return out if i1s.ndim else out[0]
 
 
 def eval_potential(p: FourierPotential, x) -> float:

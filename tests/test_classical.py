@@ -327,21 +327,83 @@ def _translated(p):
         for k, c in p.coeffs.items()})
 
 
+TRANSLATED_CASES = [((1.0, 1.0, 2.0), 4.0), ((2.0, 1.0, 1.0), 16.0),
+                    ((1.0, 1.5, 1.3), 3.0), ((3.0, 1.0, 1.0), 1.0)]
+
+
 def test_generic_series_matches_cosine_series_on_translated_cosines():
     # shifting the cosine modes' phases translates the potential: the
     # topology is the cosine's, but the generic scan has to find the
-    # transversal saddle collisions between its sample nodes
-    for args, i1_max in [((1.0, 1.0, 2.0), 4.0), ((2.0, 1.0, 1.0), 16.0),
-                         ((1.0, 1.5, 1.3), 3.0), ((3.0, 1.0, 1.0), 1.0)]:
+    # transversal saddle collisions between its sample nodes, and the
+    # level saddles at the ends of the scan (cosine(1, 1, 2) at I1 = 0)
+    for args, i1_max in TRANSLATED_CASES:
         p = cosine_example(*args)
         shifted = _translated(p)
-        closed = [v for v in critical_i1_series(p, EPS, i1_max).saddle_collision
-                  if 0.0 < v < i1_max]
+        closed = critical_i1_series(p, EPS, i1_max).saddle_collision
         generic = critical_i1_series(shifted, EPS, i1_max).saddle_collision
         assert len(generic) == len(closed), (args, generic, closed)
         for a, b in zip(generic, closed):
             assert abs(a - b) < 1e-8, (args, a, b)
+        if args == (1.0, 1.0, 2.0):
+            assert generic[0] == 0.0
     assert closed == []  # cosine(3, 1, 1) below I1 = 1
+
+
+def _scalar_golden_min(p, eps, a, b):
+    """Golden section on one bracket, one Newton pass per evaluation (the
+    search of earlier versions)."""
+    def f(i1):
+        return classical._saddle_gap(*classical._slices(p, eps, [i1])[0])[0]
+
+    inv = 0.5 * (math.sqrt(5.0) - 1.0)
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(60):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    return (c, fc) if fc < fd else (d, fd)
+
+
+def test_lockstep_golden_sections_match_one_at_a_time(monkeypatch):
+    # every local minimum of a scan's saddle gap is refined in lockstep,
+    # one _slices call per golden step; each bracket's result is the
+    # one-at-a-time search's, bit for bit, and so are the collisions
+    calls = []
+    real = classical._slices
+
+    def counted(p, eps, i1s):
+        calls.append(len(i1s))
+        return real(p, eps, i1s)
+
+    for args, i1_max in TRANSLATED_CASES[:3]:
+        shifted = _translated(cosine_example(*args))
+        xs = np.linspace(0.0, i1_max, 201)
+        gaps = np.array([classical._saddle_gap(*sl)[0]
+                         for sl in classical._slices(shifted, EPS, xs)])
+        tol = 1e-9 * shifted.coeff_l1
+        mid = np.flatnonzero((gaps[1:-1] > tol) & (gaps[1:-1] < gaps[:-2])
+                             & (gaps[1:-1] < gaps[2:])) + 1
+        assert mid.size
+        want = [_scalar_golden_min(shifted, EPS, float(xs[j - 1]),
+                                   float(xs[j + 1])) for j in mid]
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(classical, "_slices", counted)
+            x, gap = classical._golden_min(shifted, EPS, xs[mid - 1],
+                                           xs[mid + 1])
+        assert calls == [2 * mid.size] + [mid.size] * 60
+        assert x.tolist() == [w[0] for w in want]
+        assert gap.tolist() == [w[1] for w in want]
+        nodes = xs[gaps <= tol].tolist()
+        series = critical_i1_series(shifted, EPS, i1_max)
+        assert series.saddle_collision == sorted(
+            nodes + [xw for xw, gw in want if gw <= tol])
 
 
 def test_generic_series_reports_a_continuum_on_translated_cosine():
@@ -693,7 +755,7 @@ def _walk_per_segment(model, v, lev):
     a running integer offset aligns each entry point with the previous
     exit; each component is refined on its own."""
     lat = model.lattice
-    segments = list(zip(*classical._level_segments(model, v, lev)))
+    segments = list(zip(*classical._level_segments(model, v, [lev])))
     succ = {int(seg[0]): sid for sid, seg in enumerate(segments)}
     used = [False] * len(segments)
     components = []
@@ -732,22 +794,22 @@ def _assert_trace_matches_scalar(model, lev, n, monkeypatch):
     of sin/cos, which numpy and libm may round differently)."""
     ref_segments, saddle_cells = _scalar_segments(model, lev, n)
     v = model.grid_vbar(n)
-    segments = classical._level_segments(model, v, lev)
+    segments = classical._level_segments(model, v, [lev])
     assert len(segments[0]) == len(ref_segments) > 0
     for got, want in zip(segments, _as_arrays(ref_segments)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
-    comps = classical._trace_components(model, v, lev)
+    comps = classical._level_components(model, v, lev)
     walked = _walk_per_segment(model, v, lev)
     assert [c.winding for c in comps] == [c.winding for c in walked]
     for c, w in zip(comps, walked):
         assert np.array_equal(c.points, w.points)
     with monkeypatch.context() as m:
         m.setattr(classical, "_level_segments",
-                  lambda model, v, lev: _as_arrays(
-                      _scalar_segments(model, lev, n)[0]))
+                  lambda model, v, levels: _as_arrays(
+                      _scalar_segments(model, levels[0], n)[0]))
         m.setattr(classical, "_refine_polyline", _scalar_refine)
-        ref = classical._trace_components(model, v, lev)
+        ref = classical._level_components(model, v, lev)
     assert [c.winding for c in comps] == [c.winding for c in ref]
     for c, r in zip(comps, ref):
         assert c.points.shape == r.points.shape
@@ -767,7 +829,7 @@ def _assert_crossed_edges_paired(model, lev, n):
     crossed = (i * n + j).tolist()
     i, j = np.nonzero(pos != np.roll(pos, -1, axis=1))
     crossed += (n * n + i * n + j).tolist()
-    e_in, e_out, _, _ = classical._level_segments(model, v, lev)
+    e_in, e_out, _, _ = classical._level_segments(model, v, [lev])
     assert sorted(e_in.tolist()) == sorted(crossed)
     assert sorted(e_out.tolist()) == sorted(crossed)
 
@@ -832,6 +894,88 @@ def test_reeb_graph_evaluates_the_grid_once(monkeypatch):
     graph = build_reeb_graph(cosine_example(2.0, 1.0, 1.0), EPS, 0.3)
     assert graph.kind == "simple"
     assert sizes == [192]
+
+
+def _walk_cycles(succ, p_in, p_out):
+    """Cycles by the Python successor walk (the loop of earlier versions):
+    per segment the least index of its cycle, and per cycle its unwrapped
+    chain and winding, in order of that index."""
+    succ = succ.tolist()
+    label = [None] * len(succ)
+    chains, windings = [], []
+    for start in range(len(succ)):
+        if label[start] is not None:
+            continue
+        cycle = [start]
+        label[start] = start
+        sid = succ[start]
+        while sid != start:
+            cycle.append(sid)
+            label[sid] = start
+            sid = succ[sid]
+        pin, pout = p_in[cycle], p_out[cycle]
+        off = np.zeros_like(pin)
+        off[1:] = np.cumsum(np.round(pout[:-1] - pin[1:]), axis=0)
+        st = np.concatenate([pin + off, pout[-1:] + off[-1]])
+        chains.append(st)
+        w = np.round(st[-1] - st[0]).astype(int)
+        windings.append((int(w[0]), int(w[1])))
+    return label, chains, windings
+
+
+def _probe_levels(model, cps, fractions):
+    lo, hi = min(c.level for c in cps), max(c.level for c in cps)
+    return [lo + f * (hi - lo) for f in fractions]
+
+
+@pytest.mark.parametrize("case", range(len(TOPOLOGY_CASES)))
+def test_cycle_labels_and_windings_match_the_walk(case):
+    p, i1 = TOPOLOGY_CASES[case]
+    model = DriftModel(p, EPS, i1)
+    cps = find_critical_points(p, EPS, i1)
+    levels = _probe_levels(model, cps, (0.03, 0.2, 0.41, 0.5, 0.63, 0.8,
+                                        0.97))
+    for n in (48, 192):
+        v = model.grid_vbar(n)
+        segments = classical._level_segments(model, v, levels)
+        cycles = classical._trace_components(model, v, levels)
+        label, chains, windings = _walk_cycles(cycles.succ, *segments[2:])
+        assert cycles.label.tolist() == label
+        assert [tuple(w) for w in cycles.winding.tolist()] == windings
+        got = cycles.chains()
+        assert len(got) == len(chains)
+        for a, b in zip(got, chains):
+            assert np.array_equal(a, b)
+        # one pass over all levels traces what each level alone traces
+        for k, lev in enumerate(levels):
+            alone = classical._trace_components(model, v, [lev])
+            assert cycles.windings(k) == alone.windings(0)
+            e_in, e_out, p_in, p_out = classical._level_segments(model, v,
+                                                                 [lev])
+            mine = segments[0] // (2 * n * n) == k
+            assert np.array_equal(segments[0][mine] - 2 * k * n * n, e_in)
+            assert np.array_equal(segments[1][mine] - 2 * k * n * n, e_out)
+            assert np.array_equal(segments[2][mine], p_in)
+            assert np.array_equal(segments[3][mine], p_out)
+
+
+def test_reeb_graph_refines_no_polyline(monkeypatch):
+    # the probes read windings only, which come from the unrefined chain
+    calls = []
+    real = classical._refine_polyline
+
+    def counted(model, ys, lev):
+        calls.append(len(ys))
+        return real(model, ys, lev)
+
+    monkeypatch.setattr(classical, "_refine_polyline", counted)
+    for p, i1 in TOPOLOGY_CASES:
+        graph = build_reeb_graph(p, EPS, i1)
+        assert graph.kind == "simple"
+    assert calls == []
+    # trace_level_set refines every component of its level in one call
+    trace_level_set(p, EPS, i1, graph_mid_level(graph, "i2"))
+    assert len(calls) == 1
 
 
 def _oblique(a21, a22):
@@ -942,6 +1086,84 @@ def test_batched_slices_match_single_slice_search(count):
             alone = classical._critical_points_of_model([model], 16)[0]
             assert cps.complete == alone.complete
             assert cps.points == alone.points
+
+
+def _dedup_per_slice(model, y1, y2, ok, seeds):
+    """The critical point set of one model from its own Newton lanes, one
+    unique key at a time (the per-slice pass of earlier versions)."""
+    lat = model.lattice
+    hscale = max(model.hess_scale, 1e-300)
+    conv = np.nonzero(ok)[0]
+    st = lat.to_lattice(np.stack([y1[conv], y2[conv]], axis=-1)) % 1.0
+    keys = (np.rint(st * 1e7) % 1e7).astype(np.int64)
+    _, first = np.unique(keys[:, 0] * 10**7 + keys[:, 1], return_index=True)
+    found = {}
+    for k in np.sort(first).tolist():
+        key = (int(keys[k, 0]), int(keys[k, 1]))
+        if any(min(abs(key[0] - k2[0]), 1e7 - abs(key[0] - k2[0])) < 1e3
+               and min(abs(key[1] - k2[1]), 1e7 - abs(key[1] - k2[1])) < 1e3
+               for k2 in found):
+            continue
+        yy = lat.to_cartesian(st[k])
+        h11, h12, h22 = model.hessian(yy[0], yy[1])
+        det = h11 * h22 - h12 * h12
+        kind = ("saddle" if det <= 0.0 else
+                "minimum" if h11 + h22 > 0.0 else "maximum")
+        lev = model.vbar(yy[0], yy[1])
+        found[key] = classical.CriticalPoint(
+            y=(float(yy[0]), float(yy[1])), kind=kind,
+            value=model.i1 + model.eps * lev, level=lev, hess_det=det,
+            degenerate=abs(det) < 1e-8 * hscale * hscale)
+    return CriticalPointSet(
+        points=sorted(found.values(), key=lambda c: (c.level, c.y)),
+        complete=len(conv) > seeds * seeds // 2)
+
+
+def test_one_dedup_pass_matches_per_slice_dedup(monkeypatch):
+    # a 201-slice scan of a four-mode potential: each Newton pass's lanes
+    # are deduplicated in one pass, equal to each slice's own pass
+    passes = []
+    real = classical._deduplicated
+
+    def recorded(models, y1, y2, ok, seeds):
+        got = real(models, y1, y2, ok, seeds)
+        passes.append((models, y1.copy(), y2.copy(), ok.copy(), seeds, got))
+        return got
+
+    monkeypatch.setattr(classical, "_deduplicated", recorded)
+    p = _sheared_few_mode()
+    models = [DriftModel(p, EPS, float(i1))
+              for i1 in np.linspace(0.0, 3.0, 201)]
+    sets = classical._critical_points_of_model(models, 16)
+    assert len(passes) == 13
+    n = 16 * 16
+    total = 0
+    for models_, y1, y2, ok, seeds, got in passes:
+        for j, (model, cps) in enumerate(zip(models_, got)):
+            lanes = slice(j * n, (j + 1) * n)
+            want = _dedup_per_slice(model, y1[lanes], y2[lanes], ok[lanes],
+                                    seeds)
+            assert cps.points == want.points
+            assert cps.complete == want.complete
+            assert cps is sets[total]
+            total += 1
+    assert total == 201
+    # near-duplicates across the rounding boundary collapse as before: two
+    # lanes 3e-5 cells apart (300 key units) give one point
+    model = DriftModel(p, EPS, 0.2)
+    cps = find_critical_points(p, EPS, 0.2)
+    y = np.array([c.y for c in cps])
+    st = p.lattice.to_lattice(y)
+    nudged = p.lattice.to_cartesian(st + 3e-5)
+    # 3 x 3 lanes per model: the points, the nudged points and the first
+    # point again; none of the second model's lanes converged
+    y1 = np.concatenate([y[:, 0], nudged[:, 0], y[:1, 0], np.zeros(9)])
+    y2 = np.concatenate([y[:, 1], nudged[:, 1], y[:1, 1], np.zeros(9)])
+    ok = np.arange(18) < 9
+    got = real([model, model], y1, y2, ok, 3)
+    want = _dedup_per_slice(model, y1[:9], y2[:9], ok[:9], 3)
+    assert got[0].points == want.points and len(want.points) == 4
+    assert got[1].points == [] and not got[1].complete
 
 
 # ------------------------------------------------- sheared few-mode drift

@@ -178,6 +178,38 @@ def test_regimes_writes_boundary_curves(tmp_path):
     assert "\r" not in text
 
 
+def test_average_rows_match_the_scalar_triple_loop(tmp_path):
+    # each I1's damped series is evaluated once over the whole grid: the
+    # rows are those of one evaluation per point, bit for bit
+    from driftband.cli import cmd_average
+    cfg = {"potential": {
+        "lattice": {"a21": 0.2, "a22": 5.5},
+        "coefficients": [
+            {"k1": 1, "k2": 0, "re": 0.5, "im": 0.05},
+            {"k1": -1, "k2": 0, "re": 0.5, "im": -0.05},
+            {"k1": 0, "k2": 1, "re": 0.32, "im": -0.04},
+            {"k1": 0, "k2": -1, "re": 0.32, "im": 0.04},
+            {"k1": 2, "k2": 1, "re": 0.04, "im": 0.01},
+            {"k1": -2, "k2": -1, "re": 0.04, "im": -0.01}]},
+        "params": {"h": 0.1, "epsilon": 0.01}, "i1_max": 30.0,
+        "grids": {"average_grid": 7}}
+    canonical = validate_config(cfg)
+    p = build_potential(canonical)
+    _, files = cmd_average(canonical, p, str(tmp_path))
+    header, rows = files["average.csv"]
+    assert header == ("i1", "y1", "y2", "vbar")
+    want = []
+    ss = np.linspace(0.0, 1.0, 7, endpoint=False)
+    for i1 in np.linspace(0.0, 30.0, 7):
+        damped = p.damped(float(i1))
+        for s in ss:
+            for t in ss:
+                y = p.lattice.to_cartesian(np.array([s, t]))
+                want.append((float(i1), float(y[0]), float(y[1]),
+                             float(damped.value(y))))
+    assert rows == want
+
+
 def test_empty_spectrum_headers_only(tmp_path):
     cfg = dict(BASE)
     cfg["params"] = {"h": 0.1, "epsilon": 0.0}

@@ -10,7 +10,8 @@ import pytest
 from driftband import numerics
 from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
                                 NonHermitianError, Tolerance, D8_STAGES,
-                                adaptive_quad, bessel_j0, bessel_j0_zero,
+                                adaptive_quad, bessel_j0, bessel_j0_array,
+                                bessel_j0_zero,
                                 dop853_dense, dop853_dense_coeffs,
                                 dop853_lane_step, find_root,
                                 hermitian_eigenvalues, integrate_ode,
@@ -77,6 +78,24 @@ def test_j0_branch_agreement_on_switchover():
 def test_j0_rejects_nonfinite():
     with pytest.raises(DomainError):
         bessel_j0(float("nan"))
+
+
+def test_j0_array_matches_scalar_bit_for_bit():
+    # the series lanes on [0, 8] and the trapezoid elements beyond 8 each
+    # round as the scalar does
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(0.0, 8.0, 801), rng.uniform(-8.0, 8.0, 400),
+                        [8.0, np.nextafter(8.0, 9.0), 1e-300],
+                        np.linspace(8.0, 50.0, 211), -rng.uniform(8.0, 40.0, 20)])
+    got = bessel_j0_array(x)
+    want = np.array([bessel_j0(v) for v in x])
+    assert got.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+    grid = x[:600].reshape(20, 30)
+    assert bessel_j0_array(grid).tobytes() == want[:600].tobytes()
+    assert bessel_j0_array(np.array([])).shape == (0,)
+    with pytest.raises(DomainError):
+        bessel_j0_array([1.0, float("inf")])
 
 
 # ------------------------------------------------------------ quadrature

@@ -131,6 +131,23 @@ def test_average_periodicity():
             1 + p.coeff_l1)
 
 
+def test_damped_over_an_array_matches_each_action():
+    # one J0 array pass for every (action, mode): the coefficients of each
+    # potential are those of damped at that action alone, bit for bit,
+    # also where sqrt(2 i1)|G| passes the series cut at 8
+    rng = np.random.default_rng(41)
+    p = random_potential(rng)
+    i1s = np.concatenate([[0.0], np.linspace(0.01, 9.0, 37)])
+    many = p.damped(i1s)
+    assert len(many) == len(i1s)
+    for i1, q in zip(i1s, many):
+        alone = p.damped(float(i1))
+        assert q.coeffs == alone.coeffs
+        assert q._half == alone._half
+    with pytest.raises(DomainError):
+        p.damped(np.array([0.5, -1e-3]))
+
+
 def test_negative_action_rejected():
     p = cosine_example(1.0, 1.0, 1.0)
     with pytest.raises(DomainError):
