@@ -27,9 +27,9 @@ from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
 
-# orbit_lanes (DOP853) against a 1e-14 reference on the test orbits: 1.9e-10
-# at 1e-11, 1.6e-11 at 1e-12, 3.3e-12 at 3e-13 (Dormand-Prince 5(4) lanes at
-# 1e-11: 8.4e-11)
+# orbit_lanes (order-20 Taylor steps) against a 1e-14 reference on the test
+# orbits: 1.2e-11 at 1e-11, 6.2e-13 at 1e-12, 1.4e-13 at 3e-13, 1.0e-13 at
+# 1e-13 (DOP853 lanes: 1.9e-10, 1.6e-11 and 3.3e-12 at the first three)
 _ORBIT_TOL = Tolerance(3e-13, 3e-13, 400)
 _ARC_TOL = Tolerance(1e-11, 1e-11, 400)  # the scalar separatrix-arc oracle
 _ARC_OFFSET = 1e-6  # distance of a separatrix arc's seed from its saddle

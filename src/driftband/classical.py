@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import (D8_STAGES, DomainError, NumericsError, Tolerance,
-                       bessel_j0, bessel_j0_array, bessel_j0_zero,
-                       dop853_dense, dop853_dense_coeffs, dop853_lane_step,
-                       dop853_step_factor, find_root)
+from .numerics import (DomainError, NumericsError, Tolerance, bessel_j0,
+                       bessel_j0_array, bessel_j0_zero, find_root)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
@@ -113,6 +112,19 @@ class DriftModel:
             d1 += g1 * w
             d2 += g2 * w
         return v, (d1, d2)
+
+    @cached_property
+    def taylor_terms(self):
+        """Mode columns (g1, g2, lin) of drift_taylor_coeffs: lin (2, modes,
+        2 + modes, 1) maps each mode's (cos, -sin) of its phase to that
+        mode's share of the reduced field (rows 0, 1) and of g.field for
+        every phase (rows 2 ...)."""
+        g1, g2, re, im = (np.array([[m[j]] for m in self.modes])
+                          for j in range(4))
+        jg = (-g2, g1)  # J G per mode
+        rows = np.concatenate([*jg, jg[0] * g1.T + jg[1] * g2.T], axis=1)
+        weights = np.stack((-2.0 * im, 2.0 * re))  # (2, modes, 1)
+        return g1, g2, (weights * rows)[..., None]
 
     def energy(self, y):
         """Averaged Hamiltonian I1 + eps*vbar at a point."""
@@ -613,8 +625,118 @@ class OrbitResult:
 
 
 _CLOSURE_TOL = Tolerance(1e-15, 1e-15, 200)  # in the step fraction theta
-_STEP_BUDGET = 2_000_000  # attempted steps of one batch, as integrate_ode
+_STEP_BUDGET = 2_000_000  # steps of one batch, as integrate_ode
 _RESUMES = 64             # closure candidates per orbit
+_TAYLOR_ORDER = 20        # degree of a drift step's Taylor polynomial
+# 1/k and -1/k per order k: k (s_k, c_k) -> (c_k, -s_k)
+_SC_SCALE = [None] + [np.array([1.0, -1.0])[:, None, None] / k
+                      for k in range(1, _TAYLOR_ORDER)]
+_INV = 1.0 / np.arange(1.0, _TAYLOR_ORDER + 1.0)[:, None]  # 1/(k+1)
+# step bounds (tol / |c_j|)^(1/j) of the last two orders (Jorba and Zou),
+# and the share of the smaller one taken: the full bound let near-saddle
+# coefficients that shrink by chance at orders 19 and 20 set steps that
+# erred by 1e-11 in an action (see actions._ORBIT_TOL)
+_RHO_EXP = -1.0 / np.array([[_TAYLOR_ORDER - 1.0], [_TAYLOR_ORDER]])
+_STEP_SAFETY = 0.9
+# Sum over the leading axis, term by term in order and elementwise over
+# the rest, so a lane rounds as it would alone; every caller's rest has at
+# least two elements (the one-lane sin/cos pair, say): over a rest of one
+# numpy sums a contiguous run pairwise, in another order.
+_sum = np.add.reduce
+
+
+def drift_taylor_coeffs(model: DriftModel, y):
+    """Taylor coefficients (order + 1, 3, lanes) of (y1, y2, area) about
+    the states y (3, lanes) under the reduced drift dy/dt = J grad vbar,
+    dA/dt = y1 dy2/dt; row k multiplies t^k.
+
+    vbar is a trigonometric polynomial, so each order is a few array passes
+    over all lanes: a mode's phase phi = g.y has sine and cosine series
+    with k s_k = sum_j j phi_j c_(k-j) and k c_k = -sum_j j phi_j s_(k-j)
+    (j = 1 ... k); the field's order k and every phase's order k + 1 are a
+    fixed linear map (model.taylor_terms) of the modes' (c_k, -s_k); the
+    area is the Cauchy product of y1 and dy2/dt.  Every sum over orders or
+    modes is a _sum over the leading axis, so a lane rounds as it would
+    alone.
+    """
+    g1, g2, lin = model.taylor_terms
+    order, modes, lanes = _TAYLOR_ORDER, len(g1), y.shape[1]
+    cs = np.empty((order, 2, modes, lanes))  # (c_k, -s_k) of every phase
+    f = np.empty((order, 2 + modes, lanes))  # field k, then (k+1) phi_(k+1)
+    phi = g1 * y[0] + g2 * y[1]
+    cs[0, 0] = np.cos(phi)
+    np.negative(np.sin(phi), out=cs[0, 1])
+    for k in range(order):
+        if k:
+            acc = _sum(f[:k, None, 2:] * cs[k - 1::-1])
+            np.multiply(acc[::-1], _SC_SCALE[k], out=cs[k])
+        _sum((lin * cs[k, :, :, None]).reshape(-1, 2 + modes, lanes),
+             out=f[k])
+    c = np.empty((order + 1, 3, lanes))
+    c[0] = y
+    np.multiply(f[:, :2], _INV[:, :, None], out=c[1:, :2])
+    # (k + 1) area_(k+1) = sum_j y1_j dy2_(k-j), summed over j in order
+    y1, dy2 = c[:order, 0], f[:, 1]
+    area = y1[0] * dy2
+    for j in range(1, order):
+        area[j:] += y1[j] * dy2[:order - j]
+    np.multiply(area, _INV, out=c[1:, 2])
+    return c
+
+
+def drift_taylor_step(model: DriftModel, y, h_max, tol: Tolerance):
+    """One Taylor step of order _TAYLOR_ORDER from each lane's state y (3,
+    lanes), of length min(h_max, _STEP_SAFETY times Jorba and Zou's bound
+    from the last two orders, min over them of (tol_c / |c_j|)^(1/j), tol_c
+    = abs_tol + rel_tol |y_c| per component).
+
+    Returns (y_new, h, poly): poly (order + 1, 3, lanes) is the step's
+    polynomial in theta = (t - t0) / h on [0, 1], its exact dense output,
+    and y_new its value at 1, summed from the highest order down."""
+    poly = drift_taylor_coeffs(model, y)
+    scale = tol.abs_tol + tol.rel_tol * np.abs(y)
+    with np.errstate(divide="ignore"):  # no curvature: a straight line
+        rho = (np.abs(poly[-2:]) / scale).max(axis=1) ** _RHO_EXP
+    h = np.minimum(_STEP_SAFETY * np.minimum(rho[0], rho[1]), h_max)
+    powers = np.empty((_TAYLOR_ORDER, len(h)))
+    powers[:] = h  # h^1 ... h^order, one sequential product per lane
+    poly[1:] *= np.cumprod(powers, axis=0, out=powers)[:, None]
+    return _sum(poly[::-1]), h, poly
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for a in reversed(coeffs):
+        acc = acc * x + a
+    return acc
+
+
+def _section_root(coeffs, end):
+    """Root in [0, 1] of the polynomial sum_k coeffs[k] theta^k, < 0 at 0
+    and end >= 0 at 1, on Python floats: Newton steps from the secant
+    guess inside a bracket narrowed by sign, bisection when a step leaves
+    it, until a step is within _CLOSURE_TOL; None if that takes more than
+    its max_iter."""
+    lo, hi = 0.0, 1.0
+    x = coeffs[0] / (coeffs[0] - end)
+    for _ in range(_CLOSURE_TOL.max_iter):
+        r = d = 0.0
+        for a in reversed(coeffs):
+            d = d * x + r
+            r = r * x + a
+        if r < 0.0:
+            lo = x
+        else:
+            hi = x
+        new = x - r / d if d > 0.0 else -1.0
+        if not lo <= new <= hi:
+            new = 0.5 * (lo + hi)
+        elif abs(new - x) <= _CLOSURE_TOL.abs_tol:
+            return new
+        if new == x:
+            return x
+        x = new
+    return None
 
 
 def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
@@ -623,20 +745,22 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     its target on the torus: the seed itself (one closure, the default) or
     another point of the same level set (an arc).
 
-    The orbits ("lanes") advance together, one DOP853 attempt (Dormand and
-    Prince's 8(5,3) pair, numerics.dop853_lane_step) per iteration on
-    arrays of shape (3, lanes) holding (y1, y2, swept area); each lane
-    keeps its own step size (at most 0.1 cell diameters at its initial
-    speed), FSAL stage, section value and time cap (default 400 cell
-    diameters at that speed), and leaves the batch when it closes or fails.
-    Each lane's section is the line through its target normal to the drift
-    there.  Candidate closures (section crossings near a wrapped copy of
-    the target) are located by Brent's method on the crossing step's
-    7th-order dense output, whose three extra stages are evaluated for all
-    crossing lanes of a step at once, and accepted only when the torus
-    distance to the target really vanishes, so near-misses of other
+    The orbits ("lanes") advance together, one Taylor step of the mode sum
+    (drift_taylor_step) per iteration on arrays of shape (3, lanes) holding
+    (y1, y2, swept area); each lane steps as far as its own coefficients
+    allow at its tolerance, at most 0.1 cell diameters at its initial
+    speed, keeps its own section value and time cap (default 400 cell
+    diameters at that speed), and leaves the batch when it closes or
+    fails.  Each lane's section is the line through its target normal to
+    the drift there.  A candidate closure (a section crossing near a
+    wrapped copy of the target) is located on the crossing step's
+    polynomial: the section is linear in (y1, y2), so it is one scalar
+    polynomial per crossing lane, searched by _section_root on Python
+    floats (a few lanes per step).  It is accepted only when the
+    torus distance to the target really vanishes, so near-misses of other
     lattice copies do not truncate the orbit; after a false alarm the lane
-    restarts from the end of that step.  Every array operation is
+    goes on.  A lane whose target is its seed starts on its section and
+    cannot close in its first step; an arc can.  Every array operation is
     elementwise over lanes, so a lane's result does not depend on the rest
     of the batch.  Returns one OrbitResult per seed, whose winding is the
     lattice shift from the target to the end point and whose area is swept
@@ -650,24 +774,11 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     out = [OrbitResult(closed=False) for _ in seeds]
     a21, a22 = model.lattice.a21, model.lattice.a22
     cell_diam = math.hypot(TWO_PI + abs(a21), a22)
-    # mode columns for (modes, lanes) arrays: phase weights -2 re and -2 im,
-    # and J G = (-g2, g1) per mode
-    g1, g2, re2, im2 = (np.array([[m[j] * (1.0 if j < 2 else -2.0)]
-                                  for m in model.modes]) for j in range(4))
-    jg = np.stack((-g2, g1), axis=1)  # (modes, 2, 1)
-
-    def field(y, out):
-        y1, y2, _ = y
-        ph = g1 * y1 + g2 * y2
-        w = re2 * np.sin(ph) + im2 * np.cos(ph)
-        v = jg * w[:, None, :]
-        out[:2] = v[0]
-        for vj in v[1:]:  # modes summed in order
-            np.add(out[:2], vj, out=out[:2])
-        np.multiply(y1, out[1], out=out[2])  # dA = y1 * dy2/dt
-
     # per lane: the target in lattice coordinates, the unit section normal
-    # (velocity at the target in lattice coordinates), time cap, first step
+    # (velocity at the target in lattice coordinates), time cap, step cap
+    # (0.1 cell diameters at the initial speed: on straight drift lines the
+    # high orders vanish, and an unbounded step would jump over the
+    # closure), and whether the target is the seed
     rows = []
     for lane, ((y1, y2), (x1, x2)) in enumerate(zip(seeds, ends)):
         d1, d2 = model.grad(y1, y2)
@@ -681,19 +792,15 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
         t0 = x2 / a22
         rows.append((lane, y1, y2, (x1 - a21 * t0) / TWO_PI, t0, n1 / norm,
                      n2 / norm, 400.0 * cell_diam / speed
-                     if t_cap is None else t_cap, 0.01 * cell_diam / speed))
+                     if t_cap is None else t_cap, 0.1 * cell_diam / speed,
+                     (x1, x2) == (y1, y2)))
     if not rows:
         return out
     cols = [np.array(c) for c in zip(*rows)]
-    idx, s0, t0, n1, n2, cap, h0 = (cols[0], *cols[3:])
+    idx, s0, t0, n1, n2, cap, h_cap, own = (cols[0], *cols[3:])
     y = np.stack((cols[1], cols[2], np.zeros(len(idx))))
-    k1 = np.empty_like(y)
-    field(y, k1)
     t = np.zeros(len(idx))
-    t_base = np.zeros(len(idx))
-    t_end = cap.copy()
-    h = np.minimum(h0, t_end)
-    min_step = t_end * 1e-14 + 1e-300
+    min_step = cap * 1e-14 + 1e-300
     resumes = np.zeros(len(idx), dtype=int)
 
     def section(y1, y2, s0, t0, n1, n2):
@@ -706,96 +813,66 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
 
     last_sg, last_w = section(y[0], y[1], s0, t0, n1, n2)
 
-    def closure(i, ya, yb, coeffs, sg_b):
-        """(theta, state, torus distance) of the section crossing on lane
-        i's step, found on its dense output; None if the search fails."""
-        s0i, t0i, n1i, n2i = (float(a[i]) for a in (s0, t0, n1, n2))
-
-        def sigma(yv):
-            tt = yv[1] / a22
-            ws = (yv[0] - a21 * tt) / TWO_PI - s0i
-            wt = tt - t0i
-            ws -= round(ws)
-            wt -= round(wt)
-            return n1i * ws + n2i * wt, max(abs(ws), abs(wt))
-
-        dense = dop853_dense(ya, coeffs)
-        try:
-            theta = find_root(
-                lambda th: sg_b if th >= 1.0 else sigma(dense(th))[0],
-                0.0, 1.0, _CLOSURE_TOL)
-        except NumericsError:
-            return None
-        s_end = yb if theta >= 1.0 else dense(theta)
-        return theta, s_end, sigma(s_end)[1]
+    def distance(yv, i):
+        """Torus distance from lane i's target to the point yv."""
+        tt = yv[1] / a22
+        ws = (yv[0] - a21 * tt) / TWO_PI - float(s0[i])
+        wt = tt - float(t0[i])
+        return max(abs(ws - round(ws)), abs(wt - round(wt)))
 
     for _ in range(_STEP_BUDGET):
         if not len(idx):
             break
-        rem = t_end - t
-        h = np.where(h > rem, rem, h)
-        k = np.empty((D8_STAGES,) + y.shape)
-        k[0] = k1
-        y8, enorm = dop853_lane_step(field, y, h, k, tol)
-        ok = enorm <= 1.0
-        tb = t + h
-        sg1, w1 = section(y8[0], y8[1], s0, t0, n1, n2)
-        hit = (ok & (t_base + t > 0.0) & (last_sg < 0.0) & (sg1 >= 0.0)
+        y_new, h, poly = drift_taylor_step(model, y,
+                                           np.minimum(h_cap, cap - t), tol)
+        sg1, w1 = section(y_new[0], y_new[1], s0, t0, n1, n2)
+        hit = (((t > 0.0) | ~own) & (last_sg < 0.0) & (sg1 >= 0.0)
                & (np.minimum(last_w, w1) < 0.2))
         hits = np.flatnonzero(hit)
-        if hits.size:
-            # dense output of every crossing step at once, then one scalar
-            # closure search per lane
-            coeffs = dop853_dense_coeffs(field, y[:, hits], y8[:, hits],
-                                         h[hits], k[:, :, hits])
-            coeffs = coeffs.transpose(2, 0, 1).tolist()
-            starts, ends = y[:, hits].T.tolist(), y8[:, hits].T.tolist()
-        t_prev = t
-        y = np.where(ok, y8, y)
-        k1 = np.where(ok, k[12], k1)
-        t = np.where(ok, tb, t)
-        last_sg = np.where(ok, sg1, last_sg)
-        last_w = np.where(ok, w1, last_w)
-        # capped at 10 first steps: on straight drift lines the error
-        # estimate is 0, and an unbounded step would jump over the closure
-        h = np.minimum(h * dop853_step_factor(enorm), 10.0 * h0)
+        t_prev, t = t, t + h
+        y, last_sg, last_w = y_new, sg1, w1
         # a lane at its time cap or below its smallest step has failed
-        drop = ((t >= t_end) | (h < min_step)) & ~hit
-        for j, i in enumerate(hits.tolist()):
-            ta, tb_i = float(t_prev[i]), float(tb[i])
-            found = closure(i, starts[j], ends[j], coeffs[j], float(sg1[i]))
-            if found is None:
-                drop[i] = True
-                continue
-            theta, s_end, w_end = found
+        drop = (t >= cap) | (h < min_step)
+        crossings = ()
+        if hits.size:
+            # the section through the target's copy nearest a step's end is
+            # c1 y1 + c2 y2 plus a constant: one polynomial in theta per
+            # crossing lane, sg1 at theta = 1
+            ph = poly[:, :, hits]
+            c1 = n1[hits] / TWO_PI
+            c2 = (n2[hits] - a21 * c1) / a22
+            sec = c1 * ph[:, 0] + c2 * ph[:, 1]
+            sec[0] += sg1[hits] - (c1 * y_new[0, hits] + c2 * y_new[1, hits])
+            crossings = zip(hits.tolist(), sec.T.tolist(),
+                            ph.transpose(2, 1, 0).tolist())
+        for i, coeffs, comps in crossings:
+            w_end = math.inf  # that section is not crossed: a false alarm
+            if coeffs[0] < 0.0:
+                theta = _section_root(coeffs, float(sg1[i]))
+                if theta is None:
+                    drop[i] = True
+                    continue
+                s_end = [_horner(c, theta) for c in comps]
+                w_end = distance(s_end, i)
             if w_end < 1e-6:
                 s_end_l = (s_end[0] - a21 * (s_end[1] / a22)) / TWO_PI
                 out[idx[i]] = OrbitResult(
-                    closed=True,
-                    period=float(t_base[i]) + ta + theta * (tb_i - ta),
+                    closed=True, period=float(t_prev[i]) + theta * float(h[i]),
                     winding=(round(s_end_l - float(s0[i])),
                              round(s_end[1] / a22 - float(t0[i]))),
                     area=s_end[2], end_point=(s_end[0], s_end[1]))
                 drop[i] = True
                 continue
-            # false alarm: restart from the end of the triggering step
-            t_base[i] += tb_i
+            # a false alarm: the lane goes on
             resumes[i] += 1
-            if t_base[i] >= cap[i] or resumes[i] >= _RESUMES:
-                drop[i] = True
-                continue
-            t[i] = 0.0
-            t_end[i] = cap[i] - t_base[i]
-            h[i] = min(h0[i], t_end[i])
-            min_step[i] = t_end[i] * 1e-14 + 1e-300
+            drop[i] |= resumes[i] >= _RESUMES
         if drop.any():
             keep = ~drop
-            idx, s0, t0, n1, n2, cap, h0 = (a[keep] for a in (
-                idx, s0, t0, n1, n2, cap, h0))
-            t, t_base, t_end, h, min_step, resumes, last_sg, last_w = (
-                a[keep] for a in (t, t_base, t_end, h, min_step, resumes,
-                                  last_sg, last_w))
-            y, k1 = y[:, keep], k1[:, keep]
+            idx, s0, t0, n1, n2, cap, h_cap, own = (a[keep] for a in (
+                idx, s0, t0, n1, n2, cap, h_cap, own))
+            t, min_step, resumes, last_sg, last_w = (a[keep] for a in (
+                t, min_step, resumes, last_sg, last_w))
+            y = y[:, keep]
     return out
 
 

@@ -3,14 +3,12 @@
 Bessel J0, adaptive Gauss-Kronrod quadrature (the integrand is an array
 function, called once per 15-node panel), Brent root bracketing and a
 bracketed Newton pass over arrays of roots, Hermitian eigenvalues of single
-matrices or stacks (checked input, solved by LAPACK) and two explicit
-Runge-Kutta pairs.  The adaptive Dormand–Prince 4(5) with FSAL and dense
-output, integrate_ode, is scalar and serves the separatrix-arc oracle.
-Dormand and Prince's 8(5,3) pair (DOP853) steps arrays of independent
-autonomous systems ("lanes", elementwise, so a lane rounds as it would
-alone) and is the engine of classical.orbit_lanes; its tableau is written
-out here, so scipy.integrate is never imported.  All routines are pure
-functions of immutable inputs.
+matrices or stacks (checked input, solved by LAPACK) and the adaptive
+Dormand–Prince 4(5) pair with FSAL and dense output, integrate_ode.  The
+integrator is scalar: it serves the separatrix-arc oracle and the tests'
+reference orbits, while the drift orbits themselves are Taylor series of
+the potential's mode sum (classical.orbit_lanes), so scipy.integrate is
+never imported.  All routines are pure functions of immutable inputs.
 """
 
 from __future__ import annotations
@@ -532,161 +530,3 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
                                best=Trajectory(np.array(ts), np.array(ys),
                                                complete=False))
     return Trajectory(np.array(ts), np.array(ys))
-
-
-# ----------------------------------------------------------------------
-# Runge-Kutta 8(5,3) of Dormand and Prince (DOP853) over lanes
-# ----------------------------------------------------------------------
-# Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., section II.10 (the
-# coefficients of their dop853 code).  Stage s of a step evaluates the
-# field at y + h * sum_j A[s][j] k_j.  Rows 1-11 are the method's stages,
-# row 12 its 8th-order solution (b, at c = 1: the field there is the next
-# step's k_0, first same as last) and rows 13-15 the three extra stages of
-# the 7th-order dense output.
-_D8_A = (
-    (),
-    (0.05260015195876773,),
-    (0.0197250569845379, 0.0591751709536137),
-    (0.02958758547680685, 0.0, 0.08876275643042054),
-    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
-    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
-    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
-     -0.017578125),
-    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
-     -0.015319437748624402, 0.008273789163814023),
-    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
-     27.59209969944671, 20.154067550477894, -43.48988418106996),
-    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
-     21.230051448181193, 15.279233632882423, -33.28821096898486,
-     -0.020331201708508627),
-    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
-     -8.149787010746927, -18.52006565999696, 22.739487099350505,
-     2.4936055526796523, -3.0467644718982196),
-    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
-     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
-     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
-    (0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
-     1.8915178993145003, -5.801203960010585, 0.3111643669578199,
-     -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
-    (0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
-     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
-     0.00820105229563469, 0.007567897660545699, -0.008298),
-    (0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
-     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
-     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
-     0.1413124436746325),
-    (-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
-     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
-     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
-)
-_D8_B = _D8_A[12]
-# error weights: b minus the 3rd-order weights (bhh1, bhh2, bhh3 on k_0,
-# k_8, k_11), and b minus the 5th-order ones
-_D8_BHH = (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
-_D8_E3 = tuple(b - {0: _D8_BHH[0], 8: _D8_BHH[1], 11: _D8_BHH[2]}.get(j, 0.0)
-               for j, b in enumerate(_D8_B))
-_D8_E5 = (0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
-          -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
-          0.3341791187130175, 0.08192320648511571, -0.022355307863886294)
-# the 4th-7th coefficients of the dense output, over k_0 ... k_15
-_D8_D = (
-    (-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
-     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
-     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
-     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
-     -4.436036387594894),
-    (10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
-     165.20045171727028, -374.5467547226902, -22.113666853125306,
-     7.733432668472264, -30.674084731089398, -9.332130526430229,
-     15.697238121770845, -31.139403219565178, -9.35292435884448,
-     35.81684148639408),
-    (19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
-     -189.17813819516758, 527.8081592054236, -11.57390253995963,
-     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
-     -2.778205752353508, -60.19669523126412, 84.32040550667716,
-     11.99229113618279),
-    (-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
-     -231.5293791760455, 357.6391179106141, 93.40532418362432,
-     -37.45832313645163, 104.0996495089623, 29.8402934266605,
-     -43.53345659001114, 96.32455395918828, -39.17726167561544,
-     -149.72683625798564),
-)
-_D8_ROWS = tuple(np.array(row) for row in _D8_A)
-_D8_E3_ROW, _D8_E5_ROW = np.array(_D8_E3), np.array(_D8_E5)
-_D8_D_ROWS = tuple(np.array(row) for row in _D8_D)
-D8_STAGES = 16  # 12 stages, the first-same-as-last stage, 3 dense stages
-
-
-def _d8_sum(row, k):
-    """sum_j row[j] k[j] over the leading axis of k (dim, lanes), summed
-    in j order and elementwise over the rest, so each lane rounds as it
-    would alone.  (A BLAS product blocks the lanes and changes the bits;
-    with dim * lanes = 1 einsum's reduction runs contiguous and reorders
-    the sum too.)"""
-    return np.einsum("s,sij->ij", row, k[:len(row)])
-
-
-def dop853_lane_step(field, y, h, k, tol: Tolerance):
-    """One DOP853 attempt for many autonomous systems ("lanes") at once.
-
-    y has shape (dim, lanes), h shape (lanes,); k is a (D8_STAGES, dim,
-    lanes) work array with k[0] = field(y).  `field(x, out)` writes the
-    field at x into out.  Fills k[1:13] (k[12] = field(y8) is the next
-    step's k[0]) and returns (y8, enorm): enorm is Hairer's 5/3 combined
-    error estimate, |h| e5^2 / sqrt(dim (e5^2 + 0.01 e3^2)) with the
-    squares summed over components scaled by abs_tol + rel_tol max(|y|,
-    |y8|); the step is accepted at enorm <= 1.
-    """
-    for s in range(1, 12):
-        field(y + h * _d8_sum(_D8_ROWS[s], k), k[s])
-    y8 = y + h * _d8_sum(_D8_ROWS[12], k)
-    field(y8, k[12])
-    scale = tol.abs_tol + tol.rel_tol * np.maximum(np.abs(y), np.abs(y8))
-    e5 = _d8_sum(_D8_E5_ROW, k) / scale
-    e3 = _d8_sum(_D8_E3_ROW, k) / scale
-    e5, e3 = e5 * e5, e3 * e3
-    s5, s3 = e5[0], e3[0]
-    for r5, r3 in zip(e5[1:], e3[1:]):  # components summed in order
-        s5 = s5 + r5
-        s3 = s3 + r3
-    deno = s5 + 0.01 * s3
-    deno = np.where(deno > 0.0, deno, 1.0)
-    return y8, np.abs(h) * s5 / np.sqrt(len(y) * deno)
-
-
-def dop853_step_factor(enorm):
-    """Step-size factor per lane: 0.9 enorm^(-1/8), clipped to [1/3, 6]
-    (6 at enorm 0)."""
-    with np.errstate(divide="ignore"):
-        factor = 0.9 * np.where(enorm > 0.0, enorm ** -0.125, 6.0)
-    return np.minimum(6.0, np.maximum(1.0 / 3.0, factor))
-
-
-def dop853_dense_coeffs(field, y, y8, h, k):
-    """Coefficients (7, dim, lanes) of the 7th-order dense output of
-    accepted steps from y to y8, whose k[:13] are filled (lanes are a
-    subset of a step's batch, for example the ones that need an event
-    located); evaluates the three extra stages into k[13:16], one field
-    call each for all lanes."""
-    for s in range(13, 16):
-        field(y + h * _d8_sum(_D8_ROWS[s], k), k[s])
-    dy = y8 - y
-    bspl = h * k[0] - dy
-    return np.stack([dy, bspl, dy - h * k[12] - bspl]
-                    + [h * _d8_sum(row, k) for row in _D8_D_ROWS])
-
-
-def dop853_dense(y, coeffs):
-    """dense(theta), theta in [0, 1], on Python floats: y (dim,) is the
-    step's start and coeffs (7, dim) the rows of dop853_dense_coeffs for
-    one lane."""
-    rows = tuple(zip(y, *coeffs))
-
-    def dense(theta):
-        t1 = 1.0 - theta
-        return tuple(
-            y0 + theta * (f0 + t1 * (f1 + theta * (f2 + t1 * (
-                f3 + theta * (f4 + t1 * (f5 + theta * f6))))))
-            for y0, f0, f1, f2, f3, f4, f5, f6 in rows)
-
-    return dense

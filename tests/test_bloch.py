@@ -253,6 +253,11 @@ def _pair_loop_crossings(p, eps, h, flux, mu):
                     q_star, n_p_q, n_m_q = q_star - 1.0 / m, n_p - 1, n_m + 1
                 else:
                     n_p_q, n_m_q = n_p, n_m
+                # a crossing exactly on a sample (the cell edge included)
+                # ends one interval and starts the next: count it once
+                if any(c[1:3] == (n_p_q, n_m_q) and abs(c[0] - q_star) <= 1e-10
+                       for c in found):
+                    continue
                 found.append((q_star, n_p_q, n_m_q, e_star))
     return sorted(found, key=lambda c: (c[0], c[3]))
 

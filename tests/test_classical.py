@@ -634,20 +634,120 @@ def test_fixed_point_lane_fails_alone():
 
 def test_mixed_lanes_take_few_lockstep_steps(monkeypatch):
     # at the action lanes' tolerance; Dormand-Prince 5(4) lanes took 389
-    # lockstep steps on this batch at 1e-11, the tolerance they ran at
+    # lockstep steps on this batch at 1e-11, DOP853 lanes 114 at 3e-13, and
+    # the order-20 Taylor lanes take 34
     model, seeds = _mixed_seeds()
     steps = []
-    step = classical.dop853_lane_step
+    step = classical.drift_taylor_step
 
-    def counted(field, y, h, k, tol):
+    def counted(model, y, h_max, tol):
         steps.append(y.shape[1])
-        return step(field, y, h, k, tol)
+        return step(model, y, h_max, tol)
 
-    monkeypatch.setattr(classical, "dop853_lane_step", counted)
+    monkeypatch.setattr(classical, "drift_taylor_step", counted)
     out = orbit_lanes(model, seeds, _ORBIT_TOL)
     assert all(o.closed for o in out)
+    assert steps, "the step hook saw no step"
     assert steps[0] == len(seeds)
-    assert len(steps) <= 200
+    assert len(steps) <= 40
+
+
+def test_arc_whose_target_lies_in_the_first_step_closes_there():
+    # the targets a few traced points ahead of the seed lie inside the
+    # lane's first step; a crossing there must end the arc, not one loop on
+    p = cosine_example(2.0, 1.0, 1.0)
+    eps, i1 = 0.01, 0.3
+    comp, = trace_level_set(p, eps, i1, graph_mid_level(
+        build_reeb_graph(p, eps, i1), "i1"))
+    model = DriftModel(p, eps, i1)
+    seed = tuple(comp.points[0])
+    loop = orbit_lanes(model, [seed], _ORBIT_TOL)[0]
+    assert loop.closed and loop.winding == (0, 0)
+    for k in (1, 2, 4, 8):
+        arc = orbit_lanes(model, [seed], _ORBIT_TOL,
+                          targets=[tuple(comp.points[k])])[0]
+        assert arc.closed and arc.winding == (0, 0)
+        assert 0.0 < arc.period < 0.02 * loop.period
+        assert abs(arc.area) < 0.1 * abs(loop.area)
+        assert math.dist(arc.end_point, comp.points[k]) < 1e-6
+
+
+# --------------------------------------------- Taylor steps of the mode sum
+
+def _taylor_potentials():
+    """A cosine, a complex few-mode potential on a sheared lattice and a
+    one-mode potential (straight drift lines)."""
+    return [cosine_example(2.0, 1.0, 1.0),
+            _potential(0.3, 5.6, {(1, 0): 0.5 + 0.07j, (0, 1): 0.32 - 0.06j,
+                                  (1, 1): 0.04 + 0.015j}),
+            _potential(0.0, 2.0 * math.pi, {(1, 2): 0.4 + 0.1j})]
+
+
+def test_taylor_coefficients_are_the_field_and_its_derivative():
+    # order 1 is the field (-d2, d1, y1 d1); order 2 is half its derivative
+    # along the flow, from the Hessian
+    rng = np.random.default_rng(11)
+    for p in _taylor_potentials()[:2]:
+        model = DriftModel(p, EPS, 0.3)
+        y = np.vstack([rng.uniform(-4.0, 4.0, (2, 7)), rng.normal(size=7)])
+        c = classical.drift_taylor_coeffs(model, y)
+        assert c.shape == (classical._TAYLOR_ORDER + 1, 3, 7)
+        assert np.array_equal(c[0], y)
+        for j, (y1, y2, _) in enumerate(y.T):
+            d1, d2 = model.grad(y1, y2)
+            h11, h12, h22 = model.hessian(y1, y2)
+            v1, v2 = -d2, d1
+            a1, a2 = -(h12 * v1 + h22 * v2), h11 * v1 + h12 * v2
+            for got, want in zip(c[1:3, :, j].ravel(),
+                                 (v1, v2, y1 * v2, 0.5 * a1, 0.5 * a2,
+                                  0.5 * (v1 * v2 + y1 * a2))):
+                assert abs(got - want) <= 1e-13 * (1.0 + abs(want))
+
+
+def test_taylor_steps_converge_at_their_order():
+    # one period of a closed i1 orbit in n equal steps (the tolerance set
+    # so loose that h_max sets every step): doubling n cuts the end-point
+    # error by 2^20 in the limit; 8 -> 16 steps cut it by 2^19.1
+    p = cosine_example(2.0, 1.0, 1.0)
+    model = DriftModel(p, 0.01, 0.3)
+    comp, = trace_level_set(p, 0.01, 0.3, graph_mid_level(
+        build_reeb_graph(p, 0.01, 0.3), "i1"))
+    y0 = tuple(comp.points[0])
+    ref = orbit_lanes(model, [y0], Tolerance(1e-15, 1e-15, 400))[0]
+    loose = Tolerance(1e3, 1e3, 400)
+    errors = []
+    for n in (8, 16):
+        h = np.array([ref.period / n])
+        y = np.array([[y0[0]], [y0[1]], [0.0]])
+        for _ in range(n):
+            y, step, _ = classical.drift_taylor_step(model, y, h, loose)
+            assert step[0] == h[0]
+        errors.append(math.dist(y[:2, 0], y0))
+    assert errors[1] < 1e-11 and abs(y[2, 0] - ref.area) < 1e-11
+    assert errors[0] >= 2.0 ** (classical._TAYLOR_ORDER - 2) * errors[1]
+
+
+def test_taylor_lane_bits_do_not_depend_on_the_batch():
+    # 1 to 9 lanes of each potential, the one-mode one included: each
+    # lane's coefficients, step, end point and polynomial are its own
+    rng = np.random.default_rng(5)
+    tol = Tolerance(3e-13, 3e-13, 400)
+    for p in _taylor_potentials():
+        model = DriftModel(p, EPS, 0.3)
+        for lanes in (1, 2, 5, 9):
+            y = np.vstack([rng.uniform(-4.0, 4.0, (2, lanes)),
+                           rng.normal(size=lanes)])
+            h_max = rng.uniform(0.05, 5.0, lanes)
+            c = classical.drift_taylor_coeffs(model, y)
+            y_new, h, poly = classical.drift_taylor_step(model, y, h_max, tol)
+            for j in range(lanes):
+                cj = classical.drift_taylor_coeffs(model, y[:, j:j + 1])
+                yj, hj, pj = classical.drift_taylor_step(
+                    model, y[:, j:j + 1], h_max[j:j + 1], tol)
+                assert np.array_equal(cj[:, :, 0], c[:, :, j])
+                assert hj[0] == h[j]
+                assert np.array_equal(yj[:, 0], y_new[:, j])
+                assert np.array_equal(pj[:, :, 0], poly[:, :, j])
 
 
 # ------------------------------------- array topology vs scalar cell loops

@@ -476,7 +476,7 @@ def test_sturm_flat_potential(tmp_path):
 
 
 def test_orbit_commands_leave_scipy_unloaded(tmp_path):
-    # the orbit lanes carry their own DOP853 tableau: scipy.integrate (and
+    # the orbit lanes are Taylor series of the mode sum: scipy.integrate (and
     # every other scipy module) costs start-up time the commands never pay
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     few_mode = {
