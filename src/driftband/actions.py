@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import (DriftModel, OrbitResult, ReebGraph,
-                        SeparatrixProximityError, build_reeb_graph,
-                        orbit_lanes)
+                        SeparatrixProximityError, orbit_lanes)
 from .numerics import (ConvergenceError, DomainError, Tolerance,
                        adaptive_quad, bessel_j0, bracketed_newton,
                        find_root)
-from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,22 +42,18 @@ _EPS = np.finfo(float).eps
 # ----------------------------------------------------------------------
 
 class ActionComputer:
-    """Action evaluations at fixed cyclotron action, reusing the model,
-    the Reeb graph and the saddle geometry across levels."""
+    """Action evaluations on one slice's Reeb graph, reusing its model and
+    saddle geometry across levels."""
 
-    def __init__(self, p: FourierPotential, eps: float, i1: float,
-                 graph: ReebGraph | None = None):
-        if eps <= 0.0:
+    def __init__(self, graph: ReebGraph):
+        if graph.eps <= 0.0:
             raise DomainError("actions need eps > 0")
-        self.p = p
-        self.eps = eps
-        self.i1 = i1
-        self.model = DriftModel(p, eps, i1)
-        self.graph = graph or build_reeb_graph(p, eps, i1)
+        self.graph = graph
+        self.model = graph.model
         # an equal-saddles graph has only its contractible edges; a flat or
         # one-dimensional one has no saddle to seed from
-        if self.graph.kind not in ("simple", "equal_saddles"):
-            raise DomainError(f"degenerate topology: {self.graph.kind}")
+        if graph.kind not in ("simple", "equal_saddles"):
+            raise DomainError(f"degenerate topology: {graph.kind}")
         # both kinds carry one minimum, two saddles and one maximum
         cps = self.graph.critical_points
         lower, upper = sorted(cps.by_kind("saddle"), key=lambda c: c.value)
@@ -70,7 +64,7 @@ class ActionComputer:
 
     @property
     def cell_over_2pi(self) -> float:
-        return self.p.lattice.cell_area / TWO_PI
+        return self.model.lattice.cell_area / TWO_PI
 
     # -- seed construction ------------------------------------------------
 
@@ -98,7 +92,7 @@ class ActionComputer:
         lines 4 and 5 from the lower saddle along + and - its rising
         Hessian direction (one seed per open component); each sign makes
         sign * vbar rise away from the line's origin."""
-        lat = self.p.lattice
+        lat = self.model.lattice
         ends = []
         for extremum, which, side in (("minimum", "lower", 1.0),
                                       ("maximum", "upper", -1.0)):
@@ -190,7 +184,7 @@ class ActionComputer:
         w = orbit.winding
         if w == (0, 0):
             return orbit.area / TWO_PI
-        lat = self.p.lattice
+        lat = self.model.lattice
         shift = w[0] * lat.a1 + w[1] * lat.a2
         corr = float(y0[1]) * shift[0] + 0.5 * shift[0] * shift[1]
         return (orbit.area - corr) / TWO_PI
@@ -219,7 +213,7 @@ class ActionComputer:
                           for pair in pairs])
         orbits = orbit_lanes(self.model, [y0 for y0, _ in lanes],
                              _ORBIT_TOL, targets=[y for _, y in lanes])
-        lat = self.p.lattice
+        lat = self.model.lattice
         out = []
         for (edge_id, edge), slot in zip(plans, slots):
             results = [(pair[0], orbits[lane]) for pair, lane in slot]
@@ -252,10 +246,9 @@ class ActionComputer:
         return self.actions([(edge_id, g)])[0]
 
 
-def action_i2(p: FourierPotential, eps: float, i1: float, g: float,
-              edge: str, graph: ReebGraph | None = None) -> float:
+def action_i2(graph: ReebGraph, edge: str, g: float) -> float:
     """Action along one Reeb edge at averaged energy g."""
-    return ActionComputer(p, eps, i1, graph).action(edge, g)
+    return ActionComputer(graph).action(edge, g)
 
 
 # ----------------------------------------------------------------------
@@ -300,16 +293,15 @@ def _log_fit_limit(deltas, values):
     return float(coef[0])
 
 
-def separatrix_limits(p: FourierPotential, eps: float, i1: float,
-                      graph: ReebGraph | None = None) -> ActionLimits:
-    """All six separatrix action limits at fixed cyclotron action."""
-    comp = ActionComputer(p, eps, i1, graph)
-    g = comp.graph
-    if g.kind != "simple":
-        raise DomainError(f"separatrix limits need a simple graph, got {g.kind}")
-    g_min = g.edge("i1").energy_range[0]
-    g_lo, g_hi = g.edge("i2").energy_range
-    g_max = g.edge("i4").energy_range[1]
+def separatrix_limits(graph: ReebGraph) -> ActionLimits:
+    """All six separatrix action limits of one slice."""
+    comp = ActionComputer(graph)
+    if graph.kind != "simple":
+        raise DomainError(
+            f"separatrix limits need a simple graph, got {graph.kind}")
+    g_min = graph.edge("i1").energy_range[0]
+    g_lo, g_hi = graph.edge("i2").energy_range
+    g_max = graph.edge("i4").energy_range[1]
 
     span1 = g_lo - g_min
     span24 = g_hi - g_lo
@@ -327,7 +319,7 @@ def separatrix_limits(p: FourierPotential, eps: float, i1: float,
     i2_1p, i2_4m, i2_2m, i2_2p, i2_3m, i2_3p = (
         _log_fit_limit(ds, vals[k * 5:(k + 1) * 5])
         for k, ds in enumerate(deltas))
-    return ActionLimits(i1=i1, i2_1p=i2_1p, i2_2m=i2_2m, i2_2p=i2_2p,
+    return ActionLimits(i1=graph.i1, i2_1p=i2_1p, i2_2m=i2_2m, i2_2p=i2_2p,
                         i2_3m=i2_3m, i2_3p=i2_3p, i2_4m=i2_4m,
                         cell_over_2pi=comp.cell_over_2pi)
 
@@ -412,8 +404,7 @@ def _arc_trapezium(model: DriftModel, saddle_y, direction):
     }
 
 
-def separatrix_web_actions(p: FourierPotential, eps: float, i1: float,
-                           graph: ReebGraph | None = None):
+def separatrix_web_actions(graph: ReebGraph):
     """Independent oracle: arc integrals over both saddle webs.
 
     Each saddle emits two flow-outgoing separatrix arcs with windings +-d.
@@ -423,9 +414,8 @@ def separatrix_web_actions(p: FourierPotential, eps: float, i1: float,
     of the upper arcs the i4-edge limit (the lift corrections cancel in the
     sum, so those two are lift-free).
     """
-    comp = ActionComputer(p, eps, i1, graph)
-    g = comp.graph
-    if g.kind != "simple":
+    comp = ActionComputer(graph)
+    if graph.kind != "simple":
         raise DomainError("web actions need a simple graph")
     out = {}
     for which in ("lower", "upper"):
@@ -450,7 +440,7 @@ def separatrix_web_actions(p: FourierPotential, eps: float, i1: float,
             if arc is not None:
                 seen.setdefault(arc["winding"], arc)
         out[which] = seen
-    d = g.edge("i2").drift.d
+    d = graph.edge("i2").drift.d
     d_neg = (-d[0], -d[1])
     result = {}
     if d in out["lower"]:
@@ -502,8 +492,6 @@ def closed_form_outer_action(A: float, B: float, beta: float,
     r = math.sqrt(2.0 * max(i1, 0.0))
     wa = A * abs(bessel_j0(r))
     wb = B * abs(bessel_j0(beta * r))
-    if wa == 0.0 and wb == 0.0:
-        return 0.0
     if wa == 0.0 or wb == 0.0:
         return 0.0
     gamma = min(wa / wb, wb / wa)
@@ -524,9 +512,8 @@ class _ChebyshevInterp:
     def __init__(self, lo, hi, values):
         n = len(values)
         j = np.arange(n)
-        theta = (2 * j + 1) * math.pi / (2 * n)
-        self.nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-        self.weights = (-1.0) ** j * np.sin(theta)
+        self.nodes = self.points(lo, hi, n)
+        self.weights = (-1.0) ** j * np.sin((2 * j + 1) * math.pi / (2 * n))
         self.values = np.asarray(values, dtype=float)
         self.lo, self.hi = lo, hi
 
@@ -572,7 +559,6 @@ class _SingularTemplate:
 class EdgeActionTable:
     edge: str
     i1: float
-    eps: float
     g_range: tuple
     i2_range: tuple
     interp_error: float
@@ -601,7 +587,7 @@ def _edge_singular_template(comp: ActionComputer, edge: str):
 
     def amp(which, passages):
         det = abs(comp._saddles[which].hess_det)
-        return passages / (TWO_PI * comp.eps * math.sqrt(det))
+        return passages / (TWO_PI * comp.model.eps * math.sqrt(det))
 
     if g.kind == "equal_saddles":
         # both saddles sit on the one separatrix level, two passages each
@@ -630,7 +616,7 @@ def _edge_singular_template(comp: ActionComputer, edge: str):
     raise DomainError(f"unknown edge {edge}")
 
 
-def _fit_table(edge, i1, eps, lo, hi, template, gs, vals, probes,
+def _fit_table(edge, i1, lo, hi, template, gs, vals, probes,
                probe_vals):
     """Chebyshev table through the node actions, its error measured at the
     probes."""
@@ -639,7 +625,7 @@ def _fit_table(edge, i1, eps, lo, hi, template, gs, vals, probes,
         raise DomainError(f"action is not monotone along edge {edge}")
     if template is not None:
         vals = [v - template(float(g)) for v, g in zip(vals, gs)]
-    table = EdgeActionTable(edge=edge, i1=i1, eps=eps, g_range=(lo, hi),
+    table = EdgeActionTable(edge=edge, i1=i1, g_range=(lo, hi),
                             i2_range=(0.0, 0.0), interp_error=math.inf,
                             _fwd=_ChebyshevInterp(lo, hi, vals),
                             _template=template)
@@ -648,10 +634,10 @@ def _fit_table(edge, i1, eps, lo, hi, template, gs, vals, probes,
     return table
 
 
-def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
-                      graph: ReebGraph | None = None, nodes: int = 48,
+def build_edge_tables(graph: ReebGraph, edges, nodes: int = 48,
                       target: float = 1e-8, max_nodes: int = 192) -> list:
-    """Sampled monotone energy <-> action maps along several edges.
+    """Sampled monotone energy <-> action maps along several edges of one
+    slice's graph.
 
     The declared interpolation error is measured against direct action
     evaluations at 7 interior probes; an edge's node count doubles, up to
@@ -661,10 +647,10 @@ def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
     edge as one orbit batch, and each later pass one batch for the edges
     still refining.
     """
-    comp = ActionComputer(p, eps, i1, graph)
+    comp = ActionComputer(graph)
     windows = []
     for edge in edges:
-        g_lo, g_hi = comp.graph.edge(edge).energy_range
+        g_lo, g_hi = graph.edge(edge).energy_range
         pad = 1e-4 * (g_hi - g_lo)
         windows.append((g_lo + pad, g_hi - pad))
     probes = [np.linspace(lo + 0.03 * (hi - lo), hi - 0.03 * (hi - lo), 7)
@@ -690,7 +676,7 @@ def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
         sizes = {}
         for k, gs in node_gs.items():
             node_vals, vals = vals[:len(gs)], vals[len(gs):]
-            table = _fit_table(edges[k], i1, eps, *windows[k], templates[k],
+            table = _fit_table(edges[k], graph.i1, *windows[k], templates[k],
                                gs, node_vals, probes[k], probe_vals[k])
             tables[k] = table
             if table.interp_error <= target:
@@ -707,13 +693,11 @@ def build_edge_tables(p: FourierPotential, eps: float, i1: float, edges,
     return tables
 
 
-def build_edge_table(p: FourierPotential, eps: float, i1: float, edge: str,
-                     graph: ReebGraph | None = None, nodes: int = 48,
+def build_edge_table(graph: ReebGraph, edge: str, nodes: int = 48,
                      target: float = 1e-8,
                      max_nodes: int = 192) -> EdgeActionTable:
     """One edge's table: build_edge_tables on a single edge."""
-    return build_edge_tables(p, eps, i1, [edge], graph, nodes, target,
-                             max_nodes)[0]
+    return build_edge_tables(graph, [edge], nodes, target, max_nodes)[0]
 
 
 def energy_from_actions(table: EdgeActionTable, i1: float, i2: float) -> float:

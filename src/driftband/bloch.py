@@ -453,8 +453,8 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
     d = graph.edge("i2").drift.d
     if d != (1, 0):
         raise DomainError(f"dispersion branches need drift (1,0), got {d}")
-    t2, t3 = build_edge_tables(p, eps, i1, ("i2", "i3"), graph,
-                               nodes=table_nodes, target=1e-7)
+    t2, t3 = build_edge_tables(graph, ("i2", "i3"), nodes=table_nodes,
+                               target=1e-7)
     M = flux.M
 
     def level(g):  # M (I2 + I3) / h, the k of a crossing at g

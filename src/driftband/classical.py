@@ -952,12 +952,21 @@ class ReebEdge:
 
 @dataclass
 class ReebGraph:
+    """Level-set topology of one slice: the graph carries the slice's
+    model, so its actions are taken on the model it was built from."""
     kind: str     # "simple" | "equal_saddles" | "one_dimensional" | "flat"
-    i1: float
-    eps: float
+    model: DriftModel
     vertices: list               # (kind, averaged energy) pairs
     edges: list                  # ReebEdge
     critical_points: CriticalPointSet | None = None
+
+    @property
+    def i1(self):
+        return self.model.i1
+
+    @property
+    def eps(self):
+        return self.model.eps
 
     def edge(self, edge_id):
         for e in self.edges:
@@ -1010,7 +1019,7 @@ def build_reeb_graph(p: FourierPotential, eps: float,
             ReebEdge("i1", (g_min, g_lo), True, DriftData((0, 0))),
             ReebEdge("i4", (g_hi, g_max), True, DriftData((0, 0))),
         ]
-        return ReebGraph("equal_saddles", i1, eps, vertices, edges, cps)
+        return ReebGraph("equal_saddles", model, vertices, edges, cps)
     # sample one level per edge for contractibility and drift
     probe = {
         "i1": g_min + 0.5 * (g_lo - g_min),
@@ -1040,7 +1049,7 @@ def build_reeb_graph(p: FourierPotential, eps: float,
         if cycles.windings(k) != [(0, 0)]:
             raise UnsupportedTopologyError(
                 f"edge {eid} level has unexpected structure")
-    return ReebGraph("simple", i1, eps, vertices, edges, cps)
+    return ReebGraph("simple", model, vertices, edges, cps)
 
 
 def _degenerate_graph(model: DriftModel):
@@ -1052,8 +1061,8 @@ def _degenerate_graph(model: DriftModel):
     """
     if model.is_flat():
         g0 = model.i1 + model.eps * model.mean
-        return ReebGraph("flat", model.i1, model.eps,
-                         [("minimum", g0), ("maximum", g0)], [], None)
+        return ReebGraph("flat", model, [("minimum", g0), ("maximum", g0)],
+                         [], None)
     direction = model.one_dimensional_direction()
     if direction is None:
         return None
@@ -1068,8 +1077,7 @@ def _degenerate_graph(model: DriftModel):
     vertices = [("minimum", g_min), ("maximum", g_max)]
     edges = [ReebEdge("i2", (g_min, g_max), False, drift),
              ReebEdge("i3", (g_min, g_max), False, drift_neg)]
-    return ReebGraph("one_dimensional", model.i1, model.eps, vertices, edges,
-                     None)
+    return ReebGraph("one_dimensional", model, vertices, edges, None)
 
 
 # ----------------------------------------------------------------------

@@ -292,15 +292,14 @@ def cmd_actions(cfg, p, out):
     files = {}
     nodes = cfg["grids"]["table_nodes"]
     edges = [e.id for e in graph.edges]
-    tables = build_edge_tables(p, params.epsilon, i1, edges, graph,
-                               nodes=nodes, target=1e-7)
+    tables = build_edge_tables(graph, edges, nodes=nodes, target=1e-7)
     for eid, table in zip(edges, tables):
         gs = np.linspace(table.g_range[0], table.g_range[1], 101)
         rows = [(float(g), float(table.i2_of_energy(float(g)))) for g in gs]
         files[f"action_{eid}.csv"] = (("energy", "i2"), rows)
     payload = {"i1": i1, "graph": _graph_payload(graph)}
     if graph.kind == "simple":
-        lim = separatrix_limits(p, params.epsilon, i1, graph)
+        lim = separatrix_limits(graph)
         k1, k2 = lim.kirchhoff_residuals()
         payload["limits"] = {
             "i2_1p": lim.i2_1p, "i2_2m": lim.i2_2m, "i2_2p": lim.i2_2p,
@@ -433,7 +432,7 @@ def cmd_bloch(cfg, p, out):
     q = QuasiMomentum(q1=float(qvals[0]), q2=float(qvals[1]))
     q.check(flux.M)
     s = bcfg.get("s", 0)
-    window = min(bcfg.get("window", 8), 16)
+    window = bcfg.get("window", 8)
     a21 = p.lattice.a21
     fam = boundary_family(flux, q, s, window, a21)
     rep = verify_boundary_conditions(flux, q, s, window=min(window, 6),

@@ -229,8 +229,8 @@ def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
         # boundary edges first; open edges exist on simple graphs only
         edges = ("i1", "i4", "i2", "i3") if graph.kind == "simple" else (
             "i1", "i4")
-        tables = build_edge_tables(p, eps, band.i1, edges, graph,
-                                   nodes=table_nodes, target=1e-6)
+        tables = build_edge_tables(graph, edges, nodes=table_nodes,
+                                   target=1e-6)
         table_err_max = max([table_err_max]
                             + [t.interp_error for t in tables])
         first = len(series_out)
@@ -258,17 +258,16 @@ def landau_band_width(p: FourierPotential, eps: float, i1: float) -> float:
     return eps * float(samples.max() - samples.min())
 
 
-def subband_count(p: FourierPotential, eps: float, h: float, i1_mu: float,
-                  flux: FluxRatio) -> int:
-    """Subbands in the Landau band at i1_mu for rational flux N/M.
+def subband_count(graph: ReebGraph, h: float, flux: FluxRatio) -> int:
+    """Subbands in the Landau band of graph's slice for rational flux N/M.
 
     Counts the quantization slots of all edges through the separatrix
     limits: (M/h) [(I2_1p - I2_4m) + span(i2) + span(i3)], which the
     cell-area identity pins at exactly N.
     """
-    lim = separatrix_limits(p, eps, i1_mu)
+    lim = separatrix_limits(graph)
     k1, k2 = lim.kirchhoff_residuals()
-    a22 = p.lattice.a22
+    a22 = graph.model.lattice.a22
     if abs(k1) > 1e-5 * a22 or abs(k2) > 1e-5 * a22:
         raise KirchhoffViolation(
             f"separatrix limits violate the area identities: {k1}, {k2}")

@@ -83,7 +83,8 @@ def kirchhoff_data():
     p = cosine_example(2.0, 1.0, 1.0)
     i1s = np.linspace(0.05, 2.2, 10)
     t0 = time.time()
-    limits = [separatrix_limits(p, EPS, float(v)) for v in i1s]
+    limits = [separatrix_limits(build_reeb_graph(p, EPS, float(v)))
+              for v in i1s]
     return p, i1s, limits, time.time() - t0
 
 
@@ -155,7 +156,8 @@ def test_c05_harper_band_and_subband_count(N, M):
     assert table.count == N
     assert not table.touching
     assert min(table.gaps()) > 1e-9
-    count = subband_count(p, EPS, h, landau_level(0, h), flux)
+    graph = build_reeb_graph(p, EPS, landau_level(0, h))
+    count = subband_count(graph, h, flux)
     assert count == N
     dt = time.time() - t0
     assert dt < 60.0

@@ -33,7 +33,7 @@ def test_outer_action_vanishes_at_bottom(cosine21):
     e = graph.edge("i1")
     g_min = e.energy_range[0]
     span = e.energy_range[1] - g_min
-    vals = [action_i2(p, EPS, 0.0, g_min + f * span, "i1", graph)
+    vals = [action_i2(graph, "i1", g_min + f * span)
             for f in (0.002, 0.001)]
     assert abs(vals[1]) < abs(vals[0])
     assert abs(vals[1]) < 5e-3
@@ -47,7 +47,7 @@ def test_harmonic_area_law(cosine21):
     h11, h12, h22 = model.hessian(cmin.y[0], cmin.y[1])
     omega = EPS * math.sqrt(h11 * h22 - h12 * h12)
     dg = 1e-3 * EPS
-    val = action_i2(p, EPS, 0.0, cmin.value + dg, "i1", graph)
+    val = action_i2(graph, "i1", cmin.value + dg)
     assert abs(val - dg / omega) < 0.05 * dg / omega
 
 
@@ -57,7 +57,7 @@ def test_action_bound(cosine21):
     for eid in ("i1", "i4"):
         e = graph.edge(eid)
         g = 0.5 * (e.energy_range[0] + e.energy_range[1])
-        assert abs(action_i2(p, EPS, 0.0, g, eid, graph)) <= bound + 1e-9
+        assert abs(action_i2(graph, eid, g)) <= bound + 1e-9
 
 
 def test_sign_conventions(cosine21):
@@ -66,8 +66,8 @@ def test_sign_conventions(cosine21):
     e4 = graph.edge("i4")
     g1 = 0.5 * sum(e1.energy_range)
     g4 = 0.5 * sum(e4.energy_range)
-    assert action_i2(p, EPS, 0.0, g1, "i1", graph) > 0.0
-    assert action_i2(p, EPS, 0.0, g4, "i4", graph) < 0.0
+    assert action_i2(graph, "i1", g1) > 0.0
+    assert action_i2(graph, "i4", g4) < 0.0
 
 
 def test_monotone_in_energy(cosine21):
@@ -76,7 +76,7 @@ def test_monotone_in_energy(cosine21):
         e = graph.edge(eid)
         lo, hi = e.energy_range
         gs = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 5)
-        vals = [action_i2(p, EPS, 0.0, float(g), eid, graph) for g in gs]
+        vals = [action_i2(graph, eid, float(g)) for g in gs]
         assert np.all(np.diff(vals) > 0.0), eid
 
 
@@ -84,14 +84,14 @@ def test_wrong_energy_rejected(cosine21):
     p, graph = cosine21
     e4 = graph.edge("i4")
     with pytest.raises(DomainError):
-        action_i2(p, EPS, 0.0, e4.energy_range[1] + 1.0, "i4", graph)
+        action_i2(graph, "i4", e4.energy_range[1] + 1.0)
 
 
 def test_lift_shift_changes_action_by_cell_area(cosine21):
     # recompute an open-edge action from a seed translated by the lattice
     # vector transverse to the drift: the action moves by one cell/2pi
     p, graph = cosine21
-    comp = ActionComputer(p, EPS, 0.0, graph)
+    comp = ActionComputer(graph)
     e = graph.edge("i2")
     g = 0.5 * sum(e.energy_range)
     seeds = comp.seeds_for_edge("i2", g)
@@ -116,7 +116,7 @@ def test_lift_shift_changes_action_by_cell_area(cosine21):
 
 def test_kirchhoff_identities(cosine21):
     p, graph = cosine21
-    lim = separatrix_limits(p, EPS, 0.0, graph)
+    lim = separatrix_limits(graph)
     k1, k2 = lim.kirchhoff_residuals()
     a22 = p.lattice.a22
     assert abs(k1) <= 1e-6 * a22
@@ -125,14 +125,14 @@ def test_kirchhoff_identities(cosine21):
 
 def test_outer_symmetry(cosine21):
     p, graph = cosine21
-    lim = separatrix_limits(p, EPS, 0.0, graph)
+    lim = separatrix_limits(graph)
     assert abs(lim.i2_1p + lim.i2_4m) < 1e-7
 
 
 def test_limits_match_web_oracle(cosine21):
     p, graph = cosine21
-    lim = separatrix_limits(p, EPS, 0.0, graph)
-    web = separatrix_web_actions(p, EPS, 0.0, graph)
+    lim = separatrix_limits(graph)
+    web = separatrix_web_actions(graph)
     assert abs(web["i2_1p"] - lim.i2_1p) < 1e-6
     assert abs(web["i2_4m"] - lim.i2_4m) < 1e-6
     assert abs(web["i2_2m"] - lim.i2_2m) < 1e-6
@@ -173,7 +173,7 @@ def test_closed_form_equal_ratio():
 
 def test_closed_form_matches_separatrix_route(cosine21):
     p, graph = cosine21
-    lim = separatrix_limits(p, EPS, 0.0, graph)
+    lim = separatrix_limits(graph)
     cf = closed_form_outer_action(2.0, 1.0, 1.0, 0.0)
     assert abs(cf - lim.i2_1p) / cf < 1e-6
 
@@ -181,7 +181,7 @@ def test_closed_form_matches_separatrix_route(cosine21):
 def test_closed_form_at_generic_action():
     i1 = 0.37
     p = cosine_example(2.0, 1.0, 1.0)
-    lim = separatrix_limits(p, EPS, i1)
+    lim = separatrix_limits(build_reeb_graph(p, EPS, i1))
     cf = closed_form_outer_action(2.0, 1.0, 1.0, i1)
     assert abs(cf - lim.i2_1p) / cf < 1e-6
 
@@ -191,7 +191,7 @@ def test_closed_form_at_generic_action():
 @pytest.fixture(scope="module")
 def table_i1(cosine21):
     p, graph = cosine21
-    return p, graph, build_edge_table(p, EPS, 0.0, "i1", graph, nodes=32)
+    return p, graph, build_edge_table(graph, "i1", nodes=32)
 
 
 def test_table_roundtrip(table_i1):
@@ -207,7 +207,7 @@ def test_table_matches_direct_action(table_i1):
     p, graph, table = table_i1
     lo, hi = table.g_range
     for g in (lo + 0.3 * (hi - lo), lo + 0.7 * (hi - lo)):
-        direct = action_i2(p, EPS, 0.0, float(g), "i1", graph)
+        direct = action_i2(graph, "i1", float(g))
         assert abs(table.i2_of_energy(float(g)) - direct) < 1e-8
 
 
@@ -333,7 +333,7 @@ def test_batched_actions_match_scalar_orbits():
     errors = []
     for p in cosines + [_few_mode_potential()]:
         for i1 in (0.3, 0.9):
-            comp = ActionComputer(p, EPS, i1)
+            comp = ActionComputer(build_reeb_graph(p, EPS, i1))
             requests = []
             for e in comp.graph.edges:
                 lo, hi = e.energy_range
@@ -364,15 +364,15 @@ def test_arcs_cut_steps_and_open_edges_share_lanes(monkeypatch):
     # the equal-saddles table batch of the benchmark's spectrum job: as
     # full DOP853 orbits, which pass the saddles twice, it took 192
     # lockstep steps; as Taylor arcs it takes 28
-    build_edge_tables(cosine_example(1.0, 1.0, 1.0), 0.01, 0.14,
-                      ("i1", "i4"), nodes=12, target=1e-6)
+    graph = build_reeb_graph(cosine_example(1.0, 1.0, 1.0), 0.01, 0.14)
+    build_edge_tables(graph, ("i1", "i4"), nodes=12, target=1e-6)
     assert lanes == [2 * 2 * (7 + 12)]  # two arcs per action
     assert steps, "the step hook saw no step"
     assert len(steps) <= 0.2 * 192
     # i2 and i3 at one energy share their two saddle-ray orbits
     lanes.clear()
-    build_edge_tables(cosine_example(2.0, 1.0, 1.0), EPS, 0.3, ("i2", "i3"),
-                      nodes=16, target=1e-6)
+    graph = build_reeb_graph(cosine_example(2.0, 1.0, 1.0), EPS, 0.3)
+    build_edge_tables(graph, ("i2", "i3"), nodes=16, target=1e-6)
     assert lanes == [2 * (7 + 16)]
 
 
@@ -410,8 +410,8 @@ def test_equal_saddles_tables_reach_target_at_32_nodes():
     for i1 in (0.05, 0.25, 0.55):
         graph = build_reeb_graph(p, EPS, i1)
         assert graph.kind == "equal_saddles"
-        tables = build_edge_tables(p, EPS, i1, ("i1", "i4"), graph,
-                                   nodes=32, target=1e-6, max_nodes=32)
+        tables = build_edge_tables(graph, ("i1", "i4"), nodes=32,
+                                   target=1e-6, max_nodes=32)
         assert [t.edge for t in tables] == ["i1", "i4"]
         assert max(t.interp_error for t in tables) <= 1e-6
 
@@ -422,19 +422,17 @@ def test_table_nodes_stop_at_cap_and_missed_target_raises(cosine21,
     sizes = []
     fit = actions._fit_table
 
-    def recorded(edge, i1, eps, lo, hi, template, gs, *rest):
+    def recorded(edge, i1, lo, hi, template, gs, *rest):
         sizes.append(len(gs))
-        return fit(edge, i1, eps, lo, hi, template, gs, *rest)
+        return fit(edge, i1, lo, hi, template, gs, *rest)
 
     monkeypatch.setattr(actions, "_fit_table", recorded)
     with pytest.raises(ConvergenceError) as info:
-        build_edge_table(p, EPS, 0.0, "i2", graph, nodes=10, target=1e-30,
-                         max_nodes=30)
+        build_edge_table(graph, "i2", nodes=10, target=1e-30, max_nodes=30)
     assert sizes == [10, 20, 30]
     assert isinstance(info.value.best, EdgeActionTable)
     assert info.value.error == info.value.best.interp_error > 1e-30
     sizes.clear()
-    table = build_edge_table(p, EPS, 0.0, "i2", graph, nodes=48, target=1.0,
-                             max_nodes=24)
+    table = build_edge_table(graph, "i2", nodes=48, target=1.0, max_nodes=24)
     assert sizes == [24]
     assert table.interp_error <= 1.0

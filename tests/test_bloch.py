@@ -225,7 +225,7 @@ def _pair_loop_crossings(p, eps, h, flux, mu):
     sampled on its own, both branches inverted at every q1 sample."""
     i1 = (mu + 0.5) * h
     graph = build_reeb_graph(p, eps, i1)
-    t2, t3 = build_edge_tables(p, eps, i1, ("i2", "i3"), graph, nodes=32,
+    t2, t3 = build_edge_tables(graph, ("i2", "i3"), nodes=32,
                                target=1e-7)
     m = flux.M
     (lo2, hi2), (lo3, hi3) = sorted(t2.i2_range), sorted(t3.i2_range)
@@ -279,9 +279,8 @@ def test_crossings_match_pair_loop_reference(case, monkeypatch):
     h = p.lattice.a22 * m / flux.N if case == "cosine-flux-h" else 0.3
     expected = _pair_loop_crossings(p, 0.01, h, flux, 0)
     i1 = landau_level(0, h)
-    t2, t3 = build_edge_tables(p, 0.01, i1, ("i2", "i3"),
-                               build_reeb_graph(p, 0.01, i1), nodes=32,
-                               target=1e-7)
+    t2, t3 = build_edge_tables(build_reeb_graph(p, 0.01, i1), ("i2", "i3"),
+                               nodes=32, target=1e-7)
     invert = EdgeActionTable.energy_of_i2
     roots = []
     root = bloch.find_root

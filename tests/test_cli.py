@@ -583,3 +583,54 @@ def test_actions_refuse_one_dimensional_graph(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config"
     assert "one_dimensional" in err["message"]
+
+
+# the drifting cosine of the Bloch tests: A < B gives edge i2 drift (1, 0),
+# so the crossings build the i2 and i3 tables
+BLOCH_CROSSINGS = {
+    "potential": {"cosine": {"A": 1.0, "B": 1.6, "beta": 1.0}},
+    "params": {"h": 0.3, "epsilon": 0.01}, "flux": {"N": 5, "M": 2},
+    "bloch": {"q": [0.1, 0.3], "s": 1, "window": 5},
+    "grids": {"table_nodes": 12},
+}
+
+
+def test_each_slice_builds_one_drift_model(tmp_path, monkeypatch):
+    # a Reeb graph carries its slice's model: the edge tables, the
+    # separatrix limits and the crossings reuse it instead of building
+    # their own
+    from driftband import classical
+    from driftband.actions import ActionComputer
+    built = []
+    init = classical.DriftModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[2] if len(args) > 2 else kwargs["i1"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(classical.DriftModel, "__init__", counted)
+    for command, cfg, slices in (("actions", BASE, 1),
+                                 ("spectrum", {**BASE, "i1_max": 0.2}, 2),
+                                 ("bloch", BLOCH_CROSSINGS, 1)):
+        built.clear()
+        run(command, json.loads(json.dumps(cfg)), str(tmp_path / command))
+        assert len(built) == len(set(built)) == slices, command
+    graph = classical.build_reeb_graph(
+        build_potential(validate_config(dict(BASE))), 0.01, 0.15)
+    assert ActionComputer(graph).model is graph.model
+
+
+@pytest.mark.parametrize("window,code", [(16, 0), (17, 2)])
+def test_bloch_window_bound(tmp_path, capsys, window, code):
+    cfg = json.loads(json.dumps(BLOCH_CROSSINGS))
+    cfg["bloch"]["window"] = window
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["bloch", "--config", str(cfgfile), "--out", str(out)]) == code
+    if code == 0:
+        env = json.loads((out / "bloch.json").read_text())
+        assert env["payload"]["window"] == 16
+    else:
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (out / "bloch.json").exists()

@@ -50,7 +50,7 @@ def setup_mu1():
 
 def test_boundary_state_count(setup_mu1):
     p, h, i1, graph = setup_mu1
-    table = build_edge_table(p, EPS, i1, "i1", graph, nodes=24, target=1e-6)
+    table = build_edge_table(graph, "i1", nodes=24, target=1e-6)
     h_small = 0.01
     states = quantize_boundary(table, h_small, delta=0.0)
     i2_top = max(table.i2_range)
@@ -59,7 +59,7 @@ def test_boundary_state_count(setup_mu1):
 
 def test_boundary_energies_increase_with_nu(setup_mu1):
     p, h, i1, graph = setup_mu1
-    table = build_edge_table(p, EPS, i1, "i1", graph, nodes=24, target=1e-6)
+    table = build_edge_table(graph, "i1", nodes=24, target=1e-6)
     states = quantize_boundary(table, 0.02, delta=0.0, mu=1)
     es = [s.energy for s in states]
     assert np.all(np.diff(es) > 0.0)
@@ -70,7 +70,7 @@ def test_boundary_energies_increase_with_nu(setup_mu1):
 def test_harmonic_bottom_spacing(setup_mu1):
     # lowest state sits h*omega/2 above the well bottom
     p, h, i1, graph = setup_mu1
-    table = build_edge_table(p, EPS, i1, "i1", graph, nodes=24, target=1e-6)
+    table = build_edge_table(graph, "i1", nodes=24, target=1e-6)
     h_small = 0.001  # h << eps
     states = quantize_boundary(table, h_small, delta=0.0)
     model = DriftModel(p, EPS, i1)
@@ -83,7 +83,7 @@ def test_harmonic_bottom_spacing(setup_mu1):
 
 def test_interior_interval_endpoints(setup_mu1):
     p, h, i1, graph = setup_mu1
-    table = build_edge_table(p, EPS, i1, "i2", graph, nodes=24, target=1e-6)
+    table = build_edge_table(graph, "i2", nodes=24, target=1e-6)
     state = quantize_interior(table, h, delta=1e-6)
     g_lo, g_hi = graph.edge("i2").energy_range
     assert state.energy[0] == pytest.approx(g_lo, abs=2e-3 * EPS)
@@ -92,7 +92,7 @@ def test_interior_interval_endpoints(setup_mu1):
 
 def test_interior_trim_shrinks_interval(setup_mu1):
     p, h, i1, graph = setup_mu1
-    table = build_edge_table(p, EPS, i1, "i2", graph, nodes=24, target=1e-6)
+    table = build_edge_table(graph, "i2", nodes=24, target=1e-6)
     wide = quantize_interior(table, h, delta=1e-6)
     narrow = quantize_interior(table, h, delta=0.05)
     assert narrow.energy[0] > wide.energy[0]
@@ -193,7 +193,8 @@ def test_subband_count_five_halves():
     h = p.lattice.a22 * flux.M / flux.N
     # need distinct saddle values: use A != B to stay non-degenerate
     p = cosine_example(2.0, 1.0, 1.0)
-    count = subband_count(p, EPS, h, landau_level(0, h), flux)
+    graph = build_reeb_graph(p, EPS, landau_level(0, h))
+    count = subband_count(graph, h, flux)
     assert count == 5
 
 
@@ -201,7 +202,8 @@ def test_subband_count_seven_thirds():
     p = cosine_example(2.0, 1.0, 1.0)
     flux = FluxRatio(7, 3)
     h = p.lattice.a22 * flux.M / flux.N
-    count = subband_count(p, EPS, h, landau_level(0, h), flux)
+    graph = build_reeb_graph(p, EPS, landau_level(0, h))
+    count = subband_count(graph, h, flux)
     assert count == 7
 
 
@@ -209,7 +211,8 @@ def test_subband_count_integer_flux():
     p = cosine_example(2.0, 1.0, 1.0)
     flux = FluxRatio(4, 1)
     h = p.lattice.a22 / 4
-    count = subband_count(p, EPS, h, landau_level(0, h), flux)
+    graph = build_reeb_graph(p, EPS, landau_level(0, h))
+    count = subband_count(graph, h, flux)
     assert count == 4
 
 
