@@ -19,17 +19,16 @@ import numpy as np
 
 from .classical import (DriftModel, OrbitResult, ReebGraph,
                         SeparatrixProximityError, orbit_lanes)
-from .numerics import (ConvergenceError, DomainError, Tolerance,
-                       adaptive_quad, bessel_j0, bracketed_newton,
-                       find_root)
+from .numerics import (ConvergenceError, DomainError, adaptive_quad,
+                       bessel_j0, bracketed_newton, find_root)
 
 TWO_PI = 2.0 * math.pi
 
-# orbit_lanes (order-20 Taylor steps) against a 1e-14 reference on the test
-# orbits: 1.2e-11 at 1e-11, 6.2e-13 at 1e-12, 1.4e-13 at 3e-13, 1.0e-13 at
-# 1e-13 (DOP853 lanes: 1.9e-10, 1.6e-11 and 3.3e-12 at the first three)
-_ORBIT_TOL = Tolerance(3e-13, 3e-13, 400)
-_ARC_TOL = Tolerance(1e-11, 1e-11, 400)  # the scalar separatrix-arc oracle
+# orbit_lanes (order-20 Taylor steps) against a 1e-14 reference on the
+# test orbits: 1.2e-11 at 1e-11, 6.2e-13 at 1e-12, 1.4e-13 at 3e-13 and
+# 1.0e-13 at 1e-13
+_ORBIT_TOL = 3e-13
+_ARC_TOL = 1e-11  # the scalar separatrix-arc oracle
 _ARC_OFFSET = 1e-6  # distance of a separatrix arc's seed from its saddle
 _LINE_SAMPLES = 400  # intervals of a seed line sampled for its first crossing
 # seed lines of each edge (see ActionComputer._seed_line_samples)
@@ -171,13 +170,6 @@ class ActionComputer:
         return [a] if edge_id in ("i1", "i4") else [a, b]
 
     # -- actions ----------------------------------------------------------
-
-    def _orbit(self, y0) -> OrbitResult:
-        orbit = orbit_lanes(self.model, [y0], _ORBIT_TOL)[0]
-        if not orbit.closed:
-            raise SeparatrixProximityError(
-                "orbit failed to close (separatrix proximity?)")
-        return orbit
 
     def action_from_orbit(self, y0, orbit: OrbitResult) -> float:
         """Action of a traced orbit: enclosed-area or trapezium form."""
@@ -579,7 +571,7 @@ class EdgeActionTable:
             raise DomainError(f"action {i2} outside table range {self.i2_range}")
         i2 = min(max(i2, min(lo, hi)), max(lo, hi))
         return find_root(lambda g: self.i2_of_energy(g) - i2, self.g_range[0],
-                         self.g_range[1], Tolerance(1e-13, 1e-13, 300))
+                         self.g_range[1], 1e-13)
 
 
 def _edge_singular_template(comp: ActionComputer, edge: str):

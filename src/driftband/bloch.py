@@ -28,7 +28,7 @@ import numpy as np
 
 from .actions import build_edge_tables
 from .classical import _egcd, build_reeb_graph, conjugate_vector
-from .numerics import DomainError, find_root, Tolerance
+from .numerics import DomainError, find_root
 from .potential import FluxRatio, FourierPotential
 from .spectra import landau_level
 
@@ -463,8 +463,7 @@ def dispersion_crossings(p: FourierPotential, eps: float, h: float,
     g_lo, g_hi = t2.g_range
     crossings = []
     for k in range(math.ceil(level(g_lo)), math.floor(level(g_hi)) + 1):
-        g = find_root(lambda x: level(x) - k, g_lo, g_hi,
-                      Tolerance(1e-15, 1e-15, 300))
+        g = find_root(lambda x: level(x) - k, g_lo, g_hi, 1e-15)
         i2 = t2.i2_of_energy(g)
         n_plus = math.ceil(M * i2 / h - 1e-9)  # q1 = 0, not 1/M, at the edge
         crossings.append(DispersionCrossing(

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import (DomainError, NumericsError, Tolerance, bessel_j0,
+from .numerics import (DomainError, NumericsError, bessel_j0,
                        bessel_j0_array, bessel_j0_zero, find_root)
 from .potential import FourierPotential
 
@@ -624,7 +624,8 @@ class OrbitResult:
     end_point: tuple | None = None
 
 
-_CLOSURE_TOL = Tolerance(1e-15, 1e-15, 200)  # in the step fraction theta
+_CLOSURE_TOL = 1e-15  # in the step fraction theta
+_CLOSURE_ITER = 200  # Newton or bisection steps of one closure search
 _STEP_BUDGET = 2_000_000  # steps of one batch, as integrate_ode
 _RESUMES = 64             # closure candidates per orbit
 _TAYLOR_ORDER = 20        # degree of a drift step's Taylor polynomial
@@ -684,17 +685,17 @@ def drift_taylor_coeffs(model: DriftModel, y):
     return c
 
 
-def drift_taylor_step(model: DriftModel, y, h_max, tol: Tolerance):
+def drift_taylor_step(model: DriftModel, y, h_max, tol: float):
     """One Taylor step of order _TAYLOR_ORDER from each lane's state y (3,
     lanes), of length min(h_max, _STEP_SAFETY times Jorba and Zou's bound
     from the last two orders, min over them of (tol_c / |c_j|)^(1/j), tol_c
-    = abs_tol + rel_tol |y_c| per component).
+    = tol + tol |y_c| per component).
 
     Returns (y_new, h, poly): poly (order + 1, 3, lanes) is the step's
     polynomial in theta = (t - t0) / h on [0, 1], its exact dense output,
     and y_new its value at 1, summed from the highest order down."""
     poly = drift_taylor_coeffs(model, y)
-    scale = tol.abs_tol + tol.rel_tol * np.abs(y)
+    scale = tol + tol * np.abs(y)
     with np.errstate(divide="ignore"):  # no curvature: a straight line
         rho = (np.abs(poly[-2:]) / scale).max(axis=1) ** _RHO_EXP
     h = np.minimum(_STEP_SAFETY * np.minimum(rho[0], rho[1]), h_max)
@@ -716,10 +717,10 @@ def _section_root(coeffs, end):
     and end >= 0 at 1, on Python floats: Newton steps from the secant
     guess inside a bracket narrowed by sign, bisection when a step leaves
     it, until a step is within _CLOSURE_TOL; None if that takes more than
-    its max_iter."""
+    _CLOSURE_ITER steps."""
     lo, hi = 0.0, 1.0
     x = coeffs[0] / (coeffs[0] - end)
-    for _ in range(_CLOSURE_TOL.max_iter):
+    for _ in range(_CLOSURE_ITER):
         r = d = 0.0
         for a in reversed(coeffs):
             d = d * x + r
@@ -731,7 +732,7 @@ def _section_root(coeffs, end):
         new = x - r / d if d > 0.0 else -1.0
         if not lo <= new <= hi:
             new = 0.5 * (lo + hi)
-        elif abs(new - x) <= _CLOSURE_TOL.abs_tol:
+        elif abs(new - x) <= _CLOSURE_TOL:
             return new
         if new == x:
             return x
@@ -739,7 +740,7 @@ def _section_root(coeffs, end):
     return None
 
 
-def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
+def orbit_lanes(model: DriftModel, y0s, tol: float,
                 t_cap: float | None = None, targets=None) -> list:
     """Integrate the reduced drift field from each seed until it reaches
     its target on the torus: the seed itself (one closure, the default) or
@@ -748,11 +749,11 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     The orbits ("lanes") advance together, one Taylor step of the mode sum
     (drift_taylor_step) per iteration on arrays of shape (3, lanes) holding
     (y1, y2, swept area); each lane steps as far as its own coefficients
-    allow at its tolerance, at most 0.1 cell diameters at its initial
-    speed, keeps its own section value and time cap (default 400 cell
-    diameters at that speed), and leaves the batch when it closes or
-    fails.  Each lane's section is the line through its target normal to
-    the drift there.  A candidate closure (a section crossing near a
+    allow at tol, at most 0.1 cell diameters at its initial speed, keeps
+    its own section value and time cap (default 400 cell diameters at
+    that speed), and leaves the batch when it closes or fails.  Each
+    lane's section is the line through its target normal to the drift
+    there.  A candidate closure (a section crossing near a
     wrapped copy of the target) is located on the crossing step's
     polynomial: the section is linear in (y1, y2), so it is one scalar
     polynomial per crossing lane, searched by _section_root on Python
@@ -767,7 +768,6 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     from the seed; ``closed=False`` for a fixed point (at the seed or the
     target), a step underflow, the time cap or a failed closure search.
     """
-    tol = tol or Tolerance(3e-14, 3e-14, 400)
     seeds = [(float(y[0]), float(y[1])) for y in y0s]
     ends = seeds if targets is None else [(float(y[0]), float(y[1]))
                                           for y in targets]
@@ -876,11 +876,6 @@ def orbit_lanes(model: DriftModel, y0s, tol: Tolerance = None,
     return out
 
 
-def _orbit_once(model: DriftModel, y0, tol: Tolerance = None) -> OrbitResult:
-    """One orbit through orbit_lanes, as a batch of one lane."""
-    return orbit_lanes(model, [y0], tol)[0]
-
-
 @dataclass
 class TrajectoryClass:
     kind: str                    # "fixed_point" | "closed" | "near_separatrix"
@@ -895,7 +890,7 @@ def classify_trajectory(p: FourierPotential, eps: float, i1: float,
     d1, d2 = model.grad(float(y0[0]), float(y0[1]))
     if eps == 0.0 or math.hypot(d1, d2) * eps <= 1e-10:
         return TrajectoryClass(kind="fixed_point")
-    orbit = _orbit_once(model, y0, Tolerance(3e-14, 3e-14, 400))
+    orbit = orbit_lanes(model, [y0], 3e-14)[0]
     if not orbit.closed:
         return TrajectoryClass(kind="near_separatrix")
     return TrajectoryClass(kind="closed", winding=orbit.winding,
@@ -1151,7 +1146,7 @@ def _cosine_series(A, B, beta, i1_max):
             collisions.append(float(xs[j]))
         else:
             collisions.append(find_root(diff, float(xs[j]), float(xs[j + 1]),
-                                        Tolerance(1e-13, 1e-13, 200)))
+                                        1e-13))
     # touching zeros (no sign change) happen when both Bessel factors
     # vanish together, i.e. exactly at the separable series
     for s in separable:

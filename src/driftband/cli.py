@@ -29,7 +29,7 @@ from .actions import build_edge_tables, separatrix_limits
 from .bloch import (QuasiMomentum, boundary_family, dispersion_crossings,
                     verify_boundary_conditions)
 from .harper import CommensurabilityError, band_table, harper_from_landau
-from .numerics import ConvergenceError, DomainError, NumericsError, Tolerance
+from .numerics import ConvergenceError, DomainError, NumericsError
 from .potential import (FluxRatio, FourierPotential, IrrationalFlux, Lattice,
                         PhysicalParams, SpectralParams, averaged_potential,
                         averaged_potential_oracle, cosine_example, flux_ratio,
@@ -204,7 +204,6 @@ def cmd_average(cfg, p, out):
     n = grids["average_grid"]
     i1_max = cfg.get("i1_max", 2.0)
     i1s = np.linspace(0.0, i1_max, n)
-    tol = Tolerance(1e-11, 1e-11, 600)
     rows = []
     worst = 0.0
     # the n x n cell grid in row-major (s, t) order, evaluated as one array
@@ -219,7 +218,7 @@ def cmd_average(cfg, p, out):
     for i1 in i1s[:: max(1, n // 3)]:
         y = p.lattice.to_cartesian(np.array([0.37, 0.61]))
         series = float(averaged_potential(p, float(i1), y))
-        quad = averaged_potential_oracle(p, float(i1), y, tol)
+        quad = averaged_potential_oracle(p, float(i1), y, 1e-11)
         worst = max(worst, abs(series - quad))
     payload = {"i1_max": i1_max, "samples": len(rows),
                "max_series_vs_quadrature": worst,

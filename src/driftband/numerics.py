@@ -52,22 +52,6 @@ class StiffnessError(NumericsError):
         self.trajectory = trajectory
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_iter: int = 200
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("tolerances must be positive")
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
-
-
 # ----------------------------------------------------------------------
 # Bessel function of order zero
 # ----------------------------------------------------------------------
@@ -149,8 +133,7 @@ def bessel_j0_zero(n: int) -> float:
         raise DomainError("zero index starts at 1")
     # zeros are close to (n - 1/4) pi; bracket by +-0.5 around the estimate
     guess = (n - 0.25) * math.pi
-    return find_root(bessel_j0, guess - 0.6, guess + 0.6,
-                     Tolerance(1e-14, 1e-14, 200))
+    return find_root(bessel_j0, guess - 0.6, guess + 0.6, 1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +173,12 @@ def _gk15(f, a, b):
     return h * kron, abs(h * (kron - gauss))
 
 
-def adaptive_quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Integrate f over [a, b] to max(abs_tol, rel_tol * |result|).
+_QUAD_SPLITS = 4800  # panel splits of one adaptive_quad call
+
+
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Integrate f over [a, b] to max(tol, tol * |result|), in at most
+    _QUAD_SPLITS panel splits.
 
     f is an array function: it maps the 15 nodes of a panel, an array of
     shape (15,), to the 15 values.  It is called once per panel.
@@ -204,10 +191,10 @@ def adaptive_quad(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
         return 0.0
     val, err = _gk15(f, a, b)
     segments = [(err, a, b, val)]
-    for _ in range(tol.max_iter * 8):
+    for _ in range(_QUAD_SPLITS):
         total = sum(s[3] for s in segments)
         total_err = sum(s[0] for s in segments)
-        if total_err <= max(tol.abs_tol, tol.rel_tol * abs(total)):
+        if total_err <= max(tol, tol * abs(total)):
             return total
         # split the currently worst interval
         worst = max(range(len(segments)), key=lambda i: segments[i][0])
@@ -232,8 +219,12 @@ def _pack(f, lo, hi):
 # Bracketed root finding: Brent, and Newton passes over arrays of lanes
 # ----------------------------------------------------------------------
 
-def find_root(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Root of f in [a, b]; requires a sign change over the bracket."""
+_BRENT_STEPS = 300  # iterations of one find_root call
+
+
+def find_root(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Root of f in [a, b] to within tol, in at most _BRENT_STEPS
+    iterations; requires a sign change over the bracket."""
     fa = f(a)
     fb = f(b)
     if fa == 0.0:
@@ -246,7 +237,7 @@ def find_root(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
         a, b, fa, fb = b, a, fb, fa
     c, fc = a, fa
     d = e = b - a
-    for _ in range(tol.max_iter):
+    for _ in range(_BRENT_STEPS):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
@@ -254,7 +245,7 @@ def find_root(f, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         half = 0.5 * (c - b)
-        eps = tol.abs_tol + 2.0 * abs(b) * 2.3e-16
+        eps = tol + 2.0 * abs(b) * 2.3e-16
         if abs(half) <= eps or fb == 0.0:
             return b
         if abs(e) >= eps and abs(fa) > abs(fb):
@@ -350,10 +341,6 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2)) if self.dim else 0.0
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -471,10 +458,11 @@ def _dp_dense(y, y5, h, stages):
     return dense
 
 
-def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
+def integrate_ode(field, y0, t_end: float, tol: float = 1e-10,
                   step_observer=None,
                   first_step: float | None = None) -> Trajectory:
-    """Adaptive integration of dy/dt = field(t, y) from 0 to t_end.
+    """Adaptive integration of dy/dt = field(t, y) from 0 to t_end, each
+    step's error within tol + tol |y| per component (RMS over components).
 
     `field` maps (t, tuple) -> tuple and is called 1 + 6 * (attempted
     steps) times.  Samples every accepted step.  `step_observer(t0, y0, t1,
@@ -495,7 +483,7 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
     ts = [t]
     ys = [y]
     min_step = abs(span) * 1e-14 + 1e-300
-    abs_tol, rel_tol, dim = tol.abs_tol, tol.rel_tol, len(y)
+    dim = len(y)
     k1 = field(t, y)
     for _ in range(2_000_000):
         if (t - t_end) * direction >= 0.0:
@@ -504,7 +492,7 @@ def integrate_ode(field, y0, t_end: float, tol: Tolerance = DEFAULT_TOL,
             h = t_end - t
         y_new, err, stages = _dp_step(field, t, y, h, k1)
         enorm = math.sqrt(sum([
-            (e / (abs_tol + rel_tol * max(abs(a), abs(b)))) ** 2
+            (e / (tol + tol * max(abs(a), abs(b)))) ** 2
             for e, a, b in zip(err, y, y_new)]) / dim)
         if enorm <= 1.0:
             t_prev, y_prev = t, y

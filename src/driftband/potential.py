@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import (DEFAULT_TOL, DomainError, Tolerance, adaptive_quad,
-                       bessel_j0, bessel_j0_array)
+from .numerics import (DomainError, adaptive_quad, bessel_j0,
+                       bessel_j0_array)
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,7 +148,7 @@ def averaged_potential(p: FourierPotential, i1: float, y) -> float:
 
 
 def averaged_potential_oracle(p: FourierPotential, i1: float, y,
-                              tol: Tolerance = DEFAULT_TOL) -> float:
+                              tol: float = 1e-10) -> float:
     """Independent quadrature route: average v over the cyclotron circle.
 
     The fast coordinates ride the circle as (sqrt(2 i1) sin phi,

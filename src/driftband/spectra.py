@@ -19,11 +19,11 @@ import numpy as np
 from .actions import EdgeActionTable, build_edge_tables, separatrix_limits
 from .classical import (DriftModel, ReebGraph, build_reeb_graph,
                         critical_i1_series)
-from .numerics import DomainError, NumericsError, Tolerance, adaptive_quad
+from .numerics import DomainError, NumericsError, adaptive_quad
 from .potential import FourierPotential, FluxRatio, averaged_potential
 
 TWO_PI = 2.0 * math.pi
-_GENERATING_TOL = Tolerance(1e-11, 1e-11, 600)
+_GENERATING_TOL = 1e-11
 
 
 class KirchhoffViolation(NumericsError):
@@ -204,21 +204,16 @@ def landau_bands(p: FourierPotential, eps: float, h: float, delta: float,
 
 
 def semiclassical_spectrum(p: FourierPotential, eps: float, h: float,
-                           delta: float | None = None,
-                           i1_max: float | None = None,
+                           delta: float, i1_max: float,
                            table_nodes: int = 32) -> Spectrum:
     """Union of all regimes' quantized series, grouped into Landau bands.
 
-    delta defaults to 3h (in action units; the same value excludes Landau
-    slices closer than delta to a critical cyclotron action).  Degenerate
-    bands (see landau_bands) keep their whole energy range as their one
-    interval and get no series; the others get the quantized states of
-    their edge tables as intervals.
+    delta is in action units; the same value excludes Landau slices closer
+    than delta to a critical cyclotron action.  Degenerate bands (see
+    landau_bands) keep their whole energy range as their one interval and
+    get no series; the others get the quantized states of their edge
+    tables as intervals.
     """
-    if delta is None:
-        delta = 3.0 * h
-    if i1_max is None:
-        i1_max = 10.0 * h
     bands = landau_bands(p, eps, h, delta, i1_max)
     series_out = []
     table_err_max = 0.0

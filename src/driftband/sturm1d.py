@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (DomainError, Tolerance, adaptive_quad,
-                       bracketed_newton, find_root)
+from .numerics import (DomainError, adaptive_quad, bracketed_newton,
+                       find_root)
 
 TWO_PI = 2.0 * math.pi
 
-_QTOL = Tolerance(1e-12, 1e-12, 600)
+_QTOL = 1e-12
 
 
 class Potential1D:
@@ -232,8 +232,8 @@ def _sine_rule(v: Potential1D, e, a, b, sign: float, checked):
         q = (vals[:, :m] * _WEIGHT).sum(axis=-1)
         if k in checked:
             est = np.abs(q - (vals[:, m:] * _WEIGHT_EST).sum(axis=-1))
-            for i in np.flatnonzero(est > np.maximum(
-                    _QTOL.abs_tol, _QTOL.rel_tol * np.abs(q))):
+            for i in np.flatnonzero(est > np.maximum(_QTOL,
+                                                     _QTOL * np.abs(q))):
                 lane = _sine_integrands(v, e[i], a[i], b[i], sign)
                 q[i] = adaptive_quad(lambda t: lane(t)[k], 0.0, 0.5 * math.pi,
                                      _QTOL)
@@ -311,8 +311,7 @@ def _upper_actions(v: Potential1D, e):
     root = np.sqrt(gap)
     action = root.mean(axis=-1)
     est = np.abs(action - root[:, ::2].mean(axis=-1))
-    for i in np.flatnonzero(est > np.maximum(_QTOL.abs_tol,
-                                             _QTOL.rel_tol * np.abs(action))):
+    for i in np.flatnonzero(est > np.maximum(_QTOL, _QTOL * np.abs(action))):
         action[i] = adaptive_quad(
             lambda x: np.sqrt(np.maximum(e[i] - v.value(x), 0.0)), 0.0,
             TWO_PI, _QTOL) / TWO_PI
@@ -673,7 +672,7 @@ class Reeb1D:
             r = float(_upper_actions(self.v, np.array([e]))[0][0]) - i
             return 0.0 if abs(r) <= floor else r
 
-        return find_root(residual, lo, hi, Tolerance(1e-16, 1e-16, 200))
+        return find_root(residual, lo, hi, 1e-16)
 
     def kirchhoff_residual(self) -> float:
         return self.outer_limit - 2.0 * self.upper_limit

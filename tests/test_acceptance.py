@@ -25,7 +25,7 @@ from driftband.classical import (build_reeb_graph, build_regimes,
 from driftband.cli import run as cli_run
 from driftband.harper import (_STACK_ENTRIES, _bloch_stack, band_table,
                               harper_from_landau)
-from driftband.numerics import Tolerance, bessel_j0, integrate_ode
+from driftband.numerics import bessel_j0, integrate_ode
 from driftband.potential import (FluxRatio, FourierPotential, Lattice,
                                  averaged_potential, averaged_potential_oracle,
                                  cosine_example)
@@ -61,7 +61,7 @@ def test_c01_averaging_oracle_equivalence():
     rng = np.random.default_rng(101)
     pots = [cosine_example(1.0, 0.7, 1.0)] + \
         [random_trig_potential(rng) for _ in range(3)]
-    tol = Tolerance(1e-12, 1e-12, 600)
+    tol = 1e-12
     worst_rel = 0.0
     for p in pots:
         bound = 1e-10 * (1.0 + p.coeff_l1)
@@ -366,7 +366,7 @@ def test_c09_homological_solver():
 def test_c10_conservation_and_lift():
     t0 = time.time()
     p = cosine_example(2.0, 1.0, 1.0)
-    model_tol = Tolerance(1e-12, 1e-12, 400)
+    model_tol = 1e-12
     checked = 0
     for i1 in (0.12, 0.6):
         graph = build_reeb_graph(p, EPS, i1)

@@ -12,8 +12,8 @@ from driftband.actions import (ActionComputer, EdgeActionTable,
                                _log_ratio_integral)
 from driftband.classical import (OrbitResult, DriftModel, build_reeb_graph,
                                  orbit_lanes)
-from driftband.numerics import (ConvergenceError, DomainError, Tolerance,
-                                bessel_j0, find_root, integrate_ode)
+from driftband.numerics import (ConvergenceError, DomainError, bessel_j0,
+                                find_root, integrate_ode)
 from driftband.potential import FourierPotential, Lattice, cosine_example
 
 EPS = 0.02
@@ -96,14 +96,15 @@ def test_lift_shift_changes_action_by_cell_area(cosine21):
     g = 0.5 * sum(e.energy_range)
     seeds = comp.seeds_for_edge("i2", g)
     for y0 in seeds:
-        orbit = comp._orbit(y0)
+        orbit = orbit_lanes(comp.model, [y0], actions._ORBIT_TOL)[0]
         if orbit.winding != e.drift.d:
             continue
         base = comp.action_from_orbit(y0, orbit)
         f = e.drift.f
         shift = -f[1] * p.lattice.a1 + f[0] * p.lattice.a2  # J f . a
         y_shifted = np.asarray(y0) + shift
-        orbit2 = comp._orbit(y_shifted)
+        orbit2 = orbit_lanes(comp.model, [y_shifted],
+                             actions._ORBIT_TOL)[0]
         moved = comp.action_from_orbit(y_shifted, orbit2)
         cell = p.lattice.cell_area / (2 * math.pi)
         assert abs(abs(moved - base) - cell) < 1e-8
@@ -235,7 +236,7 @@ def test_energy_from_actions_checks_i1(table_i1):
 
 # the scalar reference runs far tighter than the lanes' 1e-11, so that it
 # measures their error rather than a shared method's
-_REF_TOL = Tolerance(1e-14, 1e-14, 400)
+_REF_TOL = 1e-14
 
 
 def _scalar_orbit(model, y0, tol):
@@ -289,8 +290,7 @@ def _scalar_orbit(model, y0, tol):
         ta, tb, sb, dense = bracket[0]
         sg_b = last[0][0]
         theta = find_root(lambda th: sg_b if th >= 1.0 else
-                          sigma(dense(th))[0], 0.0, 1.0,
-                          Tolerance(1e-15, 1e-15, 200))
+                          sigma(dense(th))[0], 0.0, 1.0, 1e-15)
         s_end = sb if theta >= 1.0 else dense(theta)
         if sigma(s_end)[1] < 1e-6:
             s_l, t_l = to_lattice(s_end)

@@ -12,7 +12,7 @@ from driftband.bloch import (DispersionCrossing, QuasiMomentum,
                              interior_bloch_coeffs, interior_general_d_solve,
                              seed_gram_matrix, verify_boundary_conditions)
 from driftband.classical import build_reeb_graph
-from driftband.numerics import DomainError, Tolerance, find_root
+from driftband.numerics import DomainError, find_root
 from driftband.potential import (FluxRatio, FourierPotential, Lattice,
                                  cosine_example)
 from driftband.spectra import landau_level
@@ -245,7 +245,7 @@ def _pair_loop_crossings(p, eps, h, flux, mu):
                 if fa is None or fb is None or fa * fb > 0.0:
                     continue
                 q_star = qa if fa == 0.0 else find_root(
-                    diff, qa, qb, Tolerance(1e-12, 1e-12, 200))
+                    diff, qa, qb, 1e-12)
                 e_star = t2.energy_of_i2(h * (n_p / m - q_star))
                 if abs(q_star - 1.0 / m) <= 1e-10:
                     # on the cell edge: the same crossing as q1 = 0 of

@@ -13,10 +13,10 @@ from driftband.classical import (CriticalPointSet, DriftData, DriftModel,
                                  critical_i1_series, drift_field,
                                  find_critical_points, lexicographic_positive,
                                  lifted_hamiltonian_range, orbit_lanes,
-                                 trace_level_set, _orbit_once)
+                                 trace_level_set)
 from driftband.actions import _ORBIT_TOL
 from driftband.cli import main
-from driftband.numerics import Tolerance, bessel_j0, bessel_j0_zero
+from driftband.numerics import bessel_j0, bessel_j0_zero
 from driftband.potential import FourierPotential, Lattice, cosine_example
 
 EPS = 0.02
@@ -259,7 +259,7 @@ def test_energy_conservation_along_orbit():
     graph = build_reeb_graph(p, EPS, i1)
     comp = trace_level_set(p, EPS, i1, graph_mid_level(graph, "i2"))[0]
     y0 = comp.points[5]
-    orbit = _orbit_once(model, y0, Tolerance(3e-14, 3e-14, 400))
+    orbit = orbit_lanes(model, [y0], 3e-14)[0]
     assert orbit.closed
     e0 = model.energy(y0)
     e1 = model.energy(orbit.end_point)
@@ -482,7 +482,7 @@ def test_lexicographic_rule():
 
 
 def _bisection_orbit(model, y0, tol):
-    """Reference closure: the bracketing step of _orbit_once, then 60-step
+    """Reference closure: the bracketing step of orbit_lanes, then 60-step
     bisection of the section, re-integrating from the step start per probe
     (the closure search of earlier versions, kept here as an oracle)."""
     from driftband.numerics import integrate_ode
@@ -547,9 +547,8 @@ def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
     comp = [c for c in trace_level_set(p, EPS, i1, graph_mid_level(graph, edge))
             if c.winding == winding][0]
     y0 = tuple(comp.points[3])
-    tol = Tolerance(3e-14, 3e-14, 400)
-    period, ref_winding, area = _bisection_orbit(
-        model, y0, Tolerance(1e-14, 1e-14, 400))
+    tol = 3e-14
+    period, ref_winding, area = _bisection_orbit(model, y0, 1e-14)
     calls = []
     lanes = classical.orbit_lanes
 
@@ -558,7 +557,7 @@ def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
         return lanes(model, y0s, *args, **kwargs)
 
     monkeypatch.setattr(classical, "orbit_lanes", counted)
-    orbit = _orbit_once(model, y0, tol)
+    orbit = classical.orbit_lanes(model, [y0], tol)[0]
     assert orbit.closed
     assert calls == [1]  # one orbit_lanes call with one lane
     # and no scalar integrator to re-integrate the closing step with
@@ -713,8 +712,8 @@ def test_taylor_steps_converge_at_their_order():
     comp, = trace_level_set(p, 0.01, 0.3, graph_mid_level(
         build_reeb_graph(p, 0.01, 0.3), "i1"))
     y0 = tuple(comp.points[0])
-    ref = orbit_lanes(model, [y0], Tolerance(1e-15, 1e-15, 400))[0]
-    loose = Tolerance(1e3, 1e3, 400)
+    ref = orbit_lanes(model, [y0], 1e-15)[0]
+    loose = 1e3
     errors = []
     for n in (8, 16):
         h = np.array([ref.period / n])
@@ -731,7 +730,7 @@ def test_taylor_lane_bits_do_not_depend_on_the_batch():
     # 1 to 9 lanes of each potential, the one-mode one included: each
     # lane's coefficients, step, end point and polynomial are its own
     rng = np.random.default_rng(5)
-    tol = Tolerance(3e-13, 3e-13, 400)
+    tol = 3e-13
     for p in _taylor_potentials():
         model = DriftModel(p, EPS, 0.3)
         for lanes in (1, 2, 5, 9):

@@ -302,6 +302,21 @@ def test_bands_match_spectrum_without_edge_tables(tmp_path, monkeypatch,
     assert [r[0] for r in rows if r[5]] == skipped
 
 
+
+def test_band_window_defaults_to_3h_and_10h(tmp_path):
+    # neither delta nor i1_max given: the cli's window is delta = 3h and
+    # every band with (mu + 1/2) h <= 10h
+    h = 0.1
+    cfg = {"potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+           "params": {"h": h, "epsilon": 0.01}}
+    env = run("bands", cfg, str(tmp_path))
+    assert env["payload"]["delta"] == 3.0 * h
+    text = (tmp_path / "bands.csv").read_text().splitlines()
+    mus = [int(r.split(",")[0]) for r in text[1:]]
+    assert mus == [mu for mu in range(20) if (mu + 0.5) * h <= 10.0 * h]
+    assert env["payload"]["bands"] == len(mus) == 10
+
+
 # ----------------------------------------------------------- determinism
 
 @pytest.mark.parametrize("command,cfg", [

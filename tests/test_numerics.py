@@ -6,14 +6,14 @@ import pytest
 
 from driftband import numerics
 from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
-                                NonHermitianError, Tolerance,
-                                adaptive_quad, bessel_j0, bessel_j0_array,
-                                bessel_j0_zero, find_root,
+                                NonHermitianError, adaptive_quad,
+                                bessel_j0, bessel_j0_array, bessel_j0_zero,
+                                find_root,
                                 hermitian_eigenvalues, integrate_ode,
                                 _gk15, _GAUSS_WEIGHTS, _KRONROD_NODES,
                                 _KRONROD_WEIGHTS)
 
-TOL = Tolerance(1e-12, 1e-12, 400)
+TOL = 1e-12
 
 
 # ---------------------------------------------------------------- bessel
@@ -280,7 +280,7 @@ def test_eigs_rejects_non_hermitian():
 
 def test_ode_circle():
     traj = integrate_ode(lambda t, y: (y[1], -y[0]), (1.0, 0.0),
-                         2.0 * math.pi, Tolerance(1e-11, 1e-11, 100))
+                         2.0 * math.pi, 1e-11)
     end = traj.ys[-1]
     assert abs(end[0] - 1.0) < 1e-8 and abs(end[1]) < 1e-8
 
@@ -296,11 +296,11 @@ def test_ode_energy_conservation():
         q, p = y
         return (p, -math.sin(q))
 
-    tol = Tolerance(1e-10, 1e-10, 100)
+    tol = 1e-10
     traj = integrate_ode(field, (1.1, 0.0), 40.0, tol)
     h_vals = 0.5 * traj.ys[:, 1] ** 2 - np.cos(traj.ys[:, 0])
     drift = np.max(np.abs(h_vals - h_vals[0]))
-    assert drift <= 10.0 * tol.rel_tol * 40.0
+    assert drift <= 10.0 * tol * 40.0
 
 
 def test_ode_field_calls_per_attempted_step(monkeypatch):
@@ -322,8 +322,7 @@ def test_ode_field_calls_per_attempted_step(monkeypatch):
         q, p = y
         return (p, -math.sin(q))
 
-    traj = integrate_ode(field, (1.1, 0.0), 40.0, Tolerance(1e-10, 1e-10, 100),
-                         first_step=5.0)
+    traj = integrate_ode(field, (1.1, 0.0), 40.0, 1e-10, first_step=5.0)
     assert len(attempts) > len(traj) - 1  # the oversized first step is rejected
     assert len(calls) == 1 + 6 * len(attempts)
 
@@ -336,7 +335,7 @@ def test_ode_dense_output():
         steps.append((t0, y0, t1, y1, dense))
 
     integrate_ode(lambda t, y: (y[1], -y[0]), (1.0, 0.0), 2.0 * math.pi,
-                  Tolerance(1e-12, 1e-12, 100), step_observer=observer)
+                  1e-12, step_observer=observer)
     assert len(steps) > 5
     for t0, y0, t1, y1, dense in steps:
         assert max(abs(a - b) for a, b in zip(dense(0.0), y0)) <= 1e-15

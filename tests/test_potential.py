@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from driftband.numerics import DomainError, Tolerance, bessel_j0, bessel_j0_zero
+from driftband.numerics import DomainError, bessel_j0, bessel_j0_zero
 from driftband.potential import (FluxRatio, FourierPotential, IrrationalFlux,
                                  Lattice, PhysicalParams, averaged_potential,
                                  averaged_potential_oracle, cosine_example,
                                  eval_potential, flux_ratio,
                                  physical_to_dimensionless)
 
-TOL = Tolerance(1e-13, 1e-13, 400)
+TOL = 1e-13
 
 
 def random_potential(rng, degree=3, lattice=None):

@@ -103,7 +103,7 @@ def test_interior_trim_shrinks_interval(setup_mu1):
 
 def test_spectrum_degenerate_at_zero_eps():
     p = cosine_example(1.0, 1.0, 1.0)
-    spec = semiclassical_spectrum(p, 0.0, 0.1, i1_max=0.5)
+    spec = semiclassical_spectrum(p, 0.0, 0.1, delta=0.3, i1_max=0.5)
     for band in spec.bands:
         assert band.width == 0.0
         assert band.e_min == band.e_max == band.i1

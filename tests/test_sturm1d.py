@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftband import sturm1d
-from driftband.numerics import (DomainError, Tolerance, adaptive_quad,
+from driftband.numerics import (DomainError, adaptive_quad,
                                 bracketed_newton, find_root)
 from driftband.sturm1d import (Potential1D, QuasimodeCheck, action_lower,
                                action_upper, agmon_distance, band_width_lower,
@@ -209,7 +209,7 @@ def test_bs_error_scales_quadratically(vcos):
 
 # ------------------------------------- the nested-Brent level reference
 
-_REF_TOL = Tolerance(1e-12, 1e-12, 600)
+_REF_TOL = 1e-12
 
 
 def _brent_turning_points(v, e):
@@ -220,7 +220,7 @@ def _brent_turning_points(v, e):
 
     def polish(x):
         step = f(x) / v.deriv(x)
-        return x - step if abs(step) <= 10.0 * _REF_TOL.abs_tol else x
+        return x - step if abs(step) <= 10.0 * _REF_TOL else x
 
     return (polish(find_root(f, x_right - 2.0 * math.pi, v.x_min, _REF_TOL)),
             polish(find_root(f, v.x_min, x_right, _REF_TOL)))
