@@ -148,7 +148,7 @@ def averaged_potential(p: FourierPotential, i1: float, y) -> float:
 
 
 def averaged_potential_oracle(p: FourierPotential, i1: float, y,
-                              tol: float = 1e-10) -> float:
+                              tol: float) -> float:
     """Independent quadrature route: average v over the cyclotron circle.
 
     The fast coordinates ride the circle as (sqrt(2 i1) sin phi,

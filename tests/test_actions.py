@@ -97,6 +97,7 @@ def test_lift_shift_changes_action_by_cell_area(cosine21):
     seeds = comp.seeds_for_edge("i2", g)
     for y0 in seeds:
         orbit = orbit_lanes(comp.model, [y0], actions._ORBIT_TOL)[0]
+        assert orbit.closed
         if orbit.winding != e.drift.d:
             continue
         base = comp.action_from_orbit(y0, orbit)
@@ -105,6 +106,7 @@ def test_lift_shift_changes_action_by_cell_area(cosine21):
         y_shifted = np.asarray(y0) + shift
         orbit2 = orbit_lanes(comp.model, [y_shifted],
                              actions._ORBIT_TOL)[0]
+        assert orbit2.closed
         moved = comp.action_from_orbit(y_shifted, orbit2)
         cell = p.lattice.cell_area / (2 * math.pi)
         assert abs(abs(moved - base) - cell) < 1e-8

@@ -539,7 +539,7 @@ def _bisection_orbit(model, y0, tol):
 
 
 @pytest.mark.parametrize("edge,winding", [("i1", (0, 0)), ("i2", (0, 1))])
-def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
+def test_orbit_closure_matches_bisection(edge, winding):
     p = cosine_example(2.0, 1.0, 1.0)
     i1 = 0.3
     model = DriftModel(p, EPS, i1)
@@ -549,18 +549,9 @@ def test_orbit_closure_matches_bisection(edge, winding, monkeypatch):
     y0 = tuple(comp.points[3])
     tol = 3e-14
     period, ref_winding, area = _bisection_orbit(model, y0, 1e-14)
-    calls = []
-    lanes = classical.orbit_lanes
-
-    def counted(model, y0s, *args, **kwargs):
-        calls.append(len(y0s))
-        return lanes(model, y0s, *args, **kwargs)
-
-    monkeypatch.setattr(classical, "orbit_lanes", counted)
     orbit = classical.orbit_lanes(model, [y0], tol)[0]
     assert orbit.closed
-    assert calls == [1]  # one orbit_lanes call with one lane
-    # and no scalar integrator to re-integrate the closing step with
+    # no scalar integrator to re-integrate the closing step with
     assert not hasattr(classical, "integrate_ode")
     assert orbit.winding == ref_winding == winding
     assert abs(orbit.period - period) < 1e-10

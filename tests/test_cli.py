@@ -302,7 +302,6 @@ def test_bands_match_spectrum_without_edge_tables(tmp_path, monkeypatch,
     assert [r[0] for r in rows if r[5]] == skipped
 
 
-
 def test_band_window_defaults_to_3h_and_10h(tmp_path):
     # neither delta nor i1_max given: the cli's window is delta = 3h and
     # every band with (mu + 1/2) h <= 10h
