@@ -475,6 +475,8 @@ def cmd_sturm(cfg, p, out):
     else:
         v = sturm1d.Potential1D.cosine(scfg.get("cosine_amplitude", 1.0))
     h = scfg.get("h", cfg.get("params", {}).get("h", 0.1))
+    if not h > 0.0:
+        raise ConfigError(f"sturm needs h > 0, got h = {h}")
     e_cap = scfg.get("e_cap", v.v_max + 2.0)
     oracle_grid = scfg.get("oracle_grid", 512)
     levels = sturm1d.bs_levels_lower(v, h)
@@ -503,7 +505,7 @@ def cmd_sturm(cfg, p, out):
         # the spectrum at q is ordered by band: branch nu_ref is index nu_ref
         count = nu_ref + 2
         qs = np.linspace(0.05, 0.95, qn)
-        formula = sturm1d.dispersion_upper(v, h, nu_ref, qs, e_cap=e_cap + 2.0)
+        formula = sturm1d.dispersion_upper(v, h, nu_ref, qs)
         for qv, e_formula in zip(qs, formula):
             oracle = sturm1d.fd_bloch_oracle(v, h, float(qv), oracle_grid,
                                              count=count)

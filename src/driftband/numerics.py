@@ -131,7 +131,7 @@ def bessel_j0_zero(n: int) -> float:
     """n-th positive zero of J0 (n = 1, 2, ...)."""
     if n < 1:
         raise DomainError("zero index starts at 1")
-    # zeros are close to (n - 1/4) pi; bracket by +-0.5 around the estimate
+    # zeros are close to (n - 1/4) pi; bracket by +-0.6 around the estimate
     guess = (n - 0.25) * math.pi
     return find_root(bessel_j0, guess - 0.6, guess + 0.6, 1e-14)
 
@@ -273,7 +273,7 @@ def find_root(f, a: float, b: float, tol: float = 1e-10) -> float:
     raise ConvergenceError("root iteration limit exceeded", best=b, error=abs(fb))
 
 
-_ROOT_ITER = 100  # iterations of a bracketed Newton pass
+_ROOT_ITER = 200  # iterations of a bracketed Newton pass: 2 per halving
 
 
 def bracketed_newton(fun, lo, hi, x, step_tol, floor=0.0):
@@ -282,14 +282,16 @@ def bracketed_newton(fun, lo, hi, x, step_tol, floor=0.0):
     fun(x, lanes) returns (residual, slope) at the points x of the listed
     lanes; each residual is < 0 at its lane's lo and > 0 at its hi.  Every
     iteration narrows each bracket by the sign at the iterate and takes a
-    Newton step, or bisects when the step leaves the bracket or the slope
-    is not positive.  A lane stops when a Newton step is within
-    step_tol(x), when its residual is within floor, or when its bracket is
-    down to adjacent floats.  Every operation is elementwise, so a lane's
-    result does not depend on the rest of the batch.
+    Newton step, or bisects when the step leaves the bracket, the slope is
+    not positive or the step is over half the lane's previous one, so a
+    bracket halves at least every two iterations.  A lane stops when a
+    Newton step is within step_tol(x), when its residual is within floor,
+    or when a step makes no progress.  Every operation is elementwise, so a
+    lane's result does not depend on the rest of the batch.
     """
     lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
     floor = np.broadcast_to(np.asarray(floor, dtype=float), x.shape)
+    last = np.full(x.shape, np.inf)     # each lane's previous step
     live = np.arange(x.size)
     for _ in range(_ROOT_ITER):
         if live.size == 0:
@@ -301,8 +303,10 @@ def bracketed_newton(fun, lo, hi, x, step_tol, floor=0.0):
         hi[live] = b = np.where(below, hi[live], xi)
         new = xi - np.divide(r, slope, out=np.full(xi.shape, np.nan),
                              where=slope > 0.0)
-        newton = (a <= new) & (new <= b)
+        newton = ((a <= new) & (new <= b)
+                  & (np.abs(new - xi) <= 0.5 * last[live]))
         new = np.where(newton, new, 0.5 * (a + b))
+        last[live] = np.abs(new - xi)
         settled = np.abs(r) <= floor[live]
         x[live] = np.where(settled, xi, new)
         stop = settled | (new == xi) | (newton & (np.abs(new - xi)

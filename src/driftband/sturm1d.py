@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .numerics import (DomainError, adaptive_quad, bracketed_newton,
-                       find_root)
+from .numerics import DomainError, adaptive_quad, bracketed_newton
 
 TWO_PI = 2.0 * math.pi
 
@@ -24,7 +24,8 @@ _QTOL = 1e-12
 
 
 class Potential1D:
-    """Real 2 pi periodic trigonometric polynomial with cached extrema.
+    """Real 2 pi periodic trigonometric polynomial with cached extrema and
+    barrier-top action.
 
     ``value`` and its derivatives take a point or an array of points.
     """
@@ -111,6 +112,17 @@ class Potential1D:
     def omega0(self) -> float:
         """Harmonic frequency at the potential bottom, sqrt(2 v'')."""
         return math.sqrt(2.0 * self.second(self.x_min))
+
+    @cached_property
+    def barrier_action(self) -> float:
+        """(1/2 pi) int sqrt(v_max - v) over a period: the open-edge action
+        at the barrier top, half the well's.  The integrand has double zeros
+        at both ends of [x_max, x_max + 2 pi], so a plain adaptive pass is
+        accurate."""
+        x0 = self.x_max
+        return adaptive_quad(
+            lambda x: np.sqrt(np.maximum(self.v_max - self.value(x), 0.0)),
+            x0, x0 + TWO_PI, _QTOL) / TWO_PI
 
 
 # ----------------------------------------------------------------------
@@ -249,23 +261,21 @@ def _well_actions(v: Potential1D, e):
     return root / math.pi, inverse / TWO_PI
 
 
-def _level_tol(e):
-    # a Newton step this short leaves an error of order (step)^2 A''/A'
-    return 1e-10 * (1.0 + np.abs(e))
-
-
-def _energies_of(actions, targets, lo: float, hi: float, guess):
+def _energies_of(actions, targets, lo, hi, guess):
     """Energies in [lo, hi] where the action reaches each target, one lane
-    per target; actions maps an array of energies to (A, dA/dE)."""
+    per target; actions maps an array of energies to (A, dA/dE).  A lane
+    stops once its action is within 4 eps |target| or a step makes no
+    progress: near the barrier top the rules' slopes are too poor to stop
+    on a step length."""
     targets = np.asarray(targets, dtype=float)
 
     def fun(es, lanes):
         action, slope = actions(es)
         return action - targets[lanes], slope
 
-    return bracketed_newton(fun, np.full(targets.shape, lo),
-                            np.full(targets.shape, hi),
-                            np.clip(guess, lo, hi), _level_tol)
+    lo, hi = (np.broadcast_to(end, targets.shape) for end in (lo, hi))
+    return bracketed_newton(fun, lo, hi, np.clip(guess, lo, hi), np.zeros_like,
+                            floor=4.0 * _EPS * np.abs(targets))
 
 
 def _well_levels(v: Potential1D, targets, lo: float, hi: float):
@@ -320,10 +330,15 @@ def _upper_actions(v: Potential1D, e):
 
 
 def _upper_levels(v: Potential1D, targets, lo: float, hi: float):
-    """Energies in [lo, hi] whose full-period actions are the targets; the
-    first guess is the free particle's, A = sqrt(E - mean)."""
+    """Energies in [lo, hi] (lo >= v_max) whose full-period actions are the
+    targets.  sqrt(E - v_max) <= A(E) <= sqrt(E - mean) (Jensen), so each
+    lies in [mean + A^2, v_max + A^2]; the pass starts at the midpoint, as
+    the lower end can be v_max, where the trapezoid slope is infinite."""
+    squares = np.square(targets)
+    lo = np.maximum(lo, v._mean + squares)
+    hi = np.minimum(hi, v.v_max + squares)
     return _energies_of(lambda es: _upper_actions(v, es), targets, lo, hi,
-                        v._mean + np.square(targets))
+                        0.5 * (lo + hi))
 
 
 def action_upper(v: Potential1D, e: float) -> float:
@@ -529,20 +544,14 @@ def dispersion_branch_action(nu: int, q: float, h: float) -> float:
     return h * ((nu - 1) / 2.0 + q)
 
 
-def dispersion_upper(v: Potential1D, h: float, nu: int, q,
-                     e_cap: float | None = None):
+def dispersion_upper(v: Potential1D, h: float, nu: int, q):
     """Upper-domain dispersion by inverting the full-period action, at one
     quasimomentum q or, solved together, at an array of them."""
     targets = np.array([dispersion_branch_action(nu, float(x), h)
                         for x in np.atleast_1d(q)])
-    lo = v.v_max + 1e-10
-    if action_upper(v, lo) > targets.min():
+    if v.barrier_action > targets.min():
         raise DomainError("band is not above the barrier")
-    top = targets.max()
-    hi = v.v_max + 10.0 + 4.0 * top * top if e_cap is None else e_cap
-    while action_upper(v, hi) < top:
-        hi = v.v_max + 2.0 * (hi - v.v_max)
-    energies = _upper_levels(v, targets, lo, hi)
+    energies = _upper_levels(v, targets, v.v_max, math.inf)
     return float(energies[0]) if np.ndim(q) == 0 else energies
 
 
@@ -651,31 +660,20 @@ class Reeb1D:
 
     def energy(self, edge: str, i: float) -> float:
         """Energy on the edge whose action is i: (v_min, v_max) for the well
-        edge i1, (v_max, e_cap] for the open edges i2 and i3."""
+        edge i1, [v_max, e_cap] for the open edges i2 and i3."""
         if edge == "i1":
             span = self.v.v_max - self.v.v_min
             lo = self.v.v_min + 1e-12 * span
             hi = self.v.v_max - 1e-12 * span
+            bottom, levels = self.action(edge, lo), _well_levels
         else:
             lo, hi = self.v.v_max, self.e_cap
-        if not self.action(edge, lo) <= i <= self.action(edge, hi):
+            # the barrier-top action is known to the quadrature tolerance
+            bottom, levels = self.upper_limit - _QTOL, _upper_levels
+        if not bottom <= i <= self.action(edge, hi):
             raise DomainError(
                 f"action {i} is outside the energy interval of edge {edge}")
-        if edge == "i1":
-            return float(_well_levels(self.v, [i], lo, hi)[0])
-        # Brent, stopped once the action residual is at its rounding
-        # level: right above the barrier top the 128-point trapezoid slope
-        # is too poor for Newton steps to converge fast or to stop on
-        floor = 4.0 * _EPS * abs(i)
-
-        def residual(e):
-            r = float(_upper_actions(self.v, np.array([e]))[0][0]) - i
-            return 0.0 if abs(r) <= floor else r
-
-        return find_root(residual, lo, hi, 1e-16)
-
-    def kirchhoff_residual(self) -> float:
-        return self.outer_limit - 2.0 * self.upper_limit
+        return float(levels(self.v, [i], lo, hi)[0])
 
 
 def reeb_1d(v: Potential1D, e_cap: float | None = None) -> Reeb1D:
@@ -684,14 +682,8 @@ def reeb_1d(v: Potential1D, e_cap: float | None = None) -> Reeb1D:
     if not has_well:
         return Reeb1D(v=v, has_well=False, outer_limit=0.0, upper_limit=0.0,
                       e_cap=v.v_max + 4.0 if e_cap is None else e_cap)
-    # at the barrier top the integrand has double zeros at both ends, so a
-    # plain adaptive pass is accurate
-    x0 = v.x_max
-    outer = adaptive_quad(
-        lambda x: np.sqrt(np.maximum(v.v_max - v.value(x), 0.0)),
-        x0, x0 + TWO_PI, _QTOL) / math.pi
-    return Reeb1D(v=v, has_well=True, outer_limit=outer,
-                  upper_limit=0.5 * outer,
+    return Reeb1D(v=v, has_well=True, outer_limit=2.0 * v.barrier_action,
+                  upper_limit=v.barrier_action,
                   e_cap=(v.v_max + 4.0 * (v.v_max - v.v_min) if e_cap is None
                          else e_cap))
 

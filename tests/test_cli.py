@@ -545,6 +545,42 @@ def test_sturm_leaves_scipy_linalg_unloaded(tmp_path):
         assert len(rows.splitlines()) == 3
 
 
+@pytest.mark.parametrize("cfg,h", [
+    ({"sturm": {"h": 0.0, "q_points": 2, "oracle_grid": 64}}, 0.0),
+    ({"params": {"h": -0.2, "epsilon": 0.01},
+      "sturm": {"q_points": 2, "oracle_grid": 64}}, -0.2),
+], ids=["sturm.h", "params.h"])
+def test_sturm_nonpositive_h_is_config_error(tmp_path, capsys, cfg, h):
+    # h 0 listed 100,001 levels and then divided by zero; h < 0 indexed
+    # past the end of its levels
+    cfgfile = tmp_path / "h.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["sturm", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert f"h = {h}" in err["message"]
+
+
+def test_sturm_integrates_the_barrier_top_action_once(tmp_path, monkeypatch):
+    # the dispersion's barrier check and the payload's outer action read
+    # the one barrier-top action of the potential
+    from driftband import sturm1d
+    calls = []
+    quad = sturm1d.adaptive_quad
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return quad(*args)
+
+    monkeypatch.setattr(sturm1d, "adaptive_quad", counted)
+    run("sturm", {"sturm": {"cosine_amplitude": 1.0, "h": 0.2, "e_cap": 1.5,
+                            "q_points": 3, "oracle_grid": 64}}, str(tmp_path))
+    rows = (tmp_path / "sturm_dispersion.csv").read_text().splitlines()
+    assert len(rows) == 4
+    assert len(calls) == 1
+
+
 def test_sturm_widths_use_the_listed_levels():
     # each width is the tunneling formula at the Bohr-Sommerfeld level of
     # its row, NaN exactly when that level is outside the 0.02 window

@@ -8,7 +8,7 @@ from driftband import numerics
 from driftband.numerics import (BracketError, DomainError, HermitianMatrix,
                                 NonHermitianError, adaptive_quad,
                                 bessel_j0, bessel_j0_array, bessel_j0_zero,
-                                find_root,
+                                bracketed_newton, find_root,
                                 hermitian_eigenvalues, integrate_ode,
                                 _gk15, _GAUSS_WEIGHTS, _KRONROD_NODES,
                                 _KRONROD_WEIGHTS)
@@ -205,6 +205,15 @@ def test_root_cos():
 def test_root_requires_bracket():
     with pytest.raises(BracketError):
         find_root(lambda x: 1.0 + x * x, 0.0, 1.0, TOL)
+
+
+def test_newton_pass_bisects_past_an_overstated_slope():
+    # x - 1 with its slope overstated tenfold: each Newton step takes a
+    # tenth of the error, far too slow for the iteration cap, so the pass
+    # bisects wherever a step is over half the one before
+    root = bracketed_newton(lambda x, lanes: (x - 1.0, np.full(x.shape, 10.0)),
+                            [0.0], [3.0], [0.0], np.zeros_like)
+    assert abs(root[0] - 1.0) <= 2.0 * np.finfo(float).eps
 
 
 # ------------------------------------------------------------ eigenvalues

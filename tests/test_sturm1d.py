@@ -499,13 +499,31 @@ def test_dispersion_branch_action_rules():
     h = 0.1
     # free case through the even branch at q = 1/4
     v = Potential1D({})
-    e = dispersion_upper(v, h, 4, 0.25, e_cap=4.0)
+    e = dispersion_upper(v, h, 4, 0.25)
     assert abs(e - (h * (2.0 + 0.25)) ** 2) < 1e-10
     # continuity at q = 1/2 for both parities
     for nu in (4, 5):
         lo = dispersion_branch_action(nu, 0.5 - 1e-9, h)
         hi = dispersion_branch_action(nu, 0.5 + 1e-9, h)
         assert abs(lo - hi) < 1e-7
+
+
+def test_dispersion_inverts_to_its_branch_actions():
+    # every branch of nu 30-59 above the barrier, at 11 quasimomenta: a
+    # Newton pass that stopped on a 1e-10 (1 + |E|) step once left these
+    # up to 6.4e-11 off in the action
+    v = Potential1D({1: 0.5, -1: 0.5, 2: 0.2 - 0.1j, -2: 0.2 + 0.1j})
+    h = 0.05
+    qs = np.linspace(0.05, 0.95, 11)
+    branches = 0
+    for nu in range(30, 60):
+        targets = [dispersion_branch_action(nu, float(q), h) for q in qs]
+        if min(targets) < v.barrier_action:
+            continue
+        branches += 1
+        for e, target in zip(dispersion_upper(v, h, nu, qs), targets):
+            assert abs(action_upper(v, float(e)) - target) <= 1e-13
+    assert branches == 15
 
 
 def test_dispersion_matches_oracle(vcos):
@@ -632,9 +650,13 @@ def test_reeb_outer_limit_value(vcos):
     assert abs(quad - exact) < 1e-4
 
 
-def test_reeb_kirchhoff(vcos):
-    graph = reeb_1d(vcos)
-    assert abs(graph.kirchhoff_residual()) < 1e-10
+def test_reeb_kirchhoff(vcos, vtwo):
+    # the well action at the barrier top, one adaptive pass from x_max, is
+    # twice the open-edge action there by the trapezoid rule and its
+    # fallback over [0, 2 pi]
+    for v in (vcos, vtwo):
+        graph = reeb_1d(v)
+        assert abs(graph.outer_limit - 2.0 * action_upper(v, v.v_max)) < 1e-10
 
 
 def test_reeb_inverse_maps(vcos):
