@@ -9,7 +9,6 @@ depend on the worker-pool size.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import functools
 import io
@@ -71,22 +70,100 @@ _DEFAULTS = {
 @functools.cache
 def _schema_validator():
     """The schema's validator, built and checked against its metaschema
-    once per process (jsonschema is imported here, not with the package)."""
+    once per process.  Only a rejected config reaches it, so jsonschema is
+    imported to word a rejection and never for a conforming config."""
     from jsonschema.validators import validator_for
     cls = validator_for(_SCHEMA)
     cls.check_schema(_SCHEMA)
     return cls(_SCHEMA)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# draft-7 types as jsonschema 4 checks them, for the types the schema uses
+_TYPES = {"object": lambda v: isinstance(v, dict),
+          "array": lambda v: isinstance(v, list),
+          "number": _is_number, "integer": _is_integer}
+
+# the keywords _conforms implements; "$schema" and "title" only annotate
+_WALKED = frozenset({"$schema", "title", "type", "properties",
+                     "additionalProperties", "required", "items",
+                     "minItems", "maxItems", "minimum", "maximum"})
+
+
+def _conforms(schema, value) -> bool:
+    """Whether value satisfies schema under jsonschema's draft-7 rules.
+
+    One-sided: a keyword or a value type this walk does not know answers
+    False, so True is always jsonschema's verdict and False leaves the
+    verdict to jsonschema.  Each keyword applies only to its own instance
+    type; a NaN passes minimum and maximum, as it does in jsonschema.
+    """
+    if not isinstance(schema, dict) or not _WALKED.issuperset(schema):
+        return False
+    kind = schema.get("type")
+    if kind is not None and not (isinstance(kind, str) and kind in _TYPES
+                                 and _TYPES[kind](value)):
+        return False
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        extra = schema.get("additionalProperties", True)
+        if extra is False:
+            if not props.keys() >= value.keys():
+                return False
+        elif extra is not True:
+            return False
+        return (all(key in value for key in schema.get("required", ()))
+                and all(_conforms(props[key], item)
+                        for key, item in value.items() if key in props))
+    if isinstance(value, list):
+        if not (schema.get("minItems", 0) <= len(value)
+                <= schema.get("maxItems", len(value))):
+            return False
+        items = schema.get("items", {})
+        return isinstance(items, dict) and all(_conforms(items, item)
+                                               for item in value)
+    if _is_number(value):
+        return not (("minimum" in schema and value < schema["minimum"])
+                    or ("maximum" in schema and value > schema["maximum"]))
+    return isinstance(value, str) or value is None or isinstance(value, bool)
+
+
+def _integral_to_int(schema, value):
+    """An accepted value with each float of an integer field made an int
+    (draft-7 integer accepts 3.0; range() and Fraction do not)."""
+    if not isinstance(schema, dict):
+        return value
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if isinstance(value, dict) and "properties" in schema:
+        props = schema["properties"]
+        return {key: _integral_to_int(props[key], item) if key in props
+                else item for key, item in value.items()}
+    if isinstance(value, list) and isinstance(schema.get("items"), dict):
+        return [_integral_to_int(schema["items"], item) for item in value]
+    return value
+
+
 def validate_config(cfg: dict) -> dict:
-    # the error jsonschema.validate would raise, from the cached validator
-    from jsonschema.exceptions import best_match
-    error = best_match(_schema_validator().iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(str(error)) from error
+    if not _conforms(_SCHEMA, cfg):
+        # the error jsonschema.validate would raise, from the cached validator
+        from jsonschema.exceptions import best_match
+        error = best_match(_schema_validator().iter_errors(cfg))
+        if error is not None:
+            raise ConfigError(str(error)) from error
     if "params" in cfg and "physical" in cfg:
         raise ConfigError("give either params or physical, not both")
-    canonical = json.loads(json.dumps(cfg, sort_keys=True))
+    canonical = _integral_to_int(
+        _SCHEMA, json.loads(json.dumps(cfg, sort_keys=True)))
     # fill defaults explicitly so nothing stays silent
     for key, val in _DEFAULTS.items():
         if key == "grids":
@@ -591,6 +668,7 @@ def export_plotdata(envelope, source_dir: str, target: str) -> list:
 
 
 def main(argv=None) -> int:
+    import argparse
     parser = argparse.ArgumentParser(
         prog="driftband",
         description="Semiclassical band toolkit for drifting cyclotron "

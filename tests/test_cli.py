@@ -110,6 +110,8 @@ def test_config_errors_match_jsonschema_validate(cfg):
 
 
 def test_schema_is_checked_once(monkeypatch):
+    # a conforming config never builds the validator; the first rejection
+    # checks the schema against its metaschema and later ones reuse it
     from jsonschema.validators import validator_for
     from driftband import cli
     cls = validator_for(schema())
@@ -124,10 +126,13 @@ def test_schema_is_checked_once(monkeypatch):
     cli._schema_validator.cache_clear()
     try:
         validate_config(dict(BASE))
-        assert len(calls) == 1
-        validate_config(dict(BASE))
+        validate_config(dict(BLOCH_CROSSINGS))
+        assert len(calls) == 0
         with pytest.raises(ConfigError):
             validate_config({"nonsense": 1})
+        assert len(calls) == 1
+        with pytest.raises(ConfigError):
+            validate_config({"threads": 0})
         assert len(calls) == 1
     finally:
         cli._schema_validator.cache_clear()
@@ -140,6 +145,120 @@ def test_package_import_leaves_jsonschema_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env,
                           timeout=120).returncode == 0
+
+
+def test_conforming_run_leaves_jsonschema_unloaded(tmp_path):
+    # a conforming config is accepted by the walk of schema.json alone;
+    # jsonschema is imported to word the first rejection
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    harper = {"potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+              "params": {"h": 2 * math.pi * 2 / 5, "epsilon": 0.01},
+              "flux": {"N": 5, "M": 2}, "grids": {"harper_grid": [8, 8]}}
+    code = textwrap.dedent(f"""
+        import sys
+        from driftband import cli
+        cli.run("harper", {harper!r}, {str(tmp_path)!r})
+        if "jsonschema" in sys.modules or "argparse" in sys.modules:
+            sys.exit(1)
+        try:
+            cli.validate_config({{"flux": {{"N": 0, "M": 1}}}})
+        except cli.ConfigError:
+            sys.exit("jsonschema" not in sys.modules)
+        sys.exit(2)
+        """)
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
+    assert (tmp_path / "harper_bands.csv").exists()
+
+
+def _schema_keywords(node):
+    # the keywords of a schema and of every subschema under it
+    found = set(node)
+    subschemas = list(node.get("properties", {}).values())
+    subschemas += [node[k] for k in ("items", "additionalProperties")
+                   if isinstance(node.get(k), dict)]
+    for sub in subschemas:
+        found |= _schema_keywords(sub)
+    return found
+
+
+def test_walk_implements_every_schema_keyword():
+    # a keyword the walk does not know sends every config to jsonschema
+    from driftband import cli
+    assert _schema_keywords(schema()) <= cli._WALKED
+
+
+_MUTANTS = [0, 1, -1, 2, -3, 3.0, 2.5, -0.0, 7, 8, 16, 17, 63, 64, 1e300,
+            math.nan, math.inf, -math.inf, True, False, None, "3", [], {},
+            [1, 2], [4.0, 4], [4, 4, 4], [0.1], {"N": 5, "M": 2},
+            {"k": 1, "re": 0.5, "im": 0.0}]
+_NEW_KEYS = ["N", "M", "h", "q", "window", "grids", "table_nodes", "re",
+             "k1", "cosine", "nonsense"]
+
+
+def _mutate(cfg, rng):
+    # one random edit somewhere in cfg: move a number to a neighbour,
+    # replace a value, delete an entry or add one
+    node = cfg
+    while True:
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        if not keys:
+            break
+        key = rng.choice(list(keys))
+        child = node[key]
+        if isinstance(child, (dict, list)) and rng.random() < 0.7:
+            node = child
+            continue
+        edit = rng.random()
+        if edit < 0.3 and type(child) in (int, float):
+            node[key] = rng.choice([child - 1, child + 1, child + 0.5,
+                                    float(child), -child, math.nan])
+            return
+        if edit < 0.6:
+            node[key] = json.loads(json.dumps(rng.choice(_MUTANTS)))
+            return
+        if edit < 0.8:
+            del node[key]
+            return
+        break
+    value = json.loads(json.dumps(rng.choice(_MUTANTS)))
+    if isinstance(node, dict):
+        node[rng.choice(_NEW_KEYS)] = value
+    else:
+        node.append(value)
+
+
+def test_walk_agrees_with_jsonschema_on_mutated_configs():
+    jsonschema = pytest.importorskip("jsonschema")
+    import random
+    from driftband import cli
+    oracle = jsonschema.Draft7Validator(schema())
+    units = {"physical": {k: 1.0 for k in ("B_field", "L0", "mass", "charge",
+                                           "light_speed", "hbar", "Vmax")}}
+    sturm = {"sturm": {"cosine_amplitude": 1.0, "h": 0.2, "e_cap": 1.5,
+                       "q_points": 2, "oracle_grid": 128,
+                       "coefficients": [{"k": 1, "re": 0.5, "im": 0.0}]}}
+    # every bound of the schema, met exactly
+    edges = {**BASE, "mu": 0, "threads": 1, "delta": 0.0,
+             "harper_farey_max": 2, "flux": {"N": 1, "M": 1},
+             "bloch": {"q": [0.0, 0.0], "s": 0, "window": 16},
+             "grids": {"i1_grid": 3, "average_grid": 2, "table_nodes": 8,
+                       "harper_grid": [4, 4]},
+             "sturm": {"q_points": 2, "oracle_grid": 64}}
+    seeds = [BASE, BLOCH_CROSSINGS, _butterfly_config(math.pi), units, sturm,
+             edges]
+    rng = random.Random(20041)
+    valid = 0
+    for case in range(2400):
+        cfg = json.loads(json.dumps(seeds[case % len(seeds)]))
+        for _ in range(rng.randint(1, 3)):
+            _mutate(cfg, rng)
+        expected = oracle.is_valid(cfg)
+        assert cli._conforms(cli._SCHEMA, cfg) == expected, cfg
+        valid += expected
+    # both verdicts are well represented
+    assert 300 < valid < 2100
 
 
 # ------------------------------------------------------------- commands
@@ -684,3 +803,61 @@ def test_bloch_window_bound(tmp_path, capsys, window, code):
     else:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not (out / "bloch.json").exists()
+
+
+# flux 1/3 for harper (h / 2 pi = M / N) and for bloch
+_HARPER_FLUX = {"potential": {"cosine": {"A": 2.0, "B": 1.0, "beta": 1.0}},
+                "params": {"h": 2 * math.pi / 3, "epsilon": 0.01},
+                "flux": {"N": 3, "M": 1}, "grids": {"harper_grid": [8, 8]}}
+_BLOCH_FLUX = {**BLOCH_CROSSINGS, "flux": {"N": 3, "M": 1},
+               "bloch": {"q": [0.1, 0.3], "s": 0, "window": 5}}
+_STURM = {"sturm": {"cosine_amplitude": 1.0, "h": 0.45, "q_points": 2,
+                    "oracle_grid": 128, "e_cap": 1.8}}
+
+
+@pytest.mark.parametrize("command,cfg,path,value", [
+    ("harper", _butterfly_config(math.pi), ("harper_farey_max",), 3.0),
+    ("harper", _HARPER_FLUX, ("flux", "N"), 3.0),
+    ("harper", _HARPER_FLUX, ("flux", "M"), 1.0),
+    ("bloch", _BLOCH_FLUX, ("flux", "N"), 3.0),
+    ("bloch", _BLOCH_FLUX, ("flux", "M"), 1.0),
+    ("regimes", BASE, ("grids", "i1_grid"), 5.0),
+    ("average", BASE, ("grids", "average_grid"), 4.0),
+    ("sturm", _STURM, ("sturm", "q_points"), 3.0),
+    ("bloch", BLOCH_CROSSINGS, ("bloch", "window"), 4.0),
+], ids=["harper_farey_max", "harper-flux.N", "harper-flux.M", "bloch-flux.N",
+        "bloch-flux.M", "i1_grid", "average_grid", "q_points", "window"])
+def test_integral_float_in_integer_field_runs_as_int(tmp_path, command, cfg,
+                                                     path, value):
+    # draft-7 integer accepts 3.0; range() and Fraction raised TypeError on
+    # it, so the canonical config carries the int
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 0
+    echo = json.loads((out / f"{command}.json").read_text())["config"]
+    for key in path:
+        echo = echo[key]
+    assert type(echo) is int and echo == value
+
+
+@pytest.mark.parametrize("command", ["harper", "bloch"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_flux_denominator_below_one_is_config_error(tmp_path, capsys,
+                                                    command, n):
+    # harper divided by N = 0; bloch wrote a payload at zero or negative flux
+    cfg = json.loads(json.dumps(_HARPER_FLUX))
+    cfg["flux"]["N"] = n
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "['flux']['N']" in err["message"]
+    assert not (out / f"{command}.json").exists()
