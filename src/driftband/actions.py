@@ -70,7 +70,7 @@ class ActionComputer:
     def _saddle_plus_direction(self, which):
         """Unit eigenvector of the positive Hessian eigenvalue at a saddle."""
         c = self._saddles[which]
-        h11, h12, h22 = self.model.hessian(c.y[0], c.y[1])
+        h11, h12, h22 = self.model.derivatives(c.y, (2,))[0].tolist()
         # larger eigenvalue of [[h11,h12],[h12,h22]]
         tr = h11 + h22
         disc = math.sqrt(max((h11 - h22) ** 2 + 4 * h12 * h12, 0.0))
@@ -112,9 +112,8 @@ class ActionComputer:
         ends += [(sad, ray, 1.0), (sad, -ray, 1.0)]
         origin, direction, side = (np.array(c) for c in zip(*ends))
         ts = np.linspace(0.0, 1.0, _LINE_SAMPLES + 1)
-        vals, _ = self.model.value_grad(
-            origin[:, :1] + ts * direction[:, :1],
-            origin[:, 1:] + ts * direction[:, 1:])
+        vals = self.model.derivatives(
+            origin.T[:, :, None] + ts * direction.T[:, :, None], (0,))[0]
         return origin, direction, side, vals
 
     def _seed_pairs(self, requests):
@@ -148,8 +147,8 @@ class ActionComputer:
         d1, d2 = direction[line].T
 
         def fun(t, lanes):
-            v, (g1, g2) = self.model.value_grad(o1[lanes] + t * d1[lanes],
-                                                o2[lanes] + t * d2[lanes])
+            v, (g1, g2) = self.model.derivatives(
+                (o1[lanes] + t * d1[lanes], o2[lanes] + t * d2[lanes]), (0, 1))
             s = side[lanes]
             return (s * (v - levs[lanes]),
                     s * (g1 * d1[lanes] + g2 * d2[lanes]))

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .numerics import (DomainError, NumericsError, bessel_j0,
-                       bessel_j0_array, bessel_j0_zero, find_root)
+                       bessel_j0_array, bessel_j0_zero, find_root, mode_sum)
 from .potential import FourierPotential
 
 TWO_PI = 2.0 * math.pi
@@ -45,8 +45,8 @@ class SeparatrixProximityError(NumericsError):
 # ----------------------------------------------------------------------
 
 class DriftModel:
-    """Averaged Hamiltonian at fixed cyclotron action, with fast scalar
-    evaluation of value/gradient/Hessian used by the integrators."""
+    """Averaged Hamiltonian at fixed cyclotron action: vbar and its
+    derivatives at arrays of points, and scalar reference loops."""
 
     def __init__(self, p: FourierPotential, eps: float, i1: float,
                  averaged: FourierPotential | None = None):
@@ -67,7 +67,7 @@ class DriftModel:
         self.hess_scale = sum(2.0 * (m[0] ** 2 + m[1] ** 2)
                               * math.hypot(m[2], m[3]) for m in self.modes)
 
-    # -- scalar fast paths -------------------------------------------------
+    # -- scalar reference ---------------------------------------------------
 
     def vbar(self, y1, y2):
         total = self.mean
@@ -97,21 +97,10 @@ class DriftModel:
 
     # -- array path ----------------------------------------------------------
 
-    def value_grad(self, y1, y2):
-        """vbar and gradient at arrays of points, summed mode by mode in the
-        order of the scalar methods."""
-        y1 = np.asarray(y1, dtype=float)
-        y2 = np.asarray(y2, dtype=float)
-        v = np.full(y1.shape, self.mean)
-        d1, d2 = np.zeros((2,) + y1.shape)
-        for g1, g2, re, im in self.modes:
-            ph = g1 * y1 + g2 * y2
-            c, s = np.cos(ph), np.sin(ph)
-            v += 2.0 * (re * c - im * s)
-            w = -2.0 * (re * s + im * c)
-            d1 += g1 * w
-            d2 += g2 * w
-        return v, (d1, d2)
+    def derivatives(self, y, orders):
+        """vbar and its derivatives of the given orders at points y (2, ...),
+        as mode_sum returns them."""
+        return mode_sum(*self.averaged.mode_arrays, self.mean, y, orders)
 
     @cached_property
     def taylor_terms(self):
@@ -127,8 +116,8 @@ class DriftModel:
         return g1, g2, (weights * rows)[..., None]
 
     def energy(self, y):
-        """Averaged Hamiltonian I1 + eps*vbar at a point."""
-        return self.i1 + self.eps * self.vbar(float(y[0]), float(y[1]))
+        """Averaged Hamiltonian I1 + eps*vbar at a point or points (2, ...)."""
+        return self.i1 + self.eps * self.derivatives(y[:2], (0,))[0]
 
     def level_of(self, g):
         """vbar level corresponding to an averaged energy g."""
@@ -184,8 +173,7 @@ class DriftModel:
 
 def drift_field(p: FourierPotential, eps: float, i1: float, y):
     """Slow drift velocity J grad_y of the averaged Hamiltonian."""
-    model = DriftModel(p, eps, i1)
-    d1, d2 = model.grad(float(y[0]), float(y[1]))
+    d1, d2 = DriftModel(p, eps, i1).derivatives(y, (1,))[0]
     return np.array([-eps * d2, eps * d1])
 
 
@@ -261,20 +249,12 @@ def _critical_points_of_model(models, seeds: int = 32):
 def _newton_pass(models, seeds, out, slots):
     lat = models[0].lattice
     cap = 0.35 * min(TWO_PI, lat.a22)
-    # per-mode weights as (rows, modes, 1) columns against (modes, lanes)
-    # terms: (g1, g2) for the gradient, (g1 g1, g1 g2, g2 g2) for the
-    # Hessian; every sum over modes runs along the modes axis, in mode order
-    g1, g2 = (np.array([m[j] for m in models[0].modes]).reshape(-1, 1)
-              for j in (0, 1))
-    gd = np.stack([g1, g2])
-    gh = np.stack([g1 * g1, g1 * g2, g2 * g2])
+    waves = models[0].averaged.mode_arrays[0]
     n = seeds * seeds
-    # per lane (ordered by model, then seed): -2 times the amplitudes
-    # (re, im) of every mode, shape (2, modes, lanes) (a power of two
-    # scales exactly), and the convergence and singularity thresholds
-    amps = -2.0 * np.array([[m[2:] for m in model.modes] for model in models])
-    amp = np.ascontiguousarray(np.repeat(
-        amps.reshape(len(models), len(g1), 2), n, axis=0).transpose(2, 1, 0))
+    # per lane (ordered by model, then seed): the amplitudes (re, im) of
+    # every mode, shape (2, modes, lanes), and the convergence and
+    # singularity thresholds
+    amp = np.repeat(_amplitudes(models), n, axis=-1)
     tol = np.repeat([[1e-12 * max(model.grad_scale, 1e-300)
                       for model in models],
                      [1e-13 * max(model.hess_scale, 1e-300)
@@ -287,11 +267,7 @@ def _newton_pass(models, seeds, out, slots):
     live = np.arange(y.shape[1])
     yl = y.copy()  # the live lanes; y keeps each converged lane's end
     for _ in range(40):
-        ph = g1 * yl[0] + g2 * yl[1]
-        c, s = np.cos(ph), np.sin(ph)
-        re2, im2 = amp
-        d = (gd * (re2 * s + im2 * c)).sum(axis=1)
-        h = (gh * (re2 * c - im2 * s)).sum(axis=1)
+        d, h = mode_sum(waves, amp, models[0].mean, yl, (1, 2))
         done = np.hypot(d[0], d[1]) <= tol[0]
         det = h[0] * h[2] - h[1] * h[1]
         # a lane stops when it converges or its Hessian is singular
@@ -315,6 +291,12 @@ def _newton_pass(models, seeds, out, slots):
         yl[1] -= dy2
     for slot, cps in zip(slots, _deduplicated(models, y[0], y[1], ok, seeds)):
         out[slot] = cps
+
+
+def _amplitudes(models):
+    """The mode amplitudes of models with shared wave vectors, one column
+    per model: shape (2, modes, models)."""
+    return np.stack([m.averaged.mode_arrays[1] for m in models], axis=-1)
 
 
 def _deduplicated(models, y1, y2, ok, seeds):
@@ -343,17 +325,22 @@ def _deduplicated(models, y1, y2, ok, seeds):
     for i in np.flatnonzero(~kept).tolist():
         kept[i] = not (near[i] & kept).any()
     pick = first[kept]
-    ys = lat.to_cartesian(st[pick]).tolist()
+    ys = lat.to_cartesian(st[pick])
+    # v and the Hessian of every point, each with its own model's amplitudes
+    own = owner[pick]
+    means = np.array([m.mean for m in models])
+    levs, hess = mode_sum(models[0].averaged.mode_arrays[0],
+                          _amplitudes(models)[:, :, own], means[own], ys.T,
+                          (0, 2))
     points = [[] for _ in models]
-    for j, (yy1, yy2) in zip(owner[pick].tolist(), ys):
+    for j, (yy1, yy2), lev, (h11, h12, h22) in zip(
+            own.tolist(), ys.tolist(), levs.tolist(), hess.T.tolist()):
         model = models[j]
-        h11, h12, h22 = model.hessian(yy1, yy2)
         det = h11 * h22 - h12 * h12
         if det > 0.0:
             kind = "minimum" if h11 + h22 > 0.0 else "maximum"
         else:
             kind = "saddle"
-        lev = model.vbar(yy1, yy2)
         hscale = max(model.hess_scale, 1e-300)
         points[j].append(CriticalPoint(
             y=(yy1, yy2), kind=kind, value=model.i1 + model.eps * lev,
@@ -497,11 +484,10 @@ def _level_segments(model: DriftModel, v: np.ndarray, levels):
     idx = bit[q] | bit[q + m] << 1 | bit[q + m + 1] << 2 | bit[q + 1] << 3
     # saddle cells split against the center sample
     below = np.zeros(len(ci), dtype=np.int64)
-    for c in np.flatnonzero((idx == 5) | (idx == 10)).tolist():
-        center = lat.to_cartesian(np.array([(int(ci[c]) + 0.5) / n,
-                                            (int(cj[c]) + 0.5) / n]))
-        below[c] = not (model.vbar(center[0], center[1])
-                        - levels[int(ck[c])] > 0.0)
+    sad = np.flatnonzero((idx == 5) | (idx == 10))
+    center = lat.to_cartesian(np.stack([ci[sad] + 0.5, cj[sad] + 0.5], -1) / n)
+    below[sad] = ~(model.derivatives(center.T, (0,))[0]
+                   - np.array(levels)[ck[sad]] > 0.0)
     cell = np.repeat(np.arange(len(ci)), _MS_COUNT[idx])
     pair = np.zeros(len(cell), dtype=np.int64)
     pair[1:] = cell[1:] == cell[:-1]
@@ -602,7 +588,7 @@ class _Cycles:
 def _refine_polyline(model, ys, lev):
     out = ys.copy()
     for _ in range(4):
-        vb, (d1, d2) = model.value_grad(out[:, 0], out[:, 1])
+        vb, (d1, d2) = model.derivatives(out.T, (0, 1))
         n2 = d1 * d1 + d2 * d2
         k = n2 >= 1e-30  # points on a flat patch stay where they are
         r = vb[k] - lev
@@ -780,10 +766,13 @@ def orbit_lanes(model: DriftModel, y0s, tol: float,
     # high orders vanish, and an unbounded step would jump over the
     # closure), and whether the target is the seed
     rows = []
+    # the gradients at every seed, then at every target, from one call
+    grads = model.derivatives(np.reshape(seeds + ends, (-1, 2)).T,
+                              (1,))[0].T.tolist()
     for lane, ((y1, y2), (x1, x2)) in enumerate(zip(seeds, ends)):
-        d1, d2 = model.grad(y1, y2)
+        d1, d2 = grads[lane]
         speed = math.hypot(d2, d1)
-        d1, d2 = model.grad(x1, x2)  # the drift at the target
+        d1, d2 = grads[len(seeds) + lane]  # the drift at the target
         if (speed == 0.0 or (d1 == 0.0 and d2 == 0.0)
                 or (t_cap is not None and not t_cap > 0.0)):
             continue
@@ -887,7 +876,7 @@ def classify_trajectory(p: FourierPotential, eps: float, i1: float,
                         y0) -> TrajectoryClass:
     """Integrate the drift system from y0 and classify the motion."""
     model = DriftModel(p, eps, i1)
-    d1, d2 = model.grad(float(y0[0]), float(y0[1]))
+    d1, d2 = model.derivatives(y0, (1,))[0]
     if eps == 0.0 or math.hypot(d1, d2) * eps <= 1e-10:
         return TrajectoryClass(kind="fixed_point")
     orbit = orbit_lanes(model, [y0], 3e-14)[0]
@@ -1317,10 +1306,7 @@ def lifted_hamiltonian_range(p: FourierPotential, eps: float, i1: float,
     """
     r = math.sqrt(2.0 * i1)
     ys = np.asarray(y_samples, dtype=float)
-    vals = []
-    for phi in np.linspace(0.0, TWO_PI, 8, endpoint=False):
-        x = np.stack([r * math.sin(phi) + ys[:, 0],
-                      r * math.cos(phi) + ys[:, 1]], axis=-1)
-        vals.append(i1 + eps * p.value(x))
-    vals = np.concatenate(vals)
+    phi = np.linspace(0.0, TWO_PI, 8, endpoint=False)[:, None]
+    vals = i1 + eps * p.value(np.stack([r * np.sin(phi) + ys[:, 0],
+                                        r * np.cos(phi) + ys[:, 1]], axis=-1))
     return float(vals.min()), float(vals.max())

@@ -1,18 +1,22 @@
 """Self-contained numerical kernels shared by the whole toolkit.
 
-Bessel J0, adaptive Gauss-Kronrod quadrature (the integrand is an array
-function, called once per 15-node panel), Brent root bracketing and a
-bracketed Newton pass over arrays of roots, Hermitian eigenvalues of single
-matrices or stacks (checked input, solved by LAPACK) and the adaptive
-Dormand–Prince 4(5) pair with FSAL and dense output, integrate_ode.  The
-integrator is scalar: it serves the separatrix-arc oracle and the tests'
-reference orbits, while the drift orbits themselves are Taylor series of
-the potential's mode sum (classical.orbit_lanes), so scipy.integrate is
-never imported.  All routines are pure functions of immutable inputs.
+Bessel J0, the trigonometric mode sum of the potentials and its
+derivatives (mode_sum), adaptive Gauss-Kronrod quadrature (the integrand
+is an array function, called once per 15-node panel), Brent root
+bracketing and a bracketed Newton pass over arrays of roots, Hermitian
+eigenvalues of single matrices or stacks (checked input, solved by LAPACK)
+and the adaptive Dormand–Prince 4(5) pair with FSAL and dense output,
+integrate_ode.  The integrator is scalar: it serves the separatrix-arc
+oracle and the tests' reference orbits, while the drift orbits themselves
+are Taylor series of the potential's mode sum (classical.orbit_lanes), so
+scipy.integrate is never imported.  All routines are pure functions of
+immutable inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -134,6 +138,65 @@ def bessel_j0_zero(n: int) -> float:
     # zeros are close to (n - 1/4) pi; bracket by +-0.6 around the estimate
     guess = (n - 0.25) * math.pi
     return find_root(bessel_j0, guess - 0.6, guess + 0.6, 1e-14)
+
+
+# ----------------------------------------------------------------------
+# Trigonometric mode sums
+# ----------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=64)
+def _mode_weights(waves: bytes, d: int, k: int):
+    """Per mode, the sign of d^k/dphi^k of 2 (re cos - im sin) times 2 g_a
+    ... g_c (in index order) for every index tuple a <= ... <= c: shape
+    (modes, comps).  waves holds the bytes of the (modes, d) array."""
+    g = np.frombuffer(waves).reshape(-1, d)
+    axes = np.array(list(itertools.combinations_with_replacement(range(d), k)),
+                    dtype=np.intp)
+    return (-2.0 if k in (1, 2) else 2.0) * np.prod(g[:, axes], axis=-1)
+
+
+def mode_sum(waves, amps, mean, y, orders):
+    """v = mean + sum_k 2 (re_k cos phi_k - im_k sin phi_k), phi_k = G_k.y,
+    and its derivatives at arrays of points.
+
+    waves (modes, d), d = 1 or 2, holds the wave vectors; amps the (re, im)
+    amplitudes, shared (2, modes) or one column per lane (2, modes, lanes);
+    mean is a float or one per lane; y (d, *lanes) holds the points.
+    Returns one array per order k in `orders` (0 to 3), computing only
+    those: v (*lanes) for k = 0, else the distinct derivatives over the
+    index tuples a <= ... <= c in lexicographic order, (comps, *lanes).
+    Each sum runs along the modes axis term by term in mode order, the
+    value's from the mean, so a lane has the bits of the scalar loops
+    DriftModel.vbar/grad/hessian.
+    """
+    y = np.asarray(y, dtype=float)
+    lanes, d = y.shape[1:], len(y)
+    y = y.reshape(d, -1)
+    n = y.shape[1]
+    re, im = amps if amps.ndim == 3 else amps[..., None]
+    phase = waves[:, :1] * y[0]
+    if d == 2:
+        phase += waves[:, 1:] * y[1]
+    c, s = np.cos(phase), np.sin(phase)
+    key, parts, out = waves.tobytes(), {}, []
+    for k in orders:
+        if k % 2 not in parts:
+            parts[k % 2] = re * s + im * c if k % 2 else re * c - im * s
+        weight = _mode_weights(key, d, k)
+        head = int(k == 0)  # the value's sum starts from the mean
+        # modes outermost, so reduce adds whole rows in mode order; numpy
+        # sums a lone column pairwise from 8 terms on, so one is summed as
+        # the first of two equal columns
+        terms = np.empty((head + len(weight), weight.shape[1],
+                          2 if weight.shape[1] * n == 1 else n))
+        if head:
+            terms[0] = mean
+        np.multiply(weight[:, :, None], parts[k % 2][:, None],
+                    out=terms[head:])
+        total = np.add.reduce(terms)[:, :n]
+        total = total.reshape(total.shape[:1] + lanes)
+        out.append(total[0] if head else total)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import (DomainError, adaptive_quad, bessel_j0,
-                       bessel_j0_array)
+                       bessel_j0_array, mode_sum)
 
 TWO_PI = 2.0 * math.pi
 
@@ -79,22 +79,13 @@ class FourierPotential:
         self.coeffs = cleaned
         self.degree = max((max(abs(k1), abs(k2)) for k1, k2 in cleaned),
                           default=0)
-        self._half = self._build_half_modes()
-
-    def _build_half_modes(self):
-        """One representative per conjugate pair: (G1, G2, re, im).
-
-        v(y) = c00 + sum over half modes of 2*(re*cos(G.y) - im*sin(G.y)).
-        """
-        half = []
-        for (k1, k2), c in sorted(self.coeffs.items()):
-            if (k1, k2) == (0, 0):
-                continue
-            if (k1, k2) < (-k1, -k2):
-                continue
-            g1, g2 = self.lattice.dual_vector(k1, k2)
-            half.append((g1, g2, c.real, c.imag))
-        return tuple(half)
+        # v(y) = c00 + sum of 2 (re cos(G.y) - im sin(G.y)) over one mode
+        # k > -k per conjugate pair, (G1, G2, re, im), and as mode_sum's arrays
+        self._half = tuple((*lattice.dual_vector(*k), c.real, c.imag)
+                           for k, c in sorted(cleaned.items())
+                           if k > (-k[0], -k[1]))
+        half = np.array(self._half).reshape(-1, 4)
+        self.mode_arrays = (half[:, :2], half[:, 2:].T)
 
     @property
     def mean(self) -> float:
@@ -107,11 +98,8 @@ class FourierPotential:
 
     def value(self, y):
         """Evaluate v at a point or an array of points (shape (..., 2))."""
-        y = np.asarray(y, dtype=float)
-        out = np.full(y.shape[:-1], self.mean)
-        for g1, g2, re, im in self._half:
-            phase = g1 * y[..., 0] + g2 * y[..., 1]
-            out = out + 2.0 * (re * np.cos(phase) - im * np.sin(phase))
+        y = np.moveaxis(np.asarray(y, dtype=float), -1, 0)
+        out = mode_sum(*self.mode_arrays, self.mean, y, (0,))[0]
         return out if out.ndim else float(out)
 
     def damped(self, i1):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .numerics import DomainError, adaptive_quad, bracketed_newton
+from .numerics import DomainError, adaptive_quad, bracketed_newton, mode_sum
 
 TWO_PI = 2.0 * math.pi
 
@@ -27,7 +27,7 @@ class Potential1D:
     """Real 2 pi periodic trigonometric polynomial with cached extrema and
     barrier-top action.
 
-    ``value`` and its derivatives take a point or an array of points.
+    ``value`` and ``derivatives`` take a point or an array of points.
     """
 
     def __init__(self, coeffs: dict):
@@ -41,12 +41,13 @@ class Potential1D:
             if abs(cleaned.get(-k, 0.0) - c.conjugate()) > 1e-13 * max(scale, 1e-300):
                 raise DomainError("potential is not real valued")
         self.coeffs = cleaned
-        # v = mean + sum_k>0 (2 Re c_k cos kx - 2 Im c_k sin kx)
+        # v = mean + sum_k>0 (2 Re c_k cos kx - 2 Im c_k sin kx): mode_sum's
+        # one-row case
         positive = sorted(k for k in cleaned if k > 0)
         self._mean = cleaned.get(0, 0.0).real
-        self._wavenumbers = np.array(positive, dtype=float)
-        self._cos_coeffs = np.array([2.0 * cleaned[k].real for k in positive])
-        self._sin_coeffs = np.array([2.0 * cleaned[k].imag for k in positive])
+        self._waves = np.array(positive, dtype=float).reshape(-1, 1)
+        self._amps = np.array([[cleaned[k].real for k in positive],
+                               [cleaned[k].imag for k in positive]])
         self._locate_extrema()
 
     @classmethod
@@ -54,29 +55,15 @@ class Potential1D:
         return cls({1: 0.5 * amplitude, -1: 0.5 * amplitude})
 
     def value(self, x):
-        return self._mean + self._fourier_sum(x, 0, odd=False)
+        return self.derivatives(x, (0,))[0]
 
-    def deriv(self, x):
-        return -self._fourier_sum(x, 1, odd=True)
-
-    def second(self, x):
-        return -self._fourier_sum(x, 2, odd=False)
-
-    def third(self, x):
-        return self._fourier_sum(x, 3, odd=True)
-
-    def _fourier_sum(self, x, power, odd):
-        """sum_k k^power (C_k cos kx - S_k sin kx), or with odd the partner
-        sum_k k^power (C_k sin kx + S_k cos kx), where v = mean +
-        sum_k (C_k cos kx - S_k sin kx); a float at a point, else an array.
-        Each element is summed over the modes alone, so it does not depend
-        on the other points."""
-        kx = np.multiply.outer(np.asarray(x, dtype=float), self._wavenumbers)
-        c, s = np.cos(kx), np.sin(kx)
-        terms = (self._cos_coeffs * s + self._sin_coeffs * c if odd
-                 else self._cos_coeffs * c - self._sin_coeffs * s)
-        out = (self._wavenumbers ** power * terms).sum(axis=-1)
-        return out if out.ndim else float(out)
+    def derivatives(self, x, orders):
+        """The derivative of v of each order k (0 for v itself) at the
+        points x (mode_sum with one row): a float at a point, else an array
+        shaped as x."""
+        x = np.asarray(x, dtype=float)
+        return [d.reshape(x.shape) if x.ndim else d.item() for d in mode_sum(
+            self._waves, self._amps, self._mean, x[None], orders)]
 
     def _locate_extrema(self):
         xs = np.linspace(0.0, TWO_PI, 4097)[:-1]
@@ -93,8 +80,7 @@ class Potential1D:
         def polish(x0):
             x = x0
             for _ in range(60):
-                d = self.deriv(x)
-                dd = self.second(x)
+                d, dd = self.derivatives(x, (1, 2))
                 if abs(dd) < 1e-14:
                     break
                 step = d / dd
@@ -111,7 +97,7 @@ class Potential1D:
     @property
     def omega0(self) -> float:
         """Harmonic frequency at the potential bottom, sqrt(2 v'')."""
-        return math.sqrt(2.0 * self.second(self.x_min))
+        return math.sqrt(2.0 * self.derivatives(self.x_min, (2,))[0])
 
     @cached_property
     def barrier_action(self) -> float:
@@ -147,18 +133,19 @@ def _turning_points(v: Potential1D, e):
     lo = np.repeat([x_right - TWO_PI, v.x_min], n)
     hi = np.repeat([v.x_min, x_right], n)
     # first guess from the harmonic well, the bracket midpoint outside it
-    curvature = 0.5 * v.second(v.x_min)
+    curvature = 0.5 * v.derivatives(v.x_min, (2,))[0]
     reach = (np.sqrt((ee - v.v_min) / curvature) if curvature > 0.0
              else np.full(2 * n, np.inf))
     guess = v.x_min + side * reach
     guess = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     # side (v - e) rises across each bracket; below `floor` it is rounding
-    scale = np.abs(ee) + abs(v._mean) + np.sum(np.abs(v._cos_coeffs)
-                                               + np.abs(v._sin_coeffs))
+    scale = np.abs(ee) + abs(v._mean) + 2.0 * np.sum(np.abs(v._amps[0])
+                                                     + np.abs(v._amps[1]))
 
     def fun(x, lanes):
         s = side[lanes]
-        return s * (v.value(x) - ee[lanes]), s * v.deriv(x)
+        val, slope = v.derivatives(x, (0, 1))
+        return s * (val - ee[lanes]), s * slope
 
     x = bracketed_newton(fun, lo, hi, guess,
                          lambda x: 8.0 * _EPS * (1.0 + np.abs(x)),
@@ -177,8 +164,8 @@ def _smooth_quotient(v: Potential1D, e, a, b, sign: float):
     """
     span = b - a
     cut = 1e-5 * span
-    d1a, d2a, d3a = v.deriv(a), v.second(a), v.third(a)
-    d1b, d2b, d3b = v.deriv(b), v.second(b), v.third(b)
+    (d1a, d1b), (d2a, d2b), (d3a, d3b) = v.derivatives(np.stack([a, b]),
+                                                       (1, 2, 3))
 
     def w(x):
         dm = x - a
@@ -281,7 +268,7 @@ def _energies_of(actions, targets, lo, hi, guess):
 def _well_levels(v: Potential1D, targets, lo: float, hi: float):
     """Energies in [lo, hi] whose well actions are the targets; the first
     guess is the harmonic well's, A = (E - v_min) / omega0."""
-    omega = math.sqrt(max(2.0 * v.second(v.x_min), 0.0))
+    omega = math.sqrt(max(2.0 * v.derivatives(v.x_min, (2,))[0], 0.0))
     return _energies_of(lambda es: _well_actions(v, es), targets, lo, hi,
                         v.v_min + np.asarray(targets) * omega)
 

@@ -16,7 +16,7 @@ from driftband.classical import (CriticalPointSet, DriftData, DriftModel,
                                  trace_level_set)
 from driftband.actions import _ORBIT_TOL
 from driftband.cli import main
-from driftband.numerics import bessel_j0, bessel_j0_zero
+from driftband.numerics import bessel_j0, bessel_j0_zero, mode_sum
 from driftband.potential import FourierPotential, Lattice, cosine_example
 
 EPS = 0.02
@@ -930,7 +930,7 @@ def _assert_along_the_drift(model, comps):
     marching-squares table alone."""
     for comp in comps:
         pts = comp.points
-        _, (d1, d2) = model.value_grad(pts[1:-1, 0], pts[1:-1, 1])
+        d1, d2 = model.derivatives(pts[1:-1].T, (1,))[0]
         chord = pts[2:] - pts[:-2]
         assert np.all(-d2 * chord[:, 0] + d1 * chord[:, 1] > 0.0)
 
@@ -1088,6 +1088,76 @@ def test_grid_vbar_matches_direct_evaluation(p):
         grid = model.grid_vbar(n)
         assert grid.shape == (n, n)
         assert np.max(np.abs(grid - direct)) <= 1e-14 * model.l1
+
+
+# ------------------------------------------------ the mode-sum kernel
+
+def _few_mode():
+    """Eight conjugate pairs on the square lattice: with the mean, nine
+    terms, past the length from which numpy sums one column pairwise."""
+    return _potential(0.0, 2 * math.pi, {
+        (1, 0): 0.5 + 0.1j, (0, 1): 0.3 - 0.2j, (1, 1): 0.1, (1, -1): 0.05j,
+        (2, 0): 0.04 - 0.03j, (0, 2): 0.02j, (2, 1): 0.015, (1, 2): -0.01j,
+        (0, 0): 0.2})
+
+
+KERNEL_POTENTIALS = [cosine_example(2.0, 1.0, 1.0), _few_mode(),
+                     _oblique(0.0, 2 * math.pi), _sheared_few_mode()]
+KERNEL_IDS = ["cosine", "few-mode", "oblique", "sheared"]
+
+
+def _scalar_rows(model, ys):
+    """v, the gradient and the Hessian of the scalar loops, one lane each."""
+    return [[model.vbar(*y) for y in ys],
+            [model.grad(*y) for y in ys],
+            [model.hessian(*y) for y in ys]]
+
+
+@pytest.mark.parametrize("p", KERNEL_POTENTIALS, ids=KERNEL_IDS)
+def test_mode_sum_has_the_bits_of_the_scalar_loops(p):
+    model = DriftModel(p, EPS, 0.4)
+    ys = np.random.default_rng(5).uniform(-4.0, 9.0, (40, 2))
+    v, d, h = model.derivatives(ys.T, (0, 1, 2))
+    assert [v.tolist(), d.T.tolist(), h.T.tolist()] == [
+        [list(row) if isinstance(row, tuple) else row for row in rows]
+        for rows in _scalar_rows(model, ys.tolist())]
+    # one point, and points shaped (2, 5, 8), give the same bits
+    y = ys[7]
+    assert [float(a) if a.ndim == 0 else a.tolist()
+            for a in model.derivatives(y, (0, 1, 2))] == [
+        model.vbar(*y), list(model.grad(*y)), list(model.hessian(*y))]
+    grid = model.derivatives(ys.T.reshape(2, 5, 8), (2,))[0]
+    assert np.array_equal(grid.reshape(3, 40), h)
+
+
+@pytest.mark.parametrize("p", KERNEL_POTENTIALS, ids=KERNEL_IDS)
+def test_mode_sum_with_per_lane_amplitudes_matches_each_model(p):
+    models = [DriftModel(p, EPS, i1) for i1 in (0.1, 0.7, 1.9)]
+    ys = np.random.default_rng(6).uniform(-3.0, 7.0, (30, 2))
+    owner = np.arange(30) % 3
+    v, d, h = mode_sum(p.mode_arrays[0], classical._amplitudes(models)[
+        :, :, owner], models[0].mean, ys.T, (0, 1, 2))
+    for lane, (j, y) in enumerate(zip(owner.tolist(), ys.tolist())):
+        assert [v[lane], *d[:, lane], *h[:, lane]] == [
+            models[j].vbar(*y), *models[j].grad(*y), *models[j].hessian(*y)]
+
+
+@pytest.mark.parametrize("p", KERNEL_POTENTIALS, ids=KERNEL_IDS)
+def test_third_derivatives_match_a_difference_of_the_hessian(p):
+    model = DriftModel(p, EPS, 0.4)
+    ys = np.random.default_rng(7).uniform(-4.0, 9.0, (2, 25))
+    third = model.derivatives(ys, (3,))[0]
+    step = 1e-5
+    diff = [(model.derivatives(ys + step * e[:, None], (2,))[0]
+             - model.derivatives(ys - step * e[:, None], (2,))[0]) / (2 * step)
+            for e in np.eye(2)]
+    # (v_111, v_112, v_122, v_222) from d/dy1 of (v_11, v_12, v_22) and
+    # d/dy2 of v_22, with v_112 and v_122 again from d/dy2 of v_11, v_12
+    expect = [diff[0][0], diff[0][1], diff[0][2], diff[1][2]]
+    again = [diff[1][0], diff[1][1]]
+    tol = 1e-6 * model.hess_scale
+    assert np.max(np.abs(third - expect)) <= tol
+    assert np.max(np.abs(third[1:3] - again)) <= tol
 
 
 def _scalar_critical_points(model, seeds):

@@ -219,7 +219,7 @@ def _brent_turning_points(v, e):
         return v.value(x) - e
 
     def polish(x):
-        step = f(x) / v.deriv(x)
+        step = f(x) / v.derivatives(x, (1,))[0]
         return x - step if abs(step) <= 10.0 * _REF_TOL else x
 
     return (polish(find_root(f, x_right - 2.0 * math.pi, v.x_min, _REF_TOL)),
@@ -231,8 +231,8 @@ def _brent_action(v, e):
     the sine-substituted integral by adaptive quadrature."""
     a, b = _brent_turning_points(v, e)
     span = b - a
-    d1a, d2a, d3a = v.deriv(a), v.second(a), v.third(a)
-    d1b, d2b, d3b = v.deriv(b), v.second(b), v.third(b)
+    d1a, d2a, d3a = v.derivatives(a, (1, 2, 3))
+    d1b, d2b, d3b = v.derivatives(b, (1, 2, 3))
 
     def w(x):
         dm, dp = x - a, b - x
@@ -328,12 +328,33 @@ def test_near_barrier_cap_uses_the_fallback(vcos, monkeypatch):
 def test_array_derivatives_equal_scalar_values(shape, request):
     v = request.getfixturevalue(shape)
     xs = np.linspace(-1.0, 8.0, 37)
-    for f in (v.value, v.deriv, v.second, v.third):
+    for f in [v.value] + [lambda x, k=k: v.derivatives(x, (k,))[0]
+                          for k in (1, 2, 3)]:
         values = f(xs)
         assert values.shape == xs.shape
         assert values.tolist() == [f(float(x)) for x in xs]
         assert isinstance(f(1.0), float)
         assert f(xs.reshape(37, 1)).shape == (37, 1)
+
+
+def test_one_dimensional_mode_sum_matches_a_plain_mode_loop():
+    v = Potential1D({0: 0.3, 1: 0.5 - 0.2j, -1: 0.5 + 0.2j, 2: 0.1j,
+                     -2: -0.1j, 3: -0.07 + 0.04j, -3: -0.07 - 0.04j})
+    xs = np.random.default_rng(3).uniform(-7.0, 7.0, 50)
+    got = v.derivatives(xs, (0, 1, 2, 3))
+    for i, x in enumerate(xs.tolist()):
+        # the k-th derivatives of 2 (re cos mx - im sin mx), mode by mode
+        modes = [(m, c.real, c.imag, math.cos(m * x), math.sin(m * x))
+                 for m, c in sorted(v.coeffs.items()) if m > 0]
+        for k, sign, odd in ((0, 2.0, False), (1, -2.0, True),
+                             (2, -2.0, False), (3, 2.0, True)):
+            terms = [sign * m ** k * (re * sn + im * cs if odd
+                                      else re * cs - im * sn)
+                     for m, re, im, cs, sn in modes]
+            mean = 0.3 if k == 0 else 0.0
+            ref = mean + math.fsum(terms)
+            size = mean + sum(map(abs, terms))
+            assert abs(got[k][i] - ref) <= 4 * math.ulp(size)
 
 
 def test_no_warning_from_a_newton_step_at_an_extremum(vcos):
