@@ -153,6 +153,21 @@ def _integral_to_int(schema, value):
     return value
 
 
+def _non_finite_key(value, path=""):
+    """The key path, e.g. ['sturm']['e_cap'], of the first NaN or infinity
+    in a config (json.load reads them and draft-7 number accepts them), or
+    None."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        found = _non_finite_key(item, f"{path}[{key!r}]")
+        if found is not None:
+            return found
+    return None
+
+
 def validate_config(cfg: dict) -> dict:
     if not _conforms(_SCHEMA, cfg):
         # the error jsonschema.validate would raise, from the cached validator
@@ -160,6 +175,9 @@ def validate_config(cfg: dict) -> dict:
         error = best_match(_schema_validator().iter_errors(cfg))
         if error is not None:
             raise ConfigError(str(error)) from error
+    bad = _non_finite_key(cfg)
+    if bad is not None:
+        raise ConfigError(f"{bad} is not a finite number")
     if "params" in cfg and "physical" in cfg:
         raise ConfigError("give either params or physical, not both")
     canonical = _integral_to_int(
@@ -619,11 +637,7 @@ def run(command: str, cfg: dict, out_dir: str) -> dict:
     needs_potential = command not in ("units", "sturm")
     p = build_potential(canonical) if needs_potential else None
     payload, files = _HANDLERS[command](canonical, p, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
     file_names = sorted(files)
-    for name in file_names:
-        header, rows = files[name]
-        write_csv(os.path.join(out_dir, name), header, rows)
     # the worker-pool size is an execution knob, not a modeling input:
     # results are independent of it, so it stays out of the written bytes
     echo = {k: v for k, v in canonical.items() if k != "threads"}
@@ -635,9 +649,17 @@ def run(command: str, cfg: dict, out_dir: str) -> dict:
         "payload": payload,
         "files": file_names,
     }
-    with open(os.path.join(out_dir, f"{command}.json"), "w",
-              newline="") as fh:
-        fh.write(dump_json(envelope))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name in file_names:
+            header, rows = files[name]
+            write_csv(os.path.join(out_dir, name), header, rows)
+        with open(os.path.join(out_dir, f"{command}.json"), "w",
+                  newline="") as fh:
+            fh.write(dump_json(envelope))
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir!r}: {exc}") \
+            from exc
     return envelope
 
 

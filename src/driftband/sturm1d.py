@@ -120,9 +120,11 @@ class Potential1D:
 _EPS = np.finfo(float).eps
 
 
-def _turning_points(v: Potential1D, e):
+def _turning_points(v: Potential1D, e, guess=None):
     """Turning points x- < x_min < x+ of the well at an array of energies,
-    by one safeguarded Newton pass over both sides."""
+    by one safeguarded Newton pass over both sides from `guess` (x- lanes,
+    then x+ lanes), else from the harmonic well's; also v' at each lane's
+    last iterate, shape (2, n)."""
     e = np.asarray(e, dtype=float)
     if not np.all((v.v_min < e) & (e < v.v_max)):
         raise DomainError("energy outside the well")
@@ -132,25 +134,28 @@ def _turning_points(v: Potential1D, e):
     ee = np.concatenate([e, e])
     lo = np.repeat([x_right - TWO_PI, v.x_min], n)
     hi = np.repeat([v.x_min, x_right], n)
-    # first guess from the harmonic well, the bracket midpoint outside it
-    curvature = 0.5 * v.derivatives(v.x_min, (2,))[0]
-    reach = (np.sqrt((ee - v.v_min) / curvature) if curvature > 0.0
-             else np.full(2 * n, np.inf))
-    guess = v.x_min + side * reach
+    if guess is None:
+        curvature = 0.5 * v.derivatives(v.x_min, (2,))[0]
+        reach = (np.sqrt((ee - v.v_min) / curvature) if curvature > 0.0
+                 else np.full(2 * n, np.inf))
+        guess = v.x_min + side * reach
+    # the bracket midpoint where the guess lies outside it
     guess = np.where((lo < guess) & (guess < hi), guess, 0.5 * (lo + hi))
     # side (v - e) rises across each bracket; below `floor` it is rounding
     scale = np.abs(ee) + abs(v._mean) + 2.0 * np.sum(np.abs(v._amps[0])
                                                      + np.abs(v._amps[1]))
 
+    last = np.empty(2 * n)
+
     def fun(x, lanes):
         s = side[lanes]
-        val, slope = v.derivatives(x, (0, 1))
-        return s * (val - ee[lanes]), s * slope
+        val, last[lanes] = v.derivatives(x, (0, 1))
+        return s * (val - ee[lanes]), s * last[lanes]
 
     x = bracketed_newton(fun, lo, hi, guess,
                          lambda x: 8.0 * _EPS * (1.0 + np.abs(x)),
                          floor=4.0 * _EPS * scale)
-    return x[:n], x[n:]
+    return x[:n], x[n:], last.reshape(2, n)
 
 
 def _smooth_quotient(v: Potential1D, e, a, b, sign: float):
@@ -240,24 +245,24 @@ def _sine_rule(v: Potential1D, e, a, b, sign: float, checked):
     return out
 
 
-def _well_actions(v: Potential1D, e):
-    """Well action at an array of energies, to _QTOL, and its slope
-    dA/dE = T(E) / 2 pi as the rule gives it (Newton steps need no more)."""
-    xm, xp = _turning_points(v, e)
+def _well_actions(v: Potential1D, e, xm, xp):
+    """Well action at an array of energies with turning points xm, xp, to
+    _QTOL, and its slope dA/dE = T(E) / 2 pi as the rule gives it (Newton
+    steps need no more)."""
     root, inverse = _sine_rule(v, e, xm, xp, +1.0, checked=(0,))
     return root / math.pi, inverse / TWO_PI
 
 
 def _energies_of(actions, targets, lo, hi, guess):
     """Energies in [lo, hi] where the action reaches each target, one lane
-    per target; actions maps an array of energies to (A, dA/dE).  A lane
-    stops once its action is within 4 eps |target| or a step makes no
-    progress: near the barrier top the rules' slopes are too poor to stop
-    on a step length."""
+    per target; actions maps the energies of the listed lanes to (A,
+    dA/dE).  A lane stops once its action is within 4 eps |target| or a
+    step makes no progress: near the barrier top the rules' slopes are too
+    poor to stop on a step length."""
     targets = np.asarray(targets, dtype=float)
 
     def fun(es, lanes):
-        action, slope = actions(es)
+        action, slope = actions(es, lanes)
         return action - targets[lanes], slope
 
     lo, hi = (np.broadcast_to(end, targets.shape) for end in (lo, hi))
@@ -267,28 +272,47 @@ def _energies_of(actions, targets, lo, hi, guess):
 
 def _well_levels(v: Potential1D, targets, lo: float, hi: float):
     """Energies in [lo, hi] whose well actions are the targets; the first
-    guess is the harmonic well's, A = (E - v_min) / omega0."""
+    guess is the harmonic well's, A = (E - v_min) / omega0.  A lane's turning
+    points start from its last ones x, moved to first order, x + (E - E_last)
+    / v'(x): late passes move E by 1e-10 or less."""
     omega = math.sqrt(max(2.0 * v.derivatives(v.x_min, (2,))[0], 0.0))
-    return _energies_of(lambda es: _well_actions(v, es), targets, lo, hi,
+    last = []  # every lane's last energy, turning points and v' there
+
+    def actions(es, lanes):
+        guess = None
+        if last:
+            e0, x0, d0 = (a[..., lanes] for a in last)
+            guess = (x0 + np.divide(es - e0, d0, out=np.full(d0.shape, np.nan),
+                                    where=d0 != 0.0)).ravel()
+        xm, xp, slope = _turning_points(v, es, guess)
+        if not last:  # the first pass has every lane
+            last.extend((np.empty(es.shape), np.empty(slope.shape),
+                         np.empty(slope.shape)))
+        for a, new in zip(last, (es, (xm, xp), slope)):
+            a[..., lanes] = new
+        return _well_actions(v, es, xm, xp)
+
+    return _energies_of(actions, targets, lo, hi,
                         v.v_min + np.asarray(targets) * omega)
 
 
 def action_lower(v: Potential1D, e: float) -> float:
     """(1/pi) int sqrt(e - v) over the allowed segment (the well action)."""
-    return float(_well_actions(v, np.array([e], dtype=float))[0][0])
+    e = np.array([e], dtype=float)
+    return float(_well_actions(v, e, *_turning_points(v, e)[:2])[0][0])
 
 
 def period_integral(v: Potential1D, e: float) -> float:
     """int dx / sqrt(e - v) over the allowed segment."""
     e = np.array([e], dtype=float)
-    xm, xp = _turning_points(v, e)
+    xm, xp, _ = _turning_points(v, e)
     return float(_sine_rule(v, e, xm, xp, +1.0, checked=(1,))[1][0])
 
 
 def agmon_distance(v: Potential1D, e: float) -> float:
     """Tunneling integral of sqrt(v - e) across the forbidden segment."""
     e = np.array([e], dtype=float)
-    xm, xp = _turning_points(v, e)
+    xm, xp, _ = _turning_points(v, e)
     return float(_sine_rule(v, e, xp, xm + TWO_PI, -1.0, checked=(0,))[0][0])
 
 
@@ -324,7 +348,7 @@ def _upper_levels(v: Potential1D, targets, lo: float, hi: float):
     squares = np.square(targets)
     lo = np.maximum(lo, v._mean + squares)
     hi = np.minimum(hi, v.v_max + squares)
-    return _energies_of(lambda es: _upper_actions(v, es), targets, lo, hi,
+    return _energies_of(lambda es, _: _upper_actions(v, es), targets, lo, hi,
                         0.5 * (lo + hi))
 
 
@@ -490,7 +514,7 @@ def band_width_lower(v: Potential1D, h: float, e, delta: float | None = None):
     es = np.atleast_1d(np.asarray(e, dtype=float))
     if not np.all((v.v_min + delta < es) & (es < v.v_max - delta)):
         raise DomainError("level outside the tunneling window")
-    xm, xp = _turning_points(v, es)
+    xm, xp, _ = _turning_points(v, es)
     period = _sine_rule(v, es, xm, xp, +1.0, checked=(1,))[1]
     rho = _sine_rule(v, es, xp, xm + TWO_PI, -1.0, checked=(0,))[0]
     widths = [2.0 * (TWO_PI / t * h / math.pi) * math.exp(-r / h)
@@ -509,6 +533,11 @@ def gap_ends_upper(v: Potential1D, h: float, e_cap: float,
     i_hi = action_upper(v, e_cap)
     nus = []
     nu = int(math.ceil(2.0 * i_lo / h))
+    # the ends number floor(2 i_hi / h) - nu + 1; cap them as bs_levels_lower
+    # caps its levels
+    if not 2.0 * i_hi / h < nu + 100000:
+        raise DomainError(f"more than 100000 gap ends up to e_cap = {e_cap} "
+                          f"at h = {h}")
     while h * nu / 2.0 <= i_hi:
         nus.append(nu)
         nu += 1

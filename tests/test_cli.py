@@ -861,3 +861,69 @@ def test_flux_denominator_below_one_is_config_error(tmp_path, capsys,
     assert err["error"] == "config"
     assert "['flux']['N']" in err["message"]
     assert not (out / f"{command}.json").exists()
+
+
+_STURM_FAST = {"cosine_amplitude": 1.0, "h": 0.3, "q_points": 2,
+               "oracle_grid": 64}
+
+
+def _limited_memory():
+    # an unchecked infinite e_cap grows a list of gap ends without bound
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("sturm", {"sturm": {**_STURM_FAST, "e_cap": math.inf}},
+     "['sturm']['e_cap']"),
+    ("sturm", {"sturm": {**_STURM_FAST, "h": -math.inf}}, "['sturm']['h']"),
+    ("reeb", {**BASE, "params": {"h": 0.1, "epsilon": math.nan}},
+     "['params']['epsilon']"),
+    ("reeb", {**BASE, "params": {"h": 0.1, "epsilon": math.inf}},
+     "['params']['epsilon']"),
+    ("reeb", {**BASE, "potential": {"cosine": {"A": math.nan, "B": 1.0,
+                                               "beta": 1.0}}},
+     "['potential']['cosine']['A']"),
+], ids=["e_cap-inf", "sturm.h--inf", "epsilon-nan", "epsilon-inf", "A-nan"])
+def test_non_finite_number_is_config_error(tmp_path, command, cfg, key):
+    # json.load reads NaN and Infinity and draft-7 number accepts them: an
+    # infinite e_cap never returned, the others exited 3 or named no key
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "driftband.cli", command, "--config",
+         str(cfgfile), "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=30, preexec_fn=_limited_memory)
+    assert proc.returncode == 2
+    err = json.loads(proc.stderr)
+    assert err["error"] == "config"
+    assert key in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_sturm_upper_sweep_over_the_cap_is_config_error(tmp_path, capsys):
+    # 6.7 million gap ends up to e_cap 1e12 at h 0.3 asked for a 6.9 GB
+    # trapezoid array
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"sturm": {**_STURM_FAST, "e_cap": 1e12}}))
+    out = tmp_path / "out"
+    assert main(["sturm", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "e_cap = 1000000000000.0" in err["message"]
+    assert "h = 0.3" in err["message"]
+
+
+def test_out_naming_a_file_is_config_error(tmp_path, capsys):
+    # os.makedirs raised FileExistsError after the whole computation
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"sturm": {**_STURM_FAST, "e_cap": 1.5}}))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["sturm", "--config", str(cfgfile), "--out", str(taken)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert str(taken) in err["message"]
+    assert taken.read_text() == ""

@@ -296,7 +296,9 @@ def test_lanes_do_not_depend_on_their_batch(shape, request):
     widths = band_width_lower(v, h, inside, delta=0.02)
     assert widths.tolist() == [band_width_lower(v, h, e, delta=0.02)
                                for e in inside]
-    actions, _ = sturm1d._well_actions(v, np.array(levels))
+    es = np.array(levels)
+    actions, _ = sturm1d._well_actions(
+        v, es, *sturm1d._turning_points(v, es)[:2])
     assert actions.tolist() == [action_lower(v, e) for e in levels]
 
 
@@ -337,6 +339,14 @@ def test_array_derivatives_equal_scalar_values(shape, request):
         assert f(xs.reshape(37, 1)).shape == (37, 1)
 
 
+@pytest.mark.parametrize("h,e_cap", [(0.3, 1e12), (1e-6, 3.0)])
+def test_upper_sweep_over_100000_ends_is_refused(vcos, h, e_cap):
+    # counted before any end is listed: these lists held 6.7 and 3.4
+    # million ends
+    with pytest.raises(DomainError, match=f"e_cap = {e_cap} at h = {h}"):
+        gap_ends_upper(vcos, h, e_cap)
+
+
 def test_one_dimensional_mode_sum_matches_a_plain_mode_loop():
     v = Potential1D({0: 0.3, 1: 0.5 - 0.2j, -1: 0.5 + 0.2j, 2: 0.1j,
                      -2: -0.1j, 3: -0.07 + 0.04j, -3: -0.07 - 0.04j})
@@ -369,13 +379,13 @@ def test_no_warning_from_a_newton_step_at_an_extremum(vcos):
         for v in (vcos, Potential1D({1: -0.5, -1: -0.5})):
             es = np.array([np.nextafter(v.v_min, math.inf),
                            np.nextafter(v.v_max, -math.inf)])
-            xm, xp = sturm1d._turning_points(v, es)
+            xm, xp, _ = sturm1d._turning_points(v, es)
             assert np.all(xm <= v.x_min) and np.all(v.x_min <= xp)
             # within the rounding floor 4 eps (|e| + sum |2 c_k|)
             floor = 4.0 * np.finfo(float).eps * (np.abs(es) + 1.0)
             assert np.all(np.abs(v.value(xm) - es) <= floor)
             assert np.all(np.abs(v.value(xp) - es) <= floor)
-            assert np.all(np.isfinite(sturm1d._well_actions(v, es)[0]))
+            assert np.all(np.isfinite(sturm1d._well_actions(v, es, xm, xp)[0]))
 
 
 # ------------------------------------------ integrals against mpmath
